@@ -1,9 +1,22 @@
 """From-scratch regression tree ensembles: random forest and boosted trees.
 
-Both models share one array-backed CART grower with exhaustive split
-search (all features, all thresholds between adjacent distinct sorted
-values). Equal-score splits break to the lowest feature index, then the
-lowest threshold, so fits are deterministic.
+Both models grow array-backed CART trees with exhaustive split search (all
+features, all thresholds between adjacent distinct sorted values).
+Equal-score splits break to the lowest feature index, then the lowest
+threshold, so fits are deterministic.
+
+The forest grows a batch of bootstrap trees together, one depth level at a
+time, with SLIQ-style presorting and the exact greedy search of XGBoost:
+each tree's sample is argsorted once per feature, every live node keeps its
+rows in each feature's order, and a split stably partitions those orders
+into its children. A level scores every candidate node of the batch in a
+few numpy passes over a zero-padded (position, node, feature) block; nodes
+are chunked by size, so padding at most doubles the work. Scores,
+thresholds and leaf means use the same floating-point operations in the
+same order as growing each node on its own, so every tree is identical,
+split for split, to node-by-node growth. Working memory is bounded by
+_GROW_BUDGET and _CHUNK. The booster grows each round's small tree node
+by node.
 
 Uncertainty: the forest reports the population std of per-tree
 predictions; the booster reports the population std of a "virtual
@@ -97,43 +110,14 @@ def _pack(nodes: list) -> Tree:
     )
 
 
-def _sorted_prefixes(X: np.ndarray, v: np.ndarray):
-    """Per-feature sorted values plus prefix sums of v and v^2."""
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    vs = v[order]
-    return xs, np.cumsum(vs, axis=0), np.cumsum(vs * vs, axis=0)
-
-
-def _best_variance_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Split minimizing total child SSE; None when no valid position exists."""
-    m = X.shape[0]
-    if m < 2:
-        return None
-    xs, cs, css = _sorted_prefixes(X, y)
-    nl = np.arange(1, m, dtype=float)[:, None]
-    nr = m - nl
-    sl, ssl = cs[:-1], css[:-1]
-    st, sst = cs[-1], css[-1]
-    sse = (ssl - sl * sl / nl) + ((sst - ssl) - (st - sl) ** 2 / nr)
-    valid = xs[:-1] < xs[1:]
-    if min_leaf > 1:
-        counts = np.arange(1, m)[:, None]
-        valid &= (counts >= min_leaf) & (m - counts >= min_leaf)
-    scores = np.where(valid, sse, np.inf).T  # (d, m-1): argmin ties -> low feature, low threshold
-    flat = int(np.argmin(scores))
-    if not np.isfinite(scores.flat[flat]):
-        return None
-    f, k = divmod(flat, m - 1)
-    return int(f), float(0.5 * (xs[k, f] + xs[k + 1, f]))
-
-
 def _best_gain_split(X: np.ndarray, g: np.ndarray, lam: float, gamma: float, min_child: float):
     """Second-order split gain with unit hessians; None unless gain > 0."""
     m = X.shape[0]
     if m < 2:
         return None
-    xs, cs, _ = _sorted_prefixes(X, g)
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    cs = np.cumsum(g[order], axis=0)
     hl = np.arange(1, m, dtype=float)[:, None]
     hr = m - hl
     gl = cs[:-1]
@@ -148,32 +132,225 @@ def _best_gain_split(X: np.ndarray, g: np.ndarray, lam: float, gamma: float, min
     return int(f), float(0.5 * (xs[k, f] + xs[k + 1, f]))
 
 
-def _grow_variance_tree(X, y, config: ForestConfig) -> Tree:
-    nodes: list = []
-    nodes.append(None)
-    stack = [(0, np.arange(X.shape[0]), 0)]
-    while stack:
-        ni, idx, depth = stack.pop()
-        sub_y = y[idx]
-        split = None
-        depth_ok = config.max_depth is None or depth < config.max_depth
-        if (
-            depth_ok
-            and len(idx) >= config.min_samples_split
-            and not np.all(sub_y == sub_y[0])
-        ):
-            split = _best_variance_split(X[idx], sub_y, config.min_samples_leaf)
-        if split is None:
-            nodes[ni] = (-1, 0.0, -1, -1, float(sub_y.mean()))
-            continue
-        f, thr = split
-        go_left = X[idx, f] <= thr
-        li, ri = len(nodes), len(nodes) + 1
-        nodes.extend([None, None])
-        nodes[ni] = (f, thr, li, ri, 0.0)
-        stack.append((li, idx[go_left], depth + 1))
-        stack.append((ri, idx[~go_left], depth + 1))
-    return _pack(nodes)
+# Working-memory budgets of the batched forest grower, in array elements.
+# A batch takes as many trees as fit (sample row, feature) entries in
+# _GROW_BUDGET; a scoring chunk or partition step holds at most _CHUNK
+# (position, node, feature) entries. Working arrays cost 1 to 8 bytes per
+# entry.
+_GROW_BUDGET = 1 << 16
+_CHUNK = 1 << 14
+
+
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ranges starts[i] .. starts[i] + lengths[i] - 1."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _running_sums(a: np.ndarray) -> None:
+    """In place, a[i] += a[i - 1] along axis 0: np.cumsum's exact sums."""
+    if a[0].size >= 1024:  # one add per position beats cumsum's per-column loop
+        for i in range(1, len(a)):
+            np.add(a[i - 1], a[i], out=a[i])
+    else:
+        np.cumsum(a, axis=0, out=a)
+
+
+def _best_splits(cells, xv, yv, off, m, min_leaf: int):
+    """Best SSE split of each node, scored for all nodes together.
+
+    Node i owns rows off[i] .. off[i] + m[i] - 1 of `cells`, whose column
+    f lists the node's cells of feature f in sorted order. Nodes are
+    padded to the largest through the last row of `cells`, whose sentinel
+    cells hold x = +inf and y = 0. Returns the feature (-1 where no split
+    is valid) and the split's position in that feature's order; ties go
+    to the lowest feature, then position.
+    """
+    end = cells.shape[1] - 1
+    width = int(m.max())
+    j = np.arange(width)[:, None]
+    block = cells.T[np.where(j < m, off + j, end)]  # (position, node, feature)
+    cs = yv[block]
+    css = cs * cs
+    _running_sums(cs)
+    _running_sums(css)
+    xs = xv[block]
+    del block
+    invalid = np.less(xs[:-1], xs[1:])
+    np.logical_not(invalid, out=invalid)
+    del xs
+    nl = np.arange(1, width, dtype=float)[:, None, None]
+    nr = m[:, None] - nl
+    invalid |= (nl < min_leaf) | (nr < min_leaf)
+    st, sst = cs[-1], css[-1]
+    sl, ssl = cs[:-1], css[:-1]
+    # (ssl - sl*sl/nl) + ((sst - ssl) - (st - sl)**2/nr), operation for
+    # operation, so each score is bit-identical to a one-node evaluation
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sse = sl * sl
+        sse /= nl
+        np.subtract(ssl, sse, out=sse)
+        np.subtract(sst, ssl, out=ssl)
+        np.subtract(st, sl, out=sl)
+        sl *= sl
+        sl /= nr
+        ssl -= sl
+        sse += ssl
+    np.putmask(sse, invalid, np.inf)
+    best = sse.min(axis=0)  # (node, feature)
+    f = best.argmin(axis=1)
+    node = np.arange(len(m))
+    score = best[node, f]
+    k = (sse[:, node, f] == score).argmax(axis=0)
+    f[~np.isfinite(score)] = -1
+    return f, k
+
+
+def _level_splits(cells, xv, yv, off, m, depth: int, config: ForestConfig):
+    """(feature, position) of every live node's split; feature -1 makes a leaf."""
+    feature = np.full(len(m), -1)
+    k = np.zeros(len(m), dtype=np.int64)
+    if config.max_depth is not None and depth >= config.max_depth:
+        return feature, k
+    cand = np.flatnonzero(m >= config.min_samples_split)
+    if not len(cand):
+        return feature, k
+    # nodes whose targets are all equal stay leaves
+    y = yv[cells[0, _segments(off[cand], m[cand])]]
+    starts = np.cumsum(m[cand]) - m[cand]
+    cand = cand[np.logical_or.reduceat(y != np.repeat(y[starts], m[cand]), starts)]
+    # score in chunks of nodes within 2x of the chunk's largest, under the budget
+    cand = cand[np.argsort(-m[cand], kind="stable")]
+    neg_sizes = -m[cand]
+    per_node = len(cells)
+    i = 0
+    while i < len(cand):
+        width = m[cand[i]]
+        stop = min(np.searchsorted(neg_sizes, -(width // 2)), i + max(1, _CHUNK // (per_node * width)))
+        chunk = cand[i:stop]
+        feature[chunk], k[chunk] = _best_splits(cells, xv, yv, off[chunk], m[chunk], config.min_samples_leaf)
+        i = stop
+    return feature, k
+
+
+def _leaf_values(cells, yv, off, m) -> np.ndarray:
+    """Each leaf's float(y[rows].mean()) over its rows in ascending order.
+
+    A sum of one or two values is the same in any order, so those leaves
+    take one row-wise .mean() per size; from three values numpy's
+    association matters, and each such leaf calls .mean() on its rows.
+    """
+    value = np.full(len(m), np.nan)  # an empty child, as np.mean of no rows
+    for size in (1, 2):
+        at = np.flatnonzero(m == size)
+        value[at] = yv[cells[0, off[at, None] + np.arange(size)]].mean(axis=1)
+    for i in np.flatnonzero(m >= 3):
+        value[i] = yv[np.sort(cells[0, off[i] : off[i] + m[i]])].mean()
+    return value
+
+
+def _partition(cells, side, kept: int):
+    """Stable partition of every row of `cells` by the side of each cell.
+
+    Cells of side 1 (left children) come first, then those of side 2;
+    side 0 (rows of nodes that became leaves) is dropped. Every row holds
+    `kept` cells of sides 1 and 2 together. The sentinel column stays last.
+    """
+    d, live = cells.shape[0], cells.shape[1] - 1
+    out = np.empty((d, kept + 1), dtype=cells.dtype)
+    out[:, -1] = cells[:, -1]
+    step = max(1, _CHUNK // max(live, 1))
+    for r in range(0, d, step):
+        part = cells[r : r + step, :live]
+        order = np.argsort(side[part], axis=1, kind="stable")[:, live - kept :]
+        out[r : r + step, :-1] = np.take_along_axis(part, order, axis=1)
+    return out
+
+
+def _grow_variance_batch(X, y, samples: np.ndarray, config: ForestConfig) -> list[Tree]:
+    """Grow one tree per row of `samples` (indices into X), level by level.
+
+    Batch row g is sample row g % n of tree g // n. Cell f * (rows + 1) + g
+    of the value tables holds its feature f (and its target), cell
+    f * (rows + 1) + rows a sentinel. Column f of `cells` lists the cells
+    of every live node sorted by feature f (ties by row), nodes one after
+    another; a split stably partitions every column, so children inherit
+    their sorted orders and nothing is sorted after the start.
+    """
+    n_trees, n = samples.shape
+    d = X.shape[1]
+    rows = n_trees * n
+    stride = rows + 1
+    xv = np.empty((d, stride))
+    xv[:, :rows] = X.T[:, samples.ravel()]
+    xv[:, rows] = np.inf
+    yv = np.tile(np.append(y[samples.ravel()], 0.0), d)
+    cells = np.empty((d, stride), dtype=np.int32)
+    tree_start = np.arange(0, rows, n)
+    for f in range(d):
+        order = np.argsort(xv[f, :rows].reshape(n_trees, n), axis=1, kind="stable")
+        cells[f, :rows] = (order + (tree_start + f * stride)[:, None]).ravel()
+    cells[:, rows] = np.arange(d) * stride + rows
+    xv = xv.ravel()
+    side = np.empty((d, stride), dtype=np.int8)
+
+    node_id, tree, off, m = np.arange(n_trees), np.arange(n_trees), tree_start, np.full(n_trees, n)
+    levels: list = []
+    depth = 0
+    while len(m):
+        feature, k = _level_splits(cells, xv, yv, off, m, depth, config)
+        split = np.flatnonzero(feature >= 0)
+        threshold = np.zeros(len(m))
+        left = np.full(len(m), -1)
+        right = np.full(len(m), -1)
+        value = np.zeros(len(m))
+        leaf = feature < 0
+        value[leaf] = _leaf_values(cells, yv, off[leaf], m[leaf])
+        levels.append((node_id, tree, feature, threshold, left, right, value))
+        if not len(split):
+            break
+        next_id = node_id[-1] + 1
+        left[split] = next_id + np.arange(len(split))
+        right[split] = left[split] + len(split)
+        fs, ms = feature[split], m[split]
+        pos = off[split] + k[split]
+        thr = threshold[split] = 0.5 * (xv[cells[fs, pos]] + xv[cells[fs, pos + 1]])
+        # the left child is the prefix of the split feature's order with x <= thr
+        seg = _segments(off[split], ms)
+        cut = cells[np.repeat(fs, ms), seg]
+        goes_left = xv[cut] <= np.repeat(thr, ms)
+        nleft = np.add.reduceat(goes_left, np.cumsum(ms) - ms, dtype=np.int64)
+
+        side[:] = 0
+        side[:, cells[0, seg]] = 2
+        side[:, cut[goes_left] % stride] = 1
+        cells = _partition(cells, side.ravel(), len(seg))
+        m = np.concatenate([nleft, ms - nleft])
+        off = np.cumsum(m) - m
+        node_id = np.arange(next_id, next_id + len(m))
+        tree = np.concatenate([tree[split], tree[split]])
+        depth += 1
+    return _unpack_levels(levels, n_trees)
+
+
+def _unpack_levels(levels: list, n_trees: int) -> list[Tree]:
+    """Per-tree node arrays, each tree in growth order from its root."""
+    node_id, tree, feature, threshold, left, right, value = (np.concatenate(c) for c in zip(*levels))
+    order = np.lexsort((node_id, tree))
+    counts = np.bincount(tree, minlength=n_trees)
+    local = np.empty(len(order), dtype=np.int64)
+    local[node_id[order]] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    left, right = left[order], right[order]
+    inner = left >= 0
+    left[inner] = local[left[inner]]
+    right[inner] = local[right[inner]]
+    bounds = np.cumsum(counts)[:-1]
+    return [
+        Tree(feature=f, threshold=t, left=lo, right=r, value=v)
+        for f, t, lo, r, v in zip(
+            *(np.split(a, bounds) for a in (feature[order], threshold[order], left, right, value[order]))
+        )
+    ]
 
 
 def _grow_gbt_tree(X, g, config: GBTConfig) -> Tree:
@@ -253,15 +430,17 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> ForestModel:
     fitting order (or parallel scheduling) cannot change the result.
     """
     X, y = _check_xy(X, y)
-    n = X.shape[0]
+    n, d = X.shape
     children = np.random.SeedSequence(config.seed).spawn(config.n_trees)
-    trees = []
-    for child in children:
+    per_batch = max(1, _GROW_BUDGET // (n * d))
+    trees: list[Tree] = []
+    for start in range(0, config.n_trees, per_batch):
+        batch = children[start : start + per_batch]
         if config.bootstrap:
-            idx = np.random.default_rng(child).integers(0, n, size=n)
-            trees.append(_grow_variance_tree(X[idx], y[idx], config))
+            samples = np.stack([np.random.default_rng(c).integers(0, n, size=n) for c in batch])
         else:
-            trees.append(_grow_variance_tree(X, y, config))
+            samples = np.tile(np.arange(n), (len(batch), 1))
+        trees.extend(_grow_variance_batch(X, y, samples, config))
     return ForestModel(trees=trees, config=config, n_features=X.shape[1])
 
 

@@ -1,7 +1,11 @@
 """Tree ensembles against brute-force split and boosting oracles."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from albench.errors import FitError, ShapeError
 from albench.forest_gbt import (
@@ -44,6 +48,63 @@ def enumerate_best_sse_split(X, y):
             if best is None or sse < best[0] - 1e-15:
                 best = (sse, f, thr)
     return best
+
+
+def reference_variance_tree(X, y, config):
+    """One CART tree grown node by node, as the forest grew it before the
+    level-synchronous grower: each node argsorts its own rows, scores every
+    (feature, position) with the same expression, and takes the first
+    minimum in (feature, position) order. Returns the tree's to_dict()."""
+
+    def best_split(idx):
+        m = len(idx)
+        order = np.argsort(X[idx], axis=0, kind="stable")
+        xs = np.take_along_axis(X[idx], order, axis=0)
+        vs = y[idx][order]
+        cs, css = np.cumsum(vs, axis=0), np.cumsum(vs * vs, axis=0)
+        nl = np.arange(1, m, dtype=float)[:, None]
+        nr = m - nl
+        sl, ssl, st_, sst = cs[:-1], css[:-1], cs[-1], css[-1]
+        sse = (ssl - sl * sl / nl) + ((sst - ssl) - (st_ - sl) ** 2 / nr)
+        counts = np.arange(1, m)[:, None]
+        valid = (xs[:-1] < xs[1:]) & (counts >= config.min_samples_leaf) & (m - counts >= config.min_samples_leaf)
+        scores = np.where(valid, sse, np.inf).T
+        flat = int(np.argmin(scores))
+        if not np.isfinite(scores.flat[flat]):
+            return None
+        f, k = divmod(flat, m - 1)
+        return int(f), float(0.5 * (xs[k, f] + xs[k + 1, f]))
+
+    def grow(idx, depth):
+        sub_y = y[idx]
+        split = None
+        if (
+            (config.max_depth is None or depth < config.max_depth)
+            and len(idx) >= config.min_samples_split
+            and not np.all(sub_y == sub_y[0])
+        ):
+            split = best_split(idx)
+        if split is None:
+            return {"leaf": float(sub_y.mean())}
+        f, thr = split
+        go_left = X[idx, f] <= thr
+        return {
+            "feature": f,
+            "threshold": thr,
+            "left": grow(idx[go_left], depth + 1),
+            "right": grow(idx[~go_left], depth + 1),
+        }
+
+    return grow(np.arange(X.shape[0]), 0)
+
+
+def bootstrap_samples(n, config):
+    """The row sample of each tree, drawn as fit_forest draws it."""
+    for child in np.random.SeedSequence(config.seed).spawn(config.n_trees):
+        if config.bootstrap:
+            yield np.random.default_rng(child).integers(0, n, size=n)
+        else:
+            yield np.arange(n)
 
 
 class ReferenceBooster:
@@ -185,6 +246,68 @@ class TestForest:
             )
 
         assert all(s >= 3 for s in leaf_sizes(model.trees[0], 0, np.arange(8)))
+
+
+@st.composite
+def forest_problems(draw):
+    """Small pools with tied values, duplicated rows and signed zeros."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    levels = draw(st.sampled_from([2, 5, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, levels, size=(n, d)) / 4.0
+    y = rng.integers(-6, 7, size=n) / 3.0
+    y[y == 0.0] = draw(st.sampled_from([0.0, -0.0]))
+    config = ForestConfig(
+        n_trees=draw(st.integers(1, 30)),
+        bootstrap=draw(st.booleans()),
+        max_depth=draw(st.sampled_from([None, 0, 1, 3])),
+        min_samples_split=draw(st.sampled_from([2, 3, 6])),
+        min_samples_leaf=draw(st.sampled_from([1, 2, 4])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return X, y, config
+
+
+class TestForestMatchesNodeByNodeGrower:
+    @settings(max_examples=60, deadline=None)
+    @given(forest_problems())
+    def test_every_tree_matches_reference(self, problem):
+        X, y, config = problem
+        model = fit_forest(X, y, config)
+        assert len(model.trees) == config.n_trees
+        for tree, idx in zip(model.trees, bootstrap_samples(len(y), config)):
+            expected = reference_variance_tree(X[idx], y[idx], config)
+            # JSON text also tells -0.0 from 0.0
+            assert json.dumps(tree.to_dict()) == json.dumps(expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_signed_zero_leaves_match_reference(self, n):
+        X = np.zeros((n, 1))
+        y = np.full(n, -0.0)
+        config = ForestConfig(n_trees=3, seed=0)
+        for tree, idx in zip(fit_forest(X, y, config).trees, bootstrap_samples(n, config)):
+            assert json.dumps(tree.to_dict()) == json.dumps(reference_variance_tree(X[idx], y[idx], config))
+
+    def test_batches_of_many_trees_match_reference(self, rng):
+        X = rng.normal(size=(150, 14))
+        y = X[:, 0] ** 2 - X[:, 3] + 0.1 * rng.normal(size=150)
+        config = ForestConfig(n_trees=70, seed=12)
+        model = fit_forest(X, y, config)
+        for tree, idx in zip(model.trees, bootstrap_samples(len(y), config)):
+            assert json.dumps(tree.to_dict()) == json.dumps(reference_variance_tree(X[idx], y[idx], config))
+
+    def test_tree_layout(self, rng):
+        X = rng.normal(size=(25, 3))
+        y = rng.normal(size=25)
+        for tree in fit_forest(X, y, ForestConfig(n_trees=5, seed=1)).trees:
+            inner = tree.feature >= 0
+            assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int64
+            assert np.all(tree.left[~inner] == -1) and np.all(tree.right[~inner] == -1)
+            assert np.all(tree.threshold[~inner] == 0.0) and np.all(tree.value[inner] == 0.0)
+            # every node but the root (index 0) is the child of exactly one node
+            children = np.concatenate([tree.left[inner], tree.right[inner]])
+            assert sorted(children) == list(range(1, len(tree.feature)))
 
 
 # --- gbt ----------------------------------------------------------------------
