@@ -444,7 +444,7 @@ def cmd_sweep(args) -> int:
 def _load_records(results_dir: Path):
     """Parse every trajectory in a directory, skipping corrupt files."""
     records = []
-    pools: dict[str, Dataset] = {}
+    pools: dict[str, tuple[Dataset, str]] = {}  # header digest -> (pool, its actual digest)
     for path in sorted(results_dir.glob("*.jsonl")):
         try:
             header, steps = read_trajectory(path)
@@ -453,9 +453,16 @@ def _load_records(results_dir: Path):
                 raise ConfigError("no dataset entry in header")
             digest = header.get("dataset_digest", "")
             if digest not in pools:
-                pools[digest] = dataset_from_header_entry(entry)
-            trajectory = rebuild_trajectory(header, steps, pools[digest])
-            records.append(analytics.RunRecord(trajectory=trajectory, pool=pools[digest]))
+                pool = dataset_from_header_entry(entry)
+                pools[digest] = (pool, pool.digest())
+            pool, actual = pools[digest]
+            if actual != digest:
+                raise ConfigError(
+                    f"the rebuilt pool has digest {actual} but the run recorded {digest}; "
+                    "was the dataset edited after the run?"
+                )
+            trajectory = rebuild_trajectory(header, steps, pool)
+            records.append(analytics.RunRecord(trajectory=trajectory, pool=pool))
         except (OSError, ValueError, KeyError, AlbenchError, json.JSONDecodeError) as exc:
             logger.warning("skipping %s: %s", path, exc)
     return records

@@ -16,12 +16,14 @@ fixed seed differ only through client nondeterminism (live LLMs).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Protocol
 
 import numpy as np
 
-from .errors import ConfigError, ProposerError, ProtocolViolationError, RunAborted, ShapeError
+from .errors import ConfigError, NumericalError, ProposerError, ProtocolViolationError, RunAborted, ShapeError
 from .types import Dataset, RunConfig, StepRecord, Trajectory
 
 STREAM_WALK = 1
@@ -206,14 +208,28 @@ def trajectory_header(trajectory: Trajectory, dataset_spec: Optional[dict] = Non
 
 
 def trajectory_to_jsonl(trajectory: Trajectory, dataset_spec: Optional[dict] = None) -> str:
-    lines = [json.dumps(trajectory_header(trajectory, dataset_spec), sort_keys=True)]
-    lines.extend(json.dumps(s.to_dict(), sort_keys=True) for s in trajectory.steps)
+    """Header line plus one line per step; NaN or infinity raises NumericalError."""
+    try:
+        lines = [json.dumps(trajectory_header(trajectory, dataset_spec), sort_keys=True, allow_nan=False)]
+        lines.extend(json.dumps(s.to_dict(), sort_keys=True, allow_nan=False) for s in trajectory.steps)
+    except ValueError as exc:
+        raise NumericalError(f"trajectory holds a non-finite number: {exc}") from exc
     return "\n".join(lines) + "\n"
 
 
 def write_trajectory(trajectory: Trajectory, path, dataset_spec: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory_to_jsonl(trajectory, dataset_spec))
+    """Write the JSONL file atomically: through a temp file in the same
+    directory and os.replace, so a reader or a resumed sweep sees the old
+    file or the new one, never a torn one."""
+    text = trajectory_to_jsonl(trajectory, dataset_spec)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_trajectory(path) -> tuple[dict, list[StepRecord]]:

@@ -177,8 +177,8 @@ def parse_proposal(
 
     Keys match feature names case-insensitively; features the reply omits
     are filled with the mean of the observed values for that feature (and
-    the fill is logged). No block, or a block with zero parsable pairs,
-    raises ProposalParseError.
+    the fill is logged). No block, a block with zero parsable pairs, or a
+    non-finite value (nan, inf) raises ProposalParseError.
     """
     blocks = FENCE_RE.findall(text or "")
     if not blocks:
@@ -196,9 +196,12 @@ def parse_proposal(
                 if name is None:
                     break
                 try:
-                    parsed[name] = float(raw.strip())
+                    value = float(raw.strip())
                 except ValueError:
-                    pass
+                    break
+                if not np.isfinite(value):
+                    raise ProposalParseError(f"non-finite value {raw.strip()!r} for feature {name!r}")
+                parsed[name] = value
                 break
     if not parsed:
         raise ProposalParseError("fenced block contained no parsable feature pairs")

@@ -8,7 +8,7 @@ run's model substream each iteration, so runs are repeatable end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -32,19 +32,6 @@ class RandomWalkProposer:
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:
         unlabeled = sorted(set(range(len(dataset))) - set(observed_ids))
         return Suggestion(candidate_id=random_walk_select(unlabeled, self._rng))
-
-
-@dataclass
-class ScriptedProposer:
-    """Test helper: emits a fixed id sequence."""
-
-    ids: list[int]
-    position: int = 0
-
-    def propose(self, dataset, observed_ids, observed_values) -> Suggestion:
-        cid = self.ids[self.position]
-        self.position += 1
-        return Suggestion(candidate_id=cid)
 
 
 class SurrogateProposer:

@@ -374,6 +374,32 @@ class TestReport:
         assert code == EXIT_OK
         assert any("skipping" in r.message for r in caplog.records)
 
+    def test_run_on_edited_csv_skipped_with_both_digests(self, tmp_path, caplog):
+        csv_path = tmp_path / "pool.csv"
+        csv_path.write_text("x1,x2,y\n" + "".join(f"{i},{i % 3},{(i * 7) % 11}\n" for i in range(12)))
+        spec = {"name": "pool", "csv_path": str(csv_path), "target_column": "y", "goal": "maximize"}
+        config = tmp_path / "sweep.json"
+        config.write_text(
+            json.dumps({"dataset": spec, "proposers": ["random_walk"], "seeds": [38, 39], "parallelism": 1})
+        )
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == EXIT_OK
+        header, _ = read_trajectory(next((out_dir / "runs").glob("*.jsonl")))
+        recorded = header["dataset_digest"]
+
+        csv_path.write_text(csv_path.read_text().replace("\n3,0,10\n", "\n3,0,4\n"))
+        report_dir = tmp_path / "reports"
+        with caplog.at_level("WARNING"):
+            code = main(["report", "--results", str(out_dir / "runs"), "--out-dir", str(report_dir)])
+        assert code == EXIT_CONFIG  # both runs skipped: nothing left to report
+        from albench.cli import build_dataset
+
+        current = build_dataset(spec)[0].digest()
+        assert current != recorded
+        skipped = [r.message for r in caplog.records if "skipping" in r.message]
+        assert len(skipped) == 2
+        assert all(recorded in m and current in m for m in skipped)
+
     def test_empty_directory_nonzero_exit(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -1,5 +1,9 @@
 """Engine contracts: initialization, standardization, stopping, the loop."""
 
+import os
+from dataclasses import dataclass, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from albench.data import synthetic_pool
 from albench.engine import (
+    Suggestion,
     check_stopping,
     read_trajectory,
     rebuild_trajectory,
@@ -16,11 +21,31 @@ from albench.engine import (
     trajectory_to_jsonl,
     write_trajectory,
 )
-from albench.errors import ConfigError, ProposerError, ProtocolViolationError, RunAborted, ShapeError
-from albench.proposers import RandomWalkProposer, ScriptedProposer, make_proposer
+from albench.errors import (
+    ConfigError,
+    NumericalError,
+    ProposerError,
+    ProtocolViolationError,
+    RunAborted,
+    ShapeError,
+)
+from albench.proposers import RandomWalkProposer, make_proposer
 from albench.types import Goal, ProposerKind, RunConfig
 
 from conftest import make_pool
+
+
+@dataclass
+class ScriptedProposer:
+    """Emits a fixed id sequence."""
+
+    ids: list[int]
+    position: int = 0
+
+    def propose(self, dataset, observed_ids, observed_values) -> Suggestion:
+        cid = self.ids[self.position]
+        self.position += 1
+        return Suggestion(candidate_id=cid)
 
 
 class TestSelectInitial:
@@ -205,6 +230,42 @@ class TestTrajectoryIO:
         rebuilt = rebuild_trajectory(header, steps, ramp_pool)
         assert rebuilt.reached_optimum_at == traj.reached_optimum_at
         assert rebuilt.data_fraction_used == traj.data_fraction_used
+
+    def test_non_finite_value_is_refused(self, tmp_path, ramp_pool):
+        cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=6, n_initial=2)
+        traj = run_active_learning(ramp_pool, cfg, RandomWalkProposer(6))
+        path = tmp_path / "t.jsonl"
+        write_trajectory(traj, path)
+        before = path.read_text()
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            traj.steps[-1] = replace(traj.steps[-1], match_score=bad)
+            with pytest.raises(NumericalError):
+                trajectory_to_jsonl(traj)
+            with pytest.raises(NumericalError):
+                write_trajectory(traj, path)
+            assert path.read_text() == before
+        assert os.listdir(tmp_path) == ["t.jsonl"]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, ramp_pool, monkeypatch):
+        path = tmp_path / "t.jsonl"
+        first = run_active_learning(ramp_pool, RunConfig(ProposerKind.RANDOM_WALK, seed=6, n_initial=2), RandomWalkProposer(6))
+        write_trajectory(first, path)
+        before = path.read_text()
+
+        def killed(src, dst):
+            # the new text was written in full; the writer dies before the rename
+            assert Path(src).read_text() == trajectory_to_jsonl(second)
+            raise KeyboardInterrupt
+
+        second = run_active_learning(ramp_pool, RunConfig(ProposerKind.RANDOM_WALK, seed=7, n_initial=3), RandomWalkProposer(7))
+        monkeypatch.setattr("albench.engine.os.replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            write_trajectory(second, path)
+        assert path.read_text() == before
+        assert os.listdir(tmp_path) == ["t.jsonl"]
+        monkeypatch.undo()
+        write_trajectory(second, path)
+        assert path.read_text() == trajectory_to_jsonl(second) != before
 
     def test_header_reconstructs_exact_config(self, tmp_path, ramp_pool):
         cfg = RunConfig(

@@ -226,6 +226,12 @@ class TestParseProposal:
         with pytest.raises(ProposalParseError):
             parse_proposal("```\nnothing useful\n```", pool)
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_value_is_parse_error(self, raw):
+        pool = two_feature_pool()
+        with pytest.raises(ProposalParseError, match="non-finite"):
+            parse_proposal(f"```\nx1: {raw}\nx2: 2\n```", pool)
+
     def test_unknown_keys_ignored(self):
         pool = two_feature_pool()
         text = "```\nx1: 1\nx2: 2\ntemperature: 300\n```"
@@ -328,6 +334,15 @@ class TestLLMProposer:
         proposer = LLMProposer(client, seed=5)
         suggestion = proposer.propose(pool, [0], [1.0])
         assert suggestion.candidate_id == 1
+        assert suggestion.match_score == 1.0
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_reply_reprompts_instead_of_matching(self, raw):
+        pool = self._pool()
+        client = ScriptedChatClient([f"```\nx1: {raw}\nx2: 0\n```", "```\nx1: 2\nx2: 2\n```"])
+        suggestion = LLMProposer(client, seed=5).propose(pool, [0], [1.0])
+        assert client.position == 2
+        assert suggestion.candidate_id == 2
         assert suggestion.match_score == 1.0
 
     def test_never_returns_observed_id(self):
