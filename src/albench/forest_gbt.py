@@ -159,9 +159,9 @@ def _running_sums(a: np.ndarray) -> None:
 def _best_splits(cells, xv, yv, off, m, min_leaf: int):
     """Best SSE split of each node, scored for all nodes together.
 
-    Node i owns rows off[i] .. off[i] + m[i] - 1 of `cells`, whose column
+    Node i owns columns off[i] .. off[i] + m[i] - 1 of `cells`, whose row
     f lists the node's cells of feature f in sorted order. Nodes are
-    padded to the largest through the last row of `cells`, whose sentinel
+    padded to the largest with the last column of `cells`, whose sentinel
     cells hold x = +inf and y = 0. Returns the feature (-1 where no split
     is valid) and the split's position in that feature's order; ties go
     to the lowest feature, then position.
@@ -271,11 +271,11 @@ def _grow_variance_batch(X, y, samples: np.ndarray, config: ForestConfig) -> lis
     """Grow one tree per row of `samples` (indices into X), level by level.
 
     Batch row g is sample row g % n of tree g // n. Cell f * (rows + 1) + g
-    of the value tables holds its feature f (and its target), cell
-    f * (rows + 1) + rows a sentinel. Column f of `cells` lists the cells
-    of every live node sorted by feature f (ties by row), nodes one after
-    another; a split stably partitions every column, so children inherit
-    their sorted orders and nothing is sorted after the start.
+    of the value tables xv and yv holds feature f and the target of row g;
+    cell f * (rows + 1) + rows is a sentinel. Row f of `cells` lists the
+    cells of every live node sorted by feature f (ties by row), nodes one
+    after another; a split stably partitions every row, so children
+    inherit their sorted orders and nothing is sorted after the start.
     """
     n_trees, n = samples.shape
     d = X.shape[1]
