@@ -147,15 +147,6 @@ def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _running_sums(a: np.ndarray) -> None:
-    """In place, a[i] += a[i - 1] along axis 0: np.cumsum's exact sums."""
-    if a[0].size >= 1024:  # one add per position beats cumsum's per-column loop
-        for i in range(1, len(a)):
-            np.add(a[i - 1], a[i], out=a[i])
-    else:
-        np.cumsum(a, axis=0, out=a)
-
-
 def _best_splits(cells, xv, yv, off, m, min_leaf: int):
     """Best SSE split of each node, scored for all nodes together.
 
@@ -172,8 +163,8 @@ def _best_splits(cells, xv, yv, off, m, min_leaf: int):
     block = cells.T[np.where(j < m, off + j, end)]  # (position, node, feature)
     cs = yv[block]
     css = cs * cs
-    _running_sums(cs)
-    _running_sums(css)
+    np.cumsum(cs, axis=0, out=cs)
+    np.cumsum(css, axis=0, out=css)
     xs = xv[block]
     del block
     invalid = np.less(xs[:-1], xs[1:])
