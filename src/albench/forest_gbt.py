@@ -297,7 +297,7 @@ def _grow_variance_batch(X, y, samples: np.ndarray, config: ForestConfig) -> lis
         value = np.zeros(len(m))
         leaf = feature < 0
         value[leaf] = _leaf_values(cells, yv, off[leaf], m[leaf])
-        levels.append((node_id, tree, feature, threshold, left, right, value))
+        levels.append((node_id, tree, feature, threshold, left, right, value))  # splits filled below
         if not len(split):
             break
         next_id = node_id[-1] + 1

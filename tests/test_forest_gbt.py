@@ -289,14 +289,6 @@ class TestForestMatchesNodeByNodeGrower:
         for tree, idx in zip(fit_forest(X, y, config).trees, bootstrap_samples(n, config)):
             assert json.dumps(tree.to_dict()) == json.dumps(reference_variance_tree(X[idx], y[idx], config))
 
-    def test_batches_of_many_trees_match_reference(self, rng):
-        X = rng.normal(size=(150, 14))
-        y = X[:, 0] ** 2 - X[:, 3] + 0.1 * rng.normal(size=150)
-        config = ForestConfig(n_trees=70, seed=12)
-        model = fit_forest(X, y, config)
-        for tree, idx in zip(model.trees, bootstrap_samples(len(y), config)):
-            assert json.dumps(tree.to_dict()) == json.dumps(reference_variance_tree(X[idx], y[idx], config))
-
     def test_tree_layout(self, rng):
         X = rng.normal(size=(25, 3))
         y = rng.normal(size=25)
