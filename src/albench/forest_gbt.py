@@ -272,16 +272,17 @@ def _grow_variance_batch(X, y, samples: np.ndarray, config: ForestConfig) -> lis
     d = X.shape[1]
     rows = n_trees * n
     stride = rows + 1
+    sample = samples.ravel()
+    yv = np.tile(np.append(y[sample], 0.0), d)
     xv = np.empty((d, stride))
-    xv[:, :rows] = X.T[:, samples.ravel()]
     xv[:, rows] = np.inf
-    yv = np.tile(np.append(y[samples.ravel()], 0.0), d)
     cells = np.empty((d, stride), dtype=np.int32)
+    cells[:, rows] = np.arange(d) * stride + rows
     tree_start = np.arange(0, rows, n)
     for f in range(d):
+        xv[f, :rows] = X[sample, f]
         order = np.argsort(xv[f, :rows].reshape(n_trees, n), axis=1, kind="stable")
         cells[f, :rows] = (order + (tree_start + f * stride)[:, None]).ravel()
-    cells[:, rows] = np.arange(d) * stride + rows
     xv = xv.ravel()
     side = np.empty((d, stride), dtype=np.int8)
 
