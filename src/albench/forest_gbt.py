@@ -134,9 +134,9 @@ def _best_gain_split(X: np.ndarray, g: np.ndarray, lam: float, gamma: float, min
 
 # Working-memory budgets of the batched forest grower, in array elements.
 # A batch takes as many trees as fit (sample row, feature) entries in
-# _GROW_BUDGET; a scoring chunk or partition step holds at most _CHUNK
-# (position, node, feature) entries. Working arrays cost 1 to 8 bytes per
-# entry.
+# _GROW_BUDGET, and a scoring chunk or partition step at most _CHUNK
+# (position, node, feature) entries; either takes at least one tree, node
+# or feature row. Working arrays cost 1 to 8 bytes per entry.
 _GROW_BUDGET = 1 << 16
 _CHUNK = 1 << 14
 
@@ -213,11 +213,11 @@ def _level_splits(cells, xv, yv, off, m, depth: int, config: ForestConfig):
     # score in chunks of nodes within 2x of the chunk's largest, under the budget
     cand = cand[np.argsort(-m[cand], kind="stable")]
     neg_sizes = -m[cand]
-    per_node = len(cells)
+    d = len(cells)
     i = 0
     while i < len(cand):
         width = m[cand[i]]
-        stop = min(np.searchsorted(neg_sizes, -(width // 2)), i + max(1, _CHUNK // (per_node * width)))
+        stop = min(np.searchsorted(neg_sizes, -(width // 2)), i + max(1, _CHUNK // (d * width)))
         chunk = cand[i:stop]
         feature[chunk], k[chunk] = _best_splits(cells, xv, yv, off[chunk], m[chunk], config.min_samples_leaf)
         i = stop
