@@ -40,7 +40,6 @@ from .gpr import KernelParams, fit_gpr, kernel_matrix, log_marginal_likelihood, 
 from .llm import (
     LLMProposer,
     MatcherBackend,
-    Proposal,
     match_to_pool,
     parse_proposal,
     propose_next,
@@ -75,7 +74,6 @@ __all__ = [
     "MatcherBackend",
     "Prediction",
     "PromptFormat",
-    "Proposal",
     "Proposer",
     "ProposerKind",
     "RandomWalkProposer",

@@ -1,7 +1,8 @@
 """Trajectory analytics: run-level metrics and plot-ready CSV exports.
 
 Distance and PCA computations standardize features against the FULL pool
-(fixed statistics), so curves from different proposers share one scale.
+(fixed statistics, computed once per pool by `engine.pool_zscores`), so
+curves from different proposers share one scale.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import standardize_features
+from .engine import pool_zscores
+from .engine import standardize_features  # noqa: F401 -- bench/spans.py traces calls under this name
 from .errors import ConfigError
 from .types import Dataset, Goal, Trajectory
 
@@ -35,7 +37,7 @@ def cumulative_l2(trajectory: Trajectory, pool: Dataset) -> list[float]:
     ids = trajectory.selected_ids()
     if not ids:
         raise ConfigError("cumulative_l2 needs a non-empty trajectory")
-    z = standardize_features(pool.feature_matrix, pool.feature_matrix[ids])
+    z = pool_zscores(pool)[1][ids]
     hops = np.linalg.norm(np.diff(z, axis=0), axis=1)
     return [0.0] + [float(v) for v in np.cumsum(hops)]
 
@@ -53,7 +55,7 @@ def pca_project(pool: Dataset, k: int = 2):
     n_features = pool.feature_matrix.shape[1]
     if k > n_features:
         raise ConfigError(f"k={k} exceeds feature dimension {n_features}")
-    z = standardize_features(pool.feature_matrix, pool.feature_matrix)
+    z = pool_zscores(pool)[1]
     cov = (z.T @ z) / z.shape[0]
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1][:k]

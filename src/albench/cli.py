@@ -34,7 +34,7 @@ from .errors import AlbenchError, ConfigError, RunAborted
 from .forest_gbt import ForestConfig, GBTConfig
 from .llm import MatcherBackend
 from .proposers import make_proposer
-from .types import Dataset, Goal, PromptFormat, ProposerKind, RunConfig
+from .types import Dataset, Goal, PromptFormat, ProposerKind, RunConfig, StepRecord, Trajectory
 
 logger = logging.getLogger(__name__)
 
@@ -158,23 +158,57 @@ def execute_run(
         raise
     if out_path is not None:
         write_trajectory(trajectory, out_path, header_entry)
-    summary = analytics.summarize_trajectory(trajectory, dataset)
-    return {
-        "digest": trajectory.run_config_digest[:16],
-        "proposer": summary.proposer,
-        "alpha": summary.alpha,
-        "seed": summary.seed,
-        "repeat_index": summary.repeat_index,
-        "prompt_format": summary.prompt_format,
-        "pool_size": len(dataset),
-        "steps": len(trajectory.steps),
-        "iterations_to_optimum": summary.iterations_to_optimum,
-        "data_fraction": summary.data_fraction,
-        "final_best": summary.final_best,
-        "mean_match_score": summary.mean_match_score,
-        "status": "ok",
-        "error": "",
-    }
+    return summary_row(config, dataset, "ok", trajectory)
+
+
+SUMMARY_FIELDS = [
+    "digest",
+    "proposer",
+    "alpha",
+    "seed",
+    "repeat_index",
+    "prompt_format",
+    "pool_size",
+    "steps",
+    "iterations_to_optimum",
+    "data_fraction",
+    "final_best",
+    "mean_match_score",
+    "status",
+    "error",
+]
+
+
+def summary_row(
+    config: RunConfig,
+    dataset: Dataset,
+    status: str,
+    trajectory: Optional[Trajectory] = None,
+    error: str = "",
+) -> dict:
+    """One `summary.csv` row; the outcome columns stay empty without a trajectory."""
+    stored_digest = trajectory.run_config_digest[:16] if trajectory is not None else ""
+    row = dict.fromkeys(SUMMARY_FIELDS)
+    row.update(
+        digest=stored_digest or config.digest(dataset.digest())[:16],
+        proposer=config.proposer.value,
+        alpha=config.alpha,
+        seed=config.seed,
+        repeat_index=config.repeat_index,
+        prompt_format=config.prompt_format.value,
+        pool_size=len(dataset),
+        status=status,
+        error=error,
+    )
+    if trajectory is not None:
+        row.update(
+            steps=len(trajectory.steps),
+            iterations_to_optimum=trajectory.reached_optimum_at,
+            data_fraction=trajectory.data_fraction_used,
+            final_best=trajectory.final_best,
+            mean_match_score=trajectory.mean_match_score(),
+        )
+    return row
 
 
 # --- run command -------------------------------------------------------------
@@ -237,6 +271,10 @@ def cmd_run(args) -> int:
 
 # --- sweep command -----------------------------------------------------------
 
+# What reading a stored trajectory raises when the file is missing, torn or
+# malformed (json.JSONDecodeError is a ValueError).
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError, AlbenchError)
+
 
 def expand_sweep(cfg: dict) -> list[dict]:
     """Factorial grid over proposers, alphas, seeds, repeats, and formats."""
@@ -283,26 +321,29 @@ def expand_sweep(cfg: dict) -> list[dict]:
     return tasks
 
 
-def _is_complete(path, dataset: Dataset) -> bool:
-    """A stored run is complete if it hit the optimum or its iteration cap."""
+def _read_complete(path, dataset: Dataset) -> Optional[tuple[dict, list[StepRecord]]]:
+    """The stored (header, steps) if the run at `path` is complete, else None.
+
+    A run is complete if it hit the optimum or its iteration cap. A file
+    that cannot be read, is torn, has a malformed header or ran on another
+    pool counts as incomplete, so its cell runs again.
+    """
     try:
         header, steps = read_trajectory(path)
-    except (OSError, ValueError, KeyError, AlbenchError, json.JSONDecodeError):
-        return False
-    if not steps:
-        return False
-    config = RunConfig.from_dict(header["run_config"])
-    if header.get("dataset_digest") != dataset.digest():
-        return False
+        config = RunConfig.from_dict(header["run_config"])
+    except _UNREADABLE:
+        return None
+    if not steps or header.get("dataset_digest") != dataset.digest():
+        return None
     optimum = dataset.optimum_value
-    if any(s.observed_value == optimum for s in steps):
-        return True
-    return len(steps) >= config.resolved_max_iterations(len(dataset))
+    reached = any(s.observed_value == optimum for s in steps)
+    if reached or len(steps) >= config.resolved_max_iterations(len(dataset)):
+        return header, steps
+    return None
 
 
-def _sweep_worker(task: dict) -> dict:
-    """Execute one sweep cell in a worker process."""
-    dataset, header_entry = build_dataset(task["dataset"])
+def _run_cell(dataset: Dataset, header_entry: dict, task: dict) -> dict:
+    """Execute one sweep cell on an already-built pool; errors become a failed row."""
     config = RunConfig.from_dict(task["run"])
     try:
         return execute_run(
@@ -314,43 +355,31 @@ def _sweep_worker(task: dict) -> dict:
             task.get("model_overrides"),
         )
     except AlbenchError as exc:
-        return {
-            "digest": config.digest(dataset.digest())[:16],
-            "proposer": config.proposer.value,
-            "alpha": config.alpha,
-            "seed": config.seed,
-            "repeat_index": config.repeat_index,
-            "prompt_format": config.prompt_format.value,
-            "pool_size": len(dataset),
-            "steps": None,
-            "iterations_to_optimum": None,
-            "data_fraction": None,
-            "final_best": None,
-            "mean_match_score": None,
-            "status": "failed",
-            "error": str(exc),
-        }
+        return summary_row(config, dataset, "failed", error=str(exc))
 
 
-SUMMARY_FIELDS = [
-    "digest",
-    "proposer",
-    "alpha",
-    "seed",
-    "repeat_index",
-    "prompt_format",
-    "pool_size",
-    "steps",
-    "iterations_to_optimum",
-    "data_fraction",
-    "final_best",
-    "mean_match_score",
-    "status",
-    "error",
-]
+# (pool, header entry) of a sweep worker process; set by _init_sweep_worker
+_worker_pool: Optional[tuple[Dataset, dict]] = None
+
+
+def _init_sweep_worker(dataset_entry: dict) -> None:
+    """Process-pool initializer: build the sweep's pool once per worker."""
+    global _worker_pool
+    _worker_pool = build_dataset(dataset_entry)
+
+
+def _sweep_worker(task: dict) -> dict:
+    """Execute one sweep cell in a worker process, on the worker's pool."""
+    return _run_cell(*_worker_pool, task)
 
 
 def cmd_sweep(args) -> int:
+    """Run every cell of the sweep grid that has no complete stored run.
+
+    The pool is built once per process: serial cells share the sweep's
+    Dataset, and each worker process builds its own once. This relies on
+    Dataset being immutable, since each caches its digest and z-scores.
+    """
     with open(args.config) as fh:
         cfg = json.load(fh)
     if "dataset" not in cfg:
@@ -376,12 +405,12 @@ def cmd_sweep(args) -> int:
         config.validate(len(dataset))
         digest = config.digest(dataset.digest())[:16]
         out_path = runs_dir / f"{digest}.jsonl"
-        if out_path.exists() and _is_complete(out_path, dataset):
-            skipped.append((out_path, config))
+        stored = _read_complete(out_path, dataset) if out_path.exists() else None
+        if stored is not None:
+            skipped.append(stored)
             continue
         tasks.append(
             {
-                "dataset": header_entry,
                 "run": config.to_dict(),
                 "out_path": str(out_path),
                 "llm": llm_cfg,
@@ -391,33 +420,16 @@ def cmd_sweep(args) -> int:
 
     results = []
     if parallelism > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=parallelism, initializer=_init_sweep_worker, initargs=(header_entry,)
+        ) as pool:
             results.extend(pool.map(_sweep_worker, tasks))
     else:
-        results.extend(_sweep_worker(t) for t in tasks)
+        results.extend(_run_cell(dataset, header_entry, t) for t in tasks)
 
-    for path, config in skipped:
-        header, steps = read_trajectory(path)
+    for header, steps in skipped:
         trajectory = rebuild_trajectory(header, steps, dataset)
-        summary = analytics.summarize_trajectory(trajectory, dataset)
-        results.append(
-            {
-                "digest": trajectory.run_config_digest[:16] or config.digest(dataset.digest())[:16],
-                "proposer": summary.proposer,
-                "alpha": summary.alpha,
-                "seed": summary.seed,
-                "repeat_index": summary.repeat_index,
-                "prompt_format": summary.prompt_format,
-                "pool_size": len(dataset),
-                "steps": len(steps),
-                "iterations_to_optimum": summary.iterations_to_optimum,
-                "data_fraction": summary.data_fraction,
-                "final_best": summary.final_best,
-                "mean_match_score": summary.mean_match_score,
-                "status": "skipped",
-                "error": "",
-            }
-        )
+        results.append(summary_row(trajectory.config, dataset, "skipped", trajectory))
 
     results.sort(key=lambda r: (r["proposer"], r["prompt_format"], r["alpha"], r["seed"], r["repeat_index"]))
     summary_path = out_dir / "summary.csv"
@@ -463,7 +475,7 @@ def _load_records(results_dir: Path):
                 )
             trajectory = rebuild_trajectory(header, steps, pool)
             records.append(analytics.RunRecord(trajectory=trajectory, pool=pool))
-        except (OSError, ValueError, KeyError, AlbenchError, json.JSONDecodeError) as exc:
+        except _UNREADABLE as exc:
             logger.warning("skipping %s: %s", path, exc)
     return records
 

@@ -52,26 +52,59 @@ def select_initial(dataset: Dataset, seed: int, n_initial: int) -> list[int]:
     return [int(dataset.candidates[i].id) for i in ids]
 
 
-def standardize_features(reference, query) -> np.ndarray:
-    """Z-score `query` using the mean and population std of `reference`.
+@dataclass(frozen=True)
+class ZScore:
+    """Mean and population std of a reference set; `apply` z-scores a query.
 
     Dimensions with zero standard deviation in the reference map to 0 for
     every query row (divisor substituted by 1), so size-1 labeled pools
-    cannot poison distances or kernels with NaNs.
+    cannot poison distances or kernels with NaNs. The arrays are read-only.
     """
-    ref = np.atleast_2d(np.asarray(reference, dtype=float))
-    q = np.atleast_2d(np.asarray(query, dtype=float))
-    if ref.size == 0:
-        raise ShapeError("reference set is empty")
-    if ref.shape[1] != q.shape[1]:
-        raise ShapeError(f"dimension mismatch: reference {ref.shape[1]}, query {q.shape[1]}")
-    mean = ref.mean(axis=0)
-    std = ref.std(axis=0)  # population convention: divide by n
-    degenerate = std == 0.0
-    safe = np.where(degenerate, 1.0, std)
-    z = (q - mean) / safe
-    z[:, degenerate] = 0.0
-    return z
+
+    mean: np.ndarray
+    safe_std: np.ndarray
+    degenerate: np.ndarray
+
+    @classmethod
+    def fit(cls, reference) -> "ZScore":
+        ref = np.atleast_2d(np.asarray(reference, dtype=float))
+        if ref.size == 0:
+            raise ShapeError("reference set is empty")
+        mean = ref.mean(axis=0)
+        std = ref.std(axis=0)  # population convention: divide by n
+        degenerate = std == 0.0
+        safe_std = np.where(degenerate, 1.0, std)
+        for arr in (mean, safe_std, degenerate):
+            arr.flags.writeable = False
+        return cls(mean, safe_std, degenerate)
+
+    def apply(self, query) -> np.ndarray:
+        q = np.atleast_2d(np.asarray(query, dtype=float))
+        if q.shape[1] != self.mean.shape[0]:
+            raise ShapeError(f"dimension mismatch: reference {self.mean.shape[0]}, query {q.shape[1]}")
+        z = (q - self.mean) / self.safe_std
+        z[:, self.degenerate] = 0.0
+        return z
+
+
+def standardize_features(reference, query) -> np.ndarray:
+    """Z-score `query` using the mean and population std of `reference`."""
+    return ZScore.fit(reference).apply(query)
+
+
+def pool_zscores(dataset: Dataset) -> tuple[ZScore, np.ndarray]:
+    """The pool's own z-score and its standardized feature matrix (read-only).
+
+    Both are computed on the first call and cached on the Dataset, which is
+    immutable, so the matcher and the analytics share one full-pool scale.
+    Row i of the matrix is bit-identical to standardizing row i alone.
+    """
+    if dataset._pool_z is None:
+        scale = ZScore.fit(dataset.feature_matrix)
+        z = scale.apply(dataset.feature_matrix)
+        z.flags.writeable = False
+        object.__setattr__(dataset, "_pool_z", (scale, z))
+    return dataset._pool_z
 
 
 def check_stopping(trajectory: Trajectory, dataset: Dataset) -> bool:

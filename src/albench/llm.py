@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import re
 import time
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -21,7 +20,8 @@ import numpy as np
 
 from .acquisition import random_walk_select
 from .clients import ChatClient, RerankClient
-from .engine import STREAM_LLM, Suggestion, standardize_features, substream
+from .engine import STREAM_LLM, Suggestion, pool_zscores, substream
+from .engine import standardize_features  # noqa: F401 -- bench/spans.py traces calls under this name
 from .errors import ProposalParseError, ProposerError, TransportError
 from .types import Candidate, Dataset, Goal, PromptFormat, ProposerKind
 
@@ -223,24 +223,15 @@ class MatcherBackend(str, Enum):
     OFFLINE_NEAREST = "offline_nearest"
 
 
-@dataclass
-class Proposal:
-    """A parsed and matched LLM suggestion."""
-
-    raw_text: str
-    parsed_features: dict[str, float]
-    matched_id: int
-    match_score: float
-
-
 def _offline_nearest(
-    parsed: dict[str, float], dataset: Dataset, unlabeled_ids: Sequence[int]
+    parsed: dict[str, float], dataset: Dataset, unlabeled_ids: np.ndarray
 ) -> tuple[int, float]:
-    pool_matrix = dataset.feature_matrix
-    query = np.array([parsed[name] for name in dataset.feature_names])
-    z = standardize_features(pool_matrix, np.vstack([query, pool_matrix[list(unlabeled_ids)]]))
-    dists = np.linalg.norm(z[1:] - z[0], axis=1)
-    best = int(np.argmin(dists))  # unlabeled_ids sorted -> ties pick lowest id
+    """Nearest unlabeled candidate in full-pool z-score space; `unlabeled_ids`
+    is a sorted int array, so ties pick the lowest id."""
+    scale, z_pool = pool_zscores(dataset)
+    query = scale.apply([parsed[name] for name in dataset.feature_names])[0]
+    dists = np.linalg.norm(z_pool[unlabeled_ids] - query, axis=1)
+    best = int(np.argmin(dists))
     return int(unlabeled_ids[best]), float(1.0 / (1.0 + dists[best]))
 
 
@@ -257,15 +248,15 @@ def match_to_pool(
     Rerank transport failures fall back to the offline nearest-neighbor
     matcher with a logged warning, so a run never dies on the matcher.
     """
-    unlabeled_ids = sorted(int(i) for i in unlabeled_ids)
-    if not unlabeled_ids:
+    unlabeled_ids = np.sort(np.asarray(unlabeled_ids, dtype=np.intp))
+    if unlabeled_ids.size == 0:
         raise ProposerError("no unlabeled candidates left to match against")
     if backend is MatcherBackend.RERANK_API and rerank_client is not None:
-        documents = [candidate_document(dataset.by_id(i), dataset) for i in unlabeled_ids]
+        documents = [candidate_document(dataset.by_id(i), dataset) for i in unlabeled_ids.tolist()]
         try:
             ranked = rerank_client.rerank(raw_text, documents, top_n=1)
             index, score = ranked[0]
-            return unlabeled_ids[index], float(min(max(score, 0.0), 1.0))
+            return int(unlabeled_ids[index]), float(min(max(score, 0.0), 1.0))
         except TransportError as exc:
             logger.warning("rerank failed (%s); falling back to offline nearest neighbor", exc)
     return _offline_nearest(parsed, dataset, unlabeled_ids)
@@ -319,7 +310,9 @@ class LLMProposer:
         observed = [
             (dataset.by_id(i), v) for i, v in zip(observed_ids, observed_values)
         ]
-        unlabeled = sorted(set(range(len(dataset))) - set(observed_ids))
+        unlabeled_mask = np.ones(len(dataset), dtype=bool)
+        unlabeled_mask[list(observed_ids)] = False
+        unlabeled = np.flatnonzero(unlabeled_mask)
         prompt = self._render(dataset, observed)
         raw = propose_next(prompt, self.client, backoff=self.backoff, sleep=self.sleep)
         try:
@@ -341,9 +334,4 @@ class LLMProposer:
         cid, score = match_to_pool(
             parsed, raw, dataset, unlabeled, backend=self.matcher, rerank_client=self.rerank_client
         )
-        proposal = Proposal(raw_text=raw, parsed_features=parsed, matched_id=cid, match_score=score)
-        return Suggestion(
-            candidate_id=proposal.matched_id,
-            proposal_text=proposal.raw_text,
-            match_score=proposal.match_score,
-        )
+        return Suggestion(candidate_id=cid, proposal_text=raw, match_score=score)

@@ -73,9 +73,17 @@ class Candidate:
             raise ConfigError(f"candidate {self.id}: non-finite feature value")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """A fixed labeled pool plus the metadata prompts and analytics need."""
+    """A fixed labeled pool plus the metadata prompts and analytics need.
+
+    A Dataset is immutable once built: its fields cannot be reassigned, and
+    callers must not mutate `candidates` or `feature_names` in place. Values
+    that depend only on the pool (the digest, the full-pool z-scores of
+    `engine.pool_zscores`) are computed on first use and cached on the
+    instance, so a mutated pool would keep stale ones. Derive a changed pool
+    with `dataclasses.replace`, which starts from empty caches.
+    """
 
     name: str
     candidates: list[Candidate]
@@ -84,8 +92,10 @@ class Dataset:
     goal: Goal
     context: str = ""
 
-    _feature_matrix: np.ndarray = field(init=False, repr=False)
-    _targets: np.ndarray = field(init=False, repr=False)
+    _feature_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _targets: np.ndarray = field(init=False, repr=False, compare=False)
+    _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _pool_z: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.candidates:
@@ -142,17 +152,19 @@ class Dataset:
         return cand
 
     def digest(self) -> str:
-        """Content hash used to tie trajectory files to the pool they ran on."""
-        h = hashlib.sha256()
-        payload = {
-            "name": self.name,
-            "feature_names": list(self.feature_names),
-            "target_name": self.target_name,
-            "goal": self.goal.value,
-            "rows": [[c.id, [repr(v) for v in c.features], repr(c.target)] for c in self.candidates],
-        }
-        h.update(json.dumps(payload, sort_keys=True).encode())
-        return h.hexdigest()
+        """Content hash used to tie trajectory files to the pool they ran on,
+        computed on the first call."""
+        if self._digest is None:
+            payload = {
+                "name": self.name,
+                "feature_names": list(self.feature_names),
+                "target_name": self.target_name,
+                "goal": self.goal.value,
+                "rows": [[c.id, [repr(v) for v in c.features], repr(c.target)] for c in self.candidates],
+            }
+            digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return self._digest
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,53 @@ class TestSweep:
             summaries.append((out_dir / "summary.csv").read_bytes())
         assert summaries[0] == summaries[1]
 
+    def resumable_sweep(self, tmp_path, parallelism):
+        """Run a three-cell sweep; return (config path, out dir, run file bytes)."""
+        path = self.sweep_config(
+            tmp_path, proposers=["random_walk"], seeds=[38, 39, 40], parallelism=parallelism
+        )
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        runs = {p.name: p.read_bytes() for p in (out_dir / "runs").glob("*.jsonl")}
+        assert len(runs) == 3
+        return path, out_dir, runs
+
+    def rerun_touches_only(self, path, out_dir, runs, damaged):
+        """Sweep again: only the damaged cell reruns, and it writes its
+        original bytes back."""
+        before = {p.name: p.stat().st_mtime_ns for p in (out_dir / "runs").glob("*.jsonl")}
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        status = {r["digest"] + ".jsonl": r["status"] for r in read_summary(out_dir / "summary.csv")}
+        assert status == {name: "ok" if name == damaged else "skipped" for name in runs}
+        for p in (out_dir / "runs").glob("*.jsonl"):
+            assert p.read_bytes() == runs[p.name]
+            if p.name != damaged:
+                assert p.stat().st_mtime_ns == before[p.name]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_resume_reruns_exactly_the_torn_file(self, tmp_path, parallelism):
+        path, out_dir, runs = self.resumable_sweep(tmp_path, parallelism)
+        torn = sorted(runs)[1]
+        data = runs[torn]
+        lines = data.splitlines(keepends=True)
+        middle = len(lines) // 2
+        cut = sum(len(line) for line in lines[:middle]) + len(lines[middle]) // 2
+        (out_dir / "runs" / torn).write_bytes(data[:cut])
+        self.rerun_touches_only(path, out_dir, runs, torn)
+
+    @pytest.mark.parametrize(
+        "run_config", [{"proposer": "nope"}, {}], ids=["unknown-proposer", "empty-run-config"]
+    )
+    def test_malformed_stored_header_reruns_the_cell(self, tmp_path, run_config):
+        path, out_dir, runs = self.resumable_sweep(tmp_path, 1)
+        damaged = sorted(runs)[0]
+        lines = runs[damaged].decode().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["run_config"] = run_config
+        lines[0] = json.dumps(header, sort_keys=True) + "\n"
+        (out_dir / "runs" / damaged).write_text("".join(lines))
+        self.rerun_touches_only(path, out_dir, runs, damaged)
+
     def test_reports_emitted(self, tmp_path):
         path = self.sweep_config(tmp_path)
         out_dir = tmp_path / "results"
@@ -373,6 +420,17 @@ class TestReport:
             code = main(["report", "--results", str(tmp_path), "--out-dir", str(report_dir)])
         assert code == EXIT_OK
         assert any("skipping" in r.message for r in caplog.records)
+
+    def test_file_with_a_non_object_line_skipped_with_warning(self, tmp_path, caplog):
+        good = tmp_path / "good.jsonl"
+        args = ["--dataset", "synthetic:linear1d:10:1", "--proposer", "random_walk", "--seed", "39"]
+        assert main(["run", *args, "--out", str(good)]) == EXIT_OK
+        header = good.read_text().splitlines()[0]
+        (tmp_path / "bad.jsonl").write_text(header + "\n5\n")
+        with caplog.at_level("WARNING"):
+            code = main(["report", "--results", str(tmp_path), "--out-dir", str(tmp_path / "reports")])
+        assert code == EXIT_OK
+        assert any("skipping" in r.message and "bad.jsonl" in r.message for r in caplog.records)
 
     def test_run_on_edited_csv_skipped_with_both_digests(self, tmp_path, caplog):
         csv_path = tmp_path / "pool.csv"

@@ -1,5 +1,7 @@
 """CSV loading, the benchmark registry, and synthetic pool generators."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,11 @@ from albench.data import (
     save_csv,
     synthetic_pool,
 )
+from albench.engine import pool_zscores, standardize_features
 from albench.errors import ConfigError, CsvParseError, EmptyDatasetError, SchemaError
 from albench.types import Goal
+
+from conftest import make_pool
 
 
 def write_csv(path, text):
@@ -210,3 +215,58 @@ class TestDatasetSpecSerialization:
     def test_default_feature_columns_round_trip(self):
         spec = DatasetSpec(name="d", csv_path="", target_column="y", goal=Goal.MAXIMIZE)
         assert DatasetSpec.from_dict(spec.to_dict()) == spec
+
+
+class TestPoolCaches:
+    """The digest and full-pool z-scores are computed once per Dataset."""
+
+    def test_caches_stay_empty_until_first_use(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "a,b,y\n1,2,3\n4,5,6\n7,8,9\n")
+        ds = load_csv(DatasetSpec(name="d", csv_path=p, target_column="y", goal=Goal.MAXIMIZE))
+        assert ds._digest is None and ds._pool_z is None
+        ds.digest()
+        pool_zscores(ds)
+        assert ds._digest is not None and ds._pool_z is not None
+
+    def test_repeated_digest_calls_agree_with_a_fresh_pool(self):
+        ds = synthetic_pool("quadratic2d", 24, seed=9)
+        first = ds.digest()
+        assert ds.digest() == first
+        assert synthetic_pool("quadratic2d", 24, seed=9).digest() == first
+
+    def test_replace_does_not_carry_the_cached_digest(self):
+        ds = synthetic_pool("linear1d", 12, seed=3)
+        cached = ds.digest()
+        renamed = replace(ds, name="x")
+        assert renamed.digest() != cached
+        assert replace(ds).digest() == cached
+
+    def test_equality_compares_content(self):
+        ds = synthetic_pool("linear1d", 12, seed=3)
+        assert ds == synthetic_pool("linear1d", 12, seed=3)
+        assert ds != replace(ds, name="x")
+
+    def test_fields_cannot_be_reassigned(self):
+        ds = synthetic_pool("linear1d", 12, seed=3)
+        with pytest.raises(FrozenInstanceError):
+            ds.name = "x"
+
+    def test_cached_z_matrix_is_read_only(self):
+        ds = synthetic_pool("quadratic2d", 24, seed=9)
+        scale, z = pool_zscores(ds)
+        assert not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0, 0] = 1.0
+        assert not any(a.flags.writeable for a in (scale.mean, scale.safe_std, scale.degenerate))
+        assert pool_zscores(ds)[1] is z
+
+    def test_cached_z_rows_equal_standardizing_those_rows(self, rng):
+        features = rng.normal(size=(30, 3))
+        features[:, 1] = 2.5  # a constant column takes the degenerate-std path
+        pool = make_pool(targets=list(range(30)), features=[tuple(row) for row in features])
+        _, z = pool_zscores(pool)
+        fm = pool.feature_matrix
+        assert z.tobytes() == standardize_features(fm, fm).tobytes()
+        ids = [29, 3, 3, 17]
+        assert z[ids].tobytes() == standardize_features(fm, fm[ids]).tobytes()
+        assert np.all(z[:, 1] == 0.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from albench.clients import (
     ConstantChatClient,
@@ -299,6 +301,61 @@ class TestMatchToPool:
             )
         assert cid == 1
         assert any("falling back" in r.message for r in caplog.records)
+
+
+def reference_offline_nearest(parsed, dataset, unlabeled_ids):
+    """The offline matcher as it was before the full-pool z-scores were
+    cached: the pool statistics, the query and every unlabeled row are
+    standardized again on each call. `unlabeled_ids` must be sorted."""
+    pool_matrix = dataset.feature_matrix
+    query = np.array([parsed[name] for name in dataset.feature_names])
+    rows = np.vstack([query, pool_matrix[list(unlabeled_ids)]])
+    mean = pool_matrix.mean(axis=0)
+    std = pool_matrix.std(axis=0)
+    degenerate = std == 0.0
+    z = (rows - mean) / np.where(degenerate, 1.0, std)
+    z[:, degenerate] = 0.0
+    dists = np.linalg.norm(z[1:] - z[0], axis=1)
+    best = int(np.argmin(dists))
+    return int(unlabeled_ids[best]), float(1.0 / (1.0 + dists[best]))
+
+
+@st.composite
+def matcher_problems(draw):
+    """A pool, a parsed query and an unordered unlabeled subset. Few grid
+    levels give duplicate rows and tied distances; a constant column takes
+    the degenerate-std path."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 3, 1000]))
+    features = rng.integers(0, levels, size=(n, d)) * draw(st.sampled_from([0.5, 1.0, 3.7])) - 1.0
+    if draw(st.booleans()):
+        features[:, draw(st.integers(0, d - 1))] = draw(st.sampled_from([0.0, -2.5]))
+    if draw(st.booleans()):
+        features[draw(st.integers(0, n - 1))] = features[0]
+    if draw(st.booleans()):
+        query = features[rng.integers(n)]
+    else:
+        query = rng.integers(-1, levels + 1, size=d) * 0.5
+    share = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    unlabeled = np.flatnonzero(rng.random(n) < share)
+    if unlabeled.size == 0:
+        unlabeled = np.array([n - 1])
+    pool = make_pool(targets=list(range(n)), features=[tuple(row) for row in features])
+    parsed = {f"x{j + 1}": float(v) for j, v in enumerate(query)}
+    return pool, parsed, rng.permutation(unlabeled).tolist()
+
+
+class TestMatcherMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(matcher_problems())
+    def test_id_and_score_bit_identical(self, problem):
+        pool, parsed, unlabeled = problem
+        want_id, want_score = reference_offline_nearest(parsed, pool, sorted(unlabeled))
+        got_id, got_score = match_to_pool(parsed, "raw", pool, unlabeled)
+        assert got_id == want_id
+        assert got_score.hex() == want_score.hex()
 
 
 class TestLLMProposer:
