@@ -65,15 +65,49 @@ class BNNConfig:
 
 @dataclass
 class BNNetwork:
-    """Hidden ReLU layers plus a linear one-output head, all Bayesian."""
+    """Hidden ReLU layers plus a linear one-output head, all Bayesian.
+
+    Every posterior parameter lives in one flat vector, `params`: all mu
+    values, then all log_sigma values, each half laid out layer by layer,
+    weights (row-major) before bias, the order `draw_noise` draws in. The
+    layers' arrays are views into it, so change them in place
+    (``layer.mu_w[...] = ...``), never by rebinding the attribute.
+    """
 
     layers: list[BayesianLinearLayer]
     final_loss: float = math.nan
     loss_history: list[float] = field(default_factory=list)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for l in self.layers:
+            if l.log_sigma_w.shape != l.mu_w.shape or l.log_sigma_b.shape != l.mu_b.shape:
+                raise ShapeError("log_sigma shape does not match mu shape")
+        mus = [a for l in self.layers for a in (l.mu_w, l.mu_b)]
+        log_sigmas = [a for l in self.layers for a in (l.log_sigma_w, l.log_sigma_b)]
+        self.params = np.concatenate([np.ravel(a) for a in mus + log_sigmas], dtype=float)
+        mu, log_sigma = self.halves()
+        for l, (mu_w, mu_b), (ls_w, ls_b) in zip(self.layers, self.split(mu), self.split(log_sigma)):
+            l.mu_w, l.mu_b, l.log_sigma_w, l.log_sigma_b = mu_w, mu_b, ls_w, ls_b
 
     @property
     def n_inputs(self) -> int:
         return self.layers[0].mu_w.shape[1]
+
+    def halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of every mu and every log_sigma."""
+        half = self.params.size // 2
+        return self.params[:half], self.params[half:]
+
+    def split(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias) views into a vector laid out like one half."""
+        views, start = [], 0
+        for l in self.layers:
+            n_out, n_in = l.mu_w.shape
+            stop = start + n_out * n_in
+            views.append((flat[start:stop].reshape(n_out, n_in), flat[stop : stop + n_out]))
+            start = stop + n_out
+        return views
 
 
 def init_network(n_inputs: int, config: BNNConfig, rng: np.random.Generator) -> BNNetwork:
@@ -98,6 +132,16 @@ def zero_noise(network: BNNetwork) -> NoiseDraw:
     return [(np.zeros_like(l.mu_w), np.zeros_like(l.mu_b)) for l in network.layers]
 
 
+def _flat_noise(noise: NoiseDraw) -> np.ndarray:
+    """A NoiseDraw laid out like one half of `BNNetwork.params`."""
+    return np.concatenate([np.ravel(e) for pair in noise for e in pair])
+
+
+def _kl_terms(mu: np.ndarray, log_sigma: np.ndarray) -> np.ndarray:
+    """Per-parameter KL to the standard-normal prior."""
+    return -log_sigma + 0.5 * (np.exp(2.0 * log_sigma) + mu * mu - 1.0)
+
+
 def kl_layer(layer: BayesianLinearLayer) -> float:
     """Closed-form KL to the standard-normal prior, summed over parameters.
 
@@ -106,28 +150,47 @@ def kl_layer(layer: BayesianLinearLayer) -> float:
     """
     total = 0.0
     for mu, log_sigma in ((layer.mu_w, layer.log_sigma_w), (layer.mu_b, layer.log_sigma_b)):
-        sigma_sq = np.exp(2.0 * log_sigma)
-        total += float(np.sum(-log_sigma + 0.5 * (sigma_sq + mu * mu - 1.0)))
+        total += float(np.sum(_kl_terms(mu, log_sigma)))
     return total
 
 
-def _sampled_weights(layer: BayesianLinearLayer, eps_w: np.ndarray, eps_b: np.ndarray):
-    W = layer.mu_w + np.exp(layer.log_sigma_w) * eps_w
-    b = layer.mu_b + np.exp(layer.log_sigma_b) * eps_b
-    return W, b
+def _kl_network(network: BNNetwork) -> float:
+    """The sum of `kl_layer` over the layers, with the terms of every
+    parameter computed in one pass and summed array by array."""
+    terms = _kl_terms(*network.halves())
+    total = 0
+    for w, b in network.split(terms):
+        layer_total = 0.0
+        layer_total += float(np.sum(w))
+        layer_total += float(np.sum(b))
+        total += layer_total
+    return total
+
+
+def _sample(network: BNNetwork, sigma: np.ndarray, eps: np.ndarray, out: np.ndarray):
+    """mu + sigma * eps into `out`, returned as per-layer (W, b) views."""
+    np.multiply(sigma, eps, out=out)
+    out += network.halves()[0]
+    return network.split(out)
+
+
+def _forward(X: np.ndarray, weights):
+    """Forward pass through per-layer (W, b); returns (yhat, caches), where
+    caches[i] is (input of layer i, its pre-activation)."""
+    A = X
+    caches = []
+    last = len(weights) - 1
+    for i, (W, b) in enumerate(weights):
+        Z = A @ W.T + b
+        caches.append((A, Z))
+        A = Z if i == last else np.maximum(Z, 0.0)
+    return A[:, 0], caches
 
 
 def _forward_batch(network: BNNetwork, X: np.ndarray, noise: NoiseDraw):
-    """Forward pass with sampled weights; returns (yhat, per-layer caches)."""
-    A = X
-    caches = []
-    last = len(network.layers) - 1
-    for i, (layer, (eps_w, eps_b)) in enumerate(zip(network.layers, noise)):
-        W, b = _sampled_weights(layer, eps_w, eps_b)
-        Z = A @ W.T + b
-        caches.append((A, Z, W))
-        A = Z if i == last else np.maximum(Z, 0.0)
-    return A[:, 0], caches
+    eps = _flat_noise(noise)
+    sigma = np.exp(network.halves()[1])
+    return _forward(X, _sample(network, sigma, eps, np.empty_like(eps)))[0]
 
 
 def sample_forward(network: BNNetwork, x, noise: NoiseDraw) -> float:
@@ -138,17 +201,51 @@ def sample_forward(network: BNNetwork, x, noise: NoiseDraw) -> float:
     for layer, (eps_w, eps_b) in zip(network.layers, noise):
         if eps_w.shape != layer.mu_w.shape or eps_b.shape != layer.mu_b.shape:
             raise ShapeError("noise shape does not match parameter shape")
-    yhat, _ = _forward_batch(network, x[None, :], noise)
-    return float(yhat[0])
+    return float(_forward_batch(network, x[None, :], noise)[0])
 
 
 def elbo_loss(network: BNNetwork, X, y, noise: NoiseDraw) -> float:
     """Negative ELBO: half mean squared error plus the total KL term."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    yhat, _ = _forward_batch(network, X, noise)
+    yhat = _forward_batch(network, X, noise)
     mse = float(np.mean((y - yhat) ** 2))
-    return 0.5 * mse + sum(kl_layer(l) for l in network.layers)
+    return 0.5 * mse + _kl_network(network)
+
+
+def _loss_and_grads(network: BNNetwork, X, y, sigma, eps, work, grads) -> float:
+    """Negative ELBO at one noise draw; its gradient goes into `grads`.
+
+    sigma = exp(log_sigma) and eps are laid out like one half of
+    `network.params`, `grads` like all of it; `work` is scratch the size of
+    one half.
+    """
+    n = X.shape[0]
+    weights = _sample(network, sigma, eps, work)
+    yhat, caches = _forward(X, weights)
+    loss = 0.5 * float(np.mean((y - yhat) ** 2)) + _kl_network(network)
+
+    # gradients w.r.t. the sampled weights, written over them layer by
+    # layer from the head down (a layer's W is read before it is replaced)
+    delta = ((yhat - y) / n)[:, None]  # d loss / d output, (n, 1)
+    for i in reversed(range(len(weights))):
+        W, b = weights[i]
+        A_prev, _ = caches[i]
+        dW = delta.T @ A_prev
+        db = delta.sum(axis=0)
+        if i > 0:
+            _, Z_prev = caches[i - 1]
+            delta = (delta @ W) * (Z_prev > 0.0)
+        W[...] = dW
+        b[...] = db
+    mu, _ = network.halves()
+    half = mu.size
+    np.add(work, mu, out=grads[:half])  # d mu: data term plus prior pull
+    d_log_sigma = grads[half:]
+    np.multiply(work, eps, out=d_log_sigma)
+    d_log_sigma *= sigma
+    d_log_sigma += sigma**2 - 1.0
+    return loss
 
 
 def elbo_loss_and_grads(network: BNNetwork, X, y, noise: NoiseDraw):
@@ -159,63 +256,56 @@ def elbo_loss_and_grads(network: BNNetwork, X, y, noise: NoiseDraw):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    yhat, caches = _forward_batch(network, X, noise)
-    loss = 0.5 * float(np.mean((y - yhat) ** 2)) + sum(kl_layer(l) for l in network.layers)
-
-    grads = []
-    delta = ((yhat - y) / n)[:, None]  # d loss / d output, (n, 1)
-    for i in reversed(range(len(network.layers))):
-        layer = network.layers[i]
-        eps_w, eps_b = noise[i]
-        A_prev, Z, W = caches[i]
-        dW = delta.T @ A_prev
-        db = delta.sum(axis=0)
-        sigma_w = np.exp(layer.log_sigma_w)
-        sigma_b = np.exp(layer.log_sigma_b)
-        d_mu_w = dW + layer.mu_w
-        d_log_sigma_w = dW * eps_w * sigma_w + (sigma_w**2 - 1.0)
-        d_mu_b = db + layer.mu_b
-        d_log_sigma_b = db * eps_b * sigma_b + (sigma_b**2 - 1.0)
-        grads.append((d_mu_w, d_log_sigma_w, d_mu_b, d_log_sigma_b))
-        if i > 0:
-            _, Z_prev, _ = caches[i - 1]
-            delta = (delta @ W) * (Z_prev > 0.0)
-    grads.reverse()
-    return loss, grads
+    eps = _flat_noise(noise)
+    grads = np.empty_like(network.params)
+    sigma = np.exp(network.halves()[1])
+    loss = _loss_and_grads(network, X, y, sigma, eps, np.empty_like(eps), grads)
+    half = eps.size
+    d_mu, d_log_sigma = network.split(grads[:half]), network.split(grads[half:])
+    return loss, [(mw, sw, mb, sb) for (mw, mb), (sw, sb) in zip(d_mu, d_log_sigma)]
 
 
 class _Adam:
-    def __init__(self, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam over one flat parameter vector, updated in place."""
+
+    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._step = np.empty(size)
+        self._scale = np.empty(size)
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
-
-
-def _flatten_params(network: BNNetwork) -> list[np.ndarray]:
-    out = []
-    for l in network.layers:
-        out.extend([l.mu_w, l.log_sigma_w, l.mu_b, l.log_sigma_b])
-    return out
+        m, v, step, scale = self.m, self.v, self._step, self._scale
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
+        m *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=step)
+        m += step
+        v *= self.beta2
+        np.multiply(grads, 1.0 - self.beta2, out=step)
+        step *= grads
+        v += step
+        # params -= lr (m / correct1) / (sqrt(v / correct2) + eps)
+        np.divide(m, correct1, out=step)
+        step *= self.lr
+        np.divide(v, correct2, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += self.eps
+        step /= scale
+        params -= step
 
 
 def train_bnn(X, y, config: BNNConfig) -> BNNetwork:
     """Full-batch Adam on the negative ELBO, fresh noise draw per step.
 
     Initialization and the per-step noise come from two independent
-    substreams of config.seed, so training is exactly repeatable.
+    substreams of config.seed, so training is exactly repeatable. Each
+    step's noise is one fill of a buffer laid out like `draw_noise`'s
+    draws, so it is the same stream.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -225,16 +315,19 @@ def train_bnn(X, y, config: BNNConfig) -> BNNetwork:
     network = init_network(X.shape[1], config, np.random.default_rng(init_ss))
     noise_rng = np.random.default_rng(noise_ss)
 
-    params = _flatten_params(network)
-    adam = _Adam([p.shape for p in params], config.learning_rate)
+    params = network.params
+    _, log_sigma = network.halves()
+    adam = _Adam(params.size, config.learning_rate)
+    eps, sigma, work = (np.empty(log_sigma.size) for _ in range(3))
+    grads = np.empty(params.size)
     history = []
     for epoch in range(config.epochs):
-        noise = draw_noise(network, noise_rng)
-        loss, layer_grads = elbo_loss_and_grads(network, X, y, noise)
+        noise_rng.standard_normal(out=eps)
+        np.exp(log_sigma, out=sigma)
+        loss = _loss_and_grads(network, X, y, sigma, eps, work, grads)
         if not math.isfinite(loss):
             raise FitError(f"training aborted: non-finite loss {loss} at epoch {epoch}")
-        flat_grads = [g for layer in layer_grads for g in layer]
-        adam.step(params, flat_grads)
+        adam.step(params, grads)
         history.append(loss)
     network.final_loss = history[-1] if history else math.nan
     network.loss_history = history
@@ -244,14 +337,20 @@ def train_bnn(X, y, config: BNNConfig) -> BNNetwork:
 def predict_bnn(
     network: BNNetwork, X_query, mc_samples: int, rng: np.random.Generator
 ) -> list[Prediction]:
-    """Empirical mean and population std over MC sampled forward passes."""
+    """Empirical mean and population std over MC sampled forward passes.
+
+    Each pass draws its noise in `draw_noise` order, so the stream is the
+    same as drawing a NoiseDraw per pass.
+    """
     if mc_samples < 2:
         raise ConfigError(f"mc_samples must be >= 2, got {mc_samples}")
     X_query = np.atleast_2d(np.asarray(X_query, dtype=float))
     samples = np.empty((mc_samples, X_query.shape[0]))
+    sigma = np.exp(network.halves()[1])
+    eps, work = np.empty(sigma.size), np.empty(sigma.size)
     for s in range(mc_samples):
-        noise = draw_noise(network, rng)
-        samples[s], _ = _forward_batch(network, X_query, noise)
+        rng.standard_normal(out=eps)
+        samples[s] = _forward(X_query, _sample(network, sigma, eps, work))[0]
     mean = samples.mean(axis=0)
     std = samples.std(axis=0)
     return [Prediction(float(m), float(s)) for m, s in zip(mean, std)]
