@@ -25,6 +25,10 @@ class EmptyDatasetError(AlbenchError):
     """A CSV file contained a header but no data rows."""
 
 
+class UnknownCandidateError(AlbenchError, IndexError):
+    """A candidate id is not a position in the pool."""
+
+
 class FitError(AlbenchError):
     """Model fitting failed (empty training set, diverged training, ...)."""
 

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, FitError, ShapeError
-from .types import Prediction
+from .types import Prediction, as_matrix
 
 
 @dataclass(frozen=True)
@@ -397,16 +397,8 @@ class GBTModel:
         }
 
 
-def _as_matrix(X) -> np.ndarray:
-    """2-D float view; a 1-D input is n samples of one feature."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    return X
-
-
 def _check_xy(X, y):
-    X = _as_matrix(X)
+    X = as_matrix(X)
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0:
         raise FitError("empty training set")
@@ -438,7 +430,7 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> ForestModel:
 
 def predict_forest(model: ForestModel, X) -> list[Prediction]:
     """Ensemble mean and population std of the per-tree predictions."""
-    X = _as_matrix(X)
+    X = as_matrix(X)
     if X.shape[1] != model.n_features:
         raise ShapeError(f"query has {X.shape[1]} features, model expects {model.n_features}")
     per_tree = np.stack([t.predict(X) for t in model.trees])
@@ -469,7 +461,7 @@ def stage_rounds(n_rounds: int, members: int = 10) -> list[int]:
 
 def staged_predictions(model: GBTModel, X, rounds: list[int]) -> np.ndarray:
     """(len(rounds), n_queries) matrix of predictions after each checkpoint."""
-    X = _as_matrix(X)
+    X = as_matrix(X)
     wanted = set(rounds)
     out = []
     cum = np.full(X.shape[0], model.base_score)
@@ -484,7 +476,7 @@ def staged_predictions(model: GBTModel, X, rounds: list[int]) -> np.ndarray:
 
 def predict_gbt(model: GBTModel, X) -> list[Prediction]:
     """Full-ensemble mean; std from the staged virtual ensemble."""
-    X = _as_matrix(X)
+    X = as_matrix(X)
     if X.shape[1] != model.n_features:
         raise ShapeError(f"query has {X.shape[1]} features, model expects {model.n_features}")
     stages = staged_predictions(model, X, stage_rounds(model.config.n_rounds))

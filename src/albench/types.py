@@ -16,7 +16,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, UnknownCandidateError
+
+
+def as_matrix(X) -> np.ndarray:
+    """2-D float view; a 1-D input is n samples of one feature."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    return X
 
 
 class Goal(str, Enum):
@@ -77,6 +85,10 @@ class Candidate:
 class Dataset:
     """A fixed labeled pool plus the metadata prompts and analytics need.
 
+    Candidate ids are positions: candidate i sits at `candidates[i]`, so
+    `by_id(i)` and row i of `feature_matrix` are the same candidate; any
+    other numbering is rejected with ConfigError.
+
     A Dataset is immutable once built: its fields cannot be reassigned, and
     callers must not mutate `candidates` or `feature_names` in place. Values
     that depend only on the pool (the digest, the full-pool z-scores of
@@ -101,16 +113,17 @@ class Dataset:
         if not self.candidates:
             raise ConfigError(f"dataset {self.name!r} has no candidates")
         n_features = len(self.feature_names)
-        ids = set()
-        for cand in self.candidates:
+        for position, cand in enumerate(self.candidates):
+            if cand.id != position:
+                raise ConfigError(
+                    f"dataset {self.name!r}: candidate at position {position} has id {cand.id}; "
+                    "ids must be positions 0..n-1"
+                )
             if len(cand.features) != n_features:
                 raise ConfigError(
                     f"dataset {self.name!r}: candidate {cand.id} has "
                     f"{len(cand.features)} features, expected {n_features}"
                 )
-            if cand.id in ids:
-                raise ConfigError(f"dataset {self.name!r}: duplicate candidate id {cand.id}")
-            ids.add(cand.id)
         matrix = np.array([c.features for c in self.candidates], dtype=float)
         targets = np.array([c.target for c in self.candidates], dtype=float)
         matrix.flags.writeable = False
@@ -142,14 +155,12 @@ class Dataset:
         return int(self.candidates[hits[0]].id)
 
     def by_id(self, candidate_id: int) -> Candidate:
-        cand = self.candidates[candidate_id]
-        if cand.id != candidate_id:
-            # ids are usually positional; fall back to a scan if not
-            for c in self.candidates:
-                if c.id == candidate_id:
-                    return c
-            raise KeyError(candidate_id)
-        return cand
+        """The candidate with this id, which is its position in the pool."""
+        if not 0 <= candidate_id < len(self.candidates):
+            raise UnknownCandidateError(
+                f"dataset {self.name!r} has no candidate id {candidate_id} (ids are 0..{len(self.candidates) - 1})"
+            )
+        return self.candidates[candidate_id]
 
     def digest(self) -> str:
         """Content hash used to tie trajectory files to the pool they ran on,

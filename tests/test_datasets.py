@@ -15,8 +15,8 @@ from albench.data import (
     synthetic_pool,
 )
 from albench.engine import pool_zscores, standardize_features
-from albench.errors import ConfigError, CsvParseError, EmptyDatasetError, SchemaError
-from albench.types import Goal
+from albench.errors import ConfigError, CsvParseError, EmptyDatasetError, SchemaError, UnknownCandidateError
+from albench.types import Candidate, Dataset, Goal
 
 from conftest import make_pool
 
@@ -270,3 +270,41 @@ class TestPoolCaches:
         ids = [29, 3, 3, 17]
         assert z[ids].tobytes() == standardize_features(fm, fm[ids]).tobytes()
         assert np.all(z[:, 1] == 0.0)
+
+
+class TestPositionalIds:
+    """Candidate ids are positions, so by_id and feature_matrix rows agree."""
+
+    @staticmethod
+    def candidates(ids):
+        return [Candidate(id=i, features=(float(k),), target=float(k)) for k, i in enumerate(ids)]
+
+    def dataset(self, ids):
+        return Dataset(
+            name="d", candidates=self.candidates(ids), feature_names=["x"], target_name="y", goal=Goal.MAXIMIZE
+        )
+
+    def test_permuted_ids_rejected(self):
+        # by_id(0) would be the last row while feature_matrix[0] is the first
+        with pytest.raises(ConfigError, match="position 0 has id 2"):
+            self.dataset([2, 0, 1])
+
+    def test_ids_offset_from_zero_rejected(self):
+        with pytest.raises(ConfigError, match="position 0 has id 1"):
+            self.dataset([1, 2, 3])
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(ConfigError):
+            self.dataset([0, 1, 1])
+
+    @pytest.mark.parametrize("bad", [-1, 3, 10])
+    def test_unknown_id_is_a_typed_error(self, bad):
+        ds = self.dataset([0, 1, 2])
+        with pytest.raises(UnknownCandidateError, match=f"no candidate id {bad}"):
+            ds.by_id(bad)
+
+    def test_by_id_is_the_feature_matrix_row(self):
+        ds = synthetic_pool("quadratic2d", 24, seed=9)
+        for i in range(len(ds)):
+            assert ds.by_id(i).id == i
+            assert ds.by_id(i).features == tuple(ds.feature_matrix[i])
