@@ -69,18 +69,31 @@ def _instruction_block(dataset: Dataset, strict: bool = False) -> str:
 
 
 def render_parameter_prompt(
-    dataset: Dataset, observed: Sequence[tuple[Candidate, float]], goal: Goal
+    dataset: Dataset,
+    observed: Sequence[tuple[Candidate, float]],
+    goal: Goal,
+    cache: Optional[dict[int, str]] = None,
 ) -> str:
-    """Concise feature=value prompt; byte-identical for identical inputs."""
+    """Concise feature=value prompt; byte-identical for identical inputs.
+
+    `cache` maps a candidate id to its rendered observation line, so a run
+    that passes one dict to every step formats each line once. Its lines
+    hold the observed values, so share it only between prompts for the
+    same pool (in a run, a candidate's observed value never changes).
+    """
+    if cache is None:
+        cache = {}
     parts = []
     if dataset.context:
         parts.append(dataset.context)
     parts.append(_objective_sentence(dataset))
     obs_lines = ["Observed experiments:"]
     for cand, value in observed:
-        obs_lines.append(
-            f"- {format_candidate_parameters(cand, dataset)} -> {dataset.target_name}={_fmt(value)}"
-        )
+        line = cache.get(cand.id)
+        if line is None:
+            line = f"- {format_candidate_parameters(cand, dataset)} -> {dataset.target_name}={_fmt(value)}"
+            cache[cand.id] = line
+        obs_lines.append(line)
     parts.append("\n".join(obs_lines))
     parts.append(_instruction_block(dataset))
     return "\n\n".join(parts)
@@ -291,6 +304,9 @@ class LLMProposer:
         # via use_offline_reports to avoid any calls.
         self.report_client = report_client if report_client is not None else client
         self.report_cache: dict[int, str] = {}
+        # observation lines of parameter prompts, for the pool they were rendered on
+        self.line_cache: dict[int, str] = {}
+        self._line_cache_pool: Optional[Dataset] = None
         self.backoff = backoff
         self.sleep = sleep
         self._fallback_rng = substream(seed, STREAM_LLM)
@@ -304,7 +320,10 @@ class LLMProposer:
             return render_report_prompt(
                 dataset, observed, dataset.goal, self.report_client, self.report_cache
             )
-        return render_parameter_prompt(dataset, observed, dataset.goal)
+        if dataset is not self._line_cache_pool:
+            self.line_cache = {}
+            self._line_cache_pool = dataset
+        return render_parameter_prompt(dataset, observed, dataset.goal, self.line_cache)
 
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:
         observed = [

@@ -1,5 +1,7 @@
 """Prompt construction, proposal parsing, pool matching, and the chat clients."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from albench.clients import (
     message_digest,
     save_fixtures,
 )
+from albench import llm
 from albench.engine import run_active_learning, select_initial
 from albench.errors import (
     ProposalParseError,
@@ -240,6 +243,44 @@ class TestParseProposal:
         assert parse_proposal(text, pool) == {"x1": 1.0, "x2": 2.0}
 
 
+# replies shaped like the model's: fenced key/value blocks with real,
+# mis-cased and unknown keys, both separators, and values that parse,
+# overflow, are non-finite or are not numbers at all
+_keys = st.sampled_from(["x1", "X1", " x2 ", "x2", "x3", "", "- x1", "* X2", "x1 x2"])
+_values = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e309", "-1e-320", "1_0", "abc", ""]),
+    st.text(max_size=6),
+)
+_lines = st.one_of(
+    st.builds(lambda k, sep, v: f"{k}{sep}{v}", _keys, st.sampled_from([":", "=", " ", ": ", "=="]), _values),
+    st.text(max_size=12),
+)
+_replies = st.builds(
+    lambda before, info, body, after: f"{before}```{info}\n{body}\n```{after}",
+    st.text(max_size=10),
+    st.sampled_from(["", "yaml", "text x1: 9"]),
+    st.lists(_lines, max_size=5).map("\n".join),
+    st.text(max_size=10),
+)
+_texts = st.one_of(st.text(), _replies, st.lists(_replies, min_size=2, max_size=3).map("\n".join))
+
+
+class TestParseProposalFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_texts, with_observed=st.booleans())
+    def test_any_text_parses_to_every_feature_finite_or_raises(self, text, with_observed):
+        pool = two_feature_pool()
+        observed = [(pool.candidates[0], 3.0), (pool.candidates[2], 7.0)] if with_observed else []
+        try:
+            parsed = parse_proposal(text, pool, observed)
+        except ProposalParseError:
+            return
+        assert sorted(parsed) == sorted(pool.feature_names)
+        assert all(isinstance(v, float) and math.isfinite(v) for v in parsed.values())
+
+
 class TestMatchToPool:
     def test_exact_feature_match_scores_one(self):
         pool = two_feature_pool()
@@ -454,3 +495,49 @@ class TestLLMProposer:
         replayer = ScriptedChatClient.from_file(fixture_path)
         traj = run_active_learning(pool, cfg, LLMProposer(replayer, seed=3))
         assert traj.reached_optimum_at is not None
+
+
+class TestPromptLineCache:
+    """Each observation line is rendered once per run, with the same bytes."""
+
+    def test_cached_prompts_equal_uncached_renders_through_a_run(self, monkeypatch, rng):
+        features = [tuple(row) for row in np.round(rng.normal(size=(30, 2)), 3)]
+        # the optimum is the candidate farthest from the constant proposal,
+        # which the matcher reaches last
+        targets = [float(np.hypot(a - 0.1, b + 0.2)) for a, b in features]
+        pool = make_pool(targets=targets, features=features)
+        original = llm.render_parameter_prompt
+        rendered = []
+
+        def render_and_compare(dataset, observed, goal, cache=None):
+            assert cache is not None
+            prompt = original(dataset, observed, goal, cache)
+            assert prompt == original(dataset, observed, goal)
+            rendered.append(len(observed))
+            return prompt
+
+        monkeypatch.setattr(llm, "render_parameter_prompt", render_and_compare)
+        cfg = RunConfig(ProposerKind.LLM, seed=4, n_initial=2, max_iterations=20)
+        client = ConstantChatClient("```\nx1: 0.1\nx2: -0.2\n```")
+        traj = run_active_learning(pool, cfg, LLMProposer(client, seed=4))
+        assert len(traj.steps) == 20
+        assert rendered == list(range(2, 20))
+
+    def test_a_proposer_reused_on_another_pool_renders_that_pool(self):
+        class Capture:
+            def __init__(self):
+                self.prompts = []
+
+            def send(self, messages, temperature):
+                self.prompts.append(messages[0]["text"])
+                return "```\nx1: 1\nx2: 1\n```"
+
+        first = two_feature_pool()
+        second = make_pool(targets=[3.0, 1.0, 2.0], features=[(9.0, 8.0), (7.0, 6.0), (5.0, 4.0)])
+        client = Capture()
+        proposer = LLMProposer(client, seed=0)
+        proposer.propose(first, [0], [3.0])
+        proposer.propose(second, [0], [3.0])
+        assert client.prompts == [
+            render_parameter_prompt(pool, [(pool.candidates[0], 3.0)], pool.goal) for pool in (first, second)
+        ]
