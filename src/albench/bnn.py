@@ -161,8 +161,8 @@ def _kl_network(network: BNNetwork) -> float:
     total = 0
     for w, b in network.split(terms):
         layer_total = 0.0
-        layer_total += float(np.sum(w))
-        layer_total += float(np.sum(b))
+        layer_total += float(w.sum())
+        layer_total += float(b.sum())
         total += layer_total
     return total
 

@@ -7,6 +7,7 @@ import pytest
 
 from albench.bnn import (
     BayesianLinearLayer,
+    _kl_network,
     BNNConfig,
     BNNetwork,
     draw_noise,
@@ -178,6 +179,47 @@ class TestElboLoss:
                     fd = (lp - lm) / (2 * h)
                     rel = abs(fd - analytic[ix]) / max(abs(fd), abs(analytic[ix]), 1e-10)
                     assert rel < 1e-4, f"layer {li} {name}{ix}: fd={fd} analytic={analytic[ix]}"
+
+
+class TestFlatParameters:
+    """Layer arrays are views into one flat vector, and the network-wide
+    sums equal the per-layer ones bit for bit."""
+
+    def test_layer_arrays_view_the_flat_vector(self, rng):
+        net = init_network(3, BNNConfig(hidden_layers=2, width=4, seed=0), rng)
+        mu, log_sigma = net.halves()
+        for layer in net.layers:
+            for arr in (layer.mu_w, layer.mu_b):
+                assert np.shares_memory(arr, mu)
+            for arr in (layer.log_sigma_w, layer.log_sigma_b):
+                assert np.shares_memory(arr, log_sigma)
+        net.layers[1].mu_b[2] = 7.0
+        assert net.split(mu)[1][1][2] == 7.0
+
+    def test_hand_built_layers_are_packed(self):
+        hidden = BayesianLinearLayer(
+            mu_w=np.ones((2, 1)), log_sigma_w=np.zeros((2, 1)), mu_b=np.zeros(2), log_sigma_b=np.zeros(2)
+        )
+        head = BayesianLinearLayer(
+            mu_w=np.full((1, 2), 3.0), log_sigma_w=np.zeros((1, 2)), mu_b=np.ones(1), log_sigma_b=np.zeros(1)
+        )
+        net = BNNetwork(layers=[hidden, head])
+        assert net.params.tolist() == [1.0, 1.0, 0.0, 0.0, 3.0, 3.0, 1.0] + [0.0] * 7
+
+    def test_mismatched_log_sigma_shape(self):
+        layer = BayesianLinearLayer(
+            mu_w=np.zeros((2, 1)), log_sigma_w=np.zeros((1, 2)), mu_b=np.zeros(2), log_sigma_b=np.zeros(2)
+        )
+        with pytest.raises(ShapeError):
+            BNNetwork(layers=[layer])
+
+    def test_network_kl_equals_the_sum_of_layer_kls(self):
+        X = np.linspace(-1, 1, 12).reshape(6, 2)
+        y = np.arange(6.0) / 5.0
+        net = train_bnn(X, y, BNNConfig(hidden_layers=2, width=6, epochs=40, seed=2))
+        assert _kl_network(net) == sum(kl_layer(l) for l in net.layers)
+        noise = draw_noise(net, np.random.default_rng(3))
+        assert elbo_loss_and_grads(net, X, y, noise)[0] == elbo_loss(net, X, y, noise)
 
 
 class TestTraining:

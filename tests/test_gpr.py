@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from albench.errors import ConfigError, FitError, ShapeError
+from albench.errors import AlbenchError, ConfigError, FitError, InputError, ShapeError
 from albench.gpr import (
     KernelParams,
+    TrainingConstants,
     fit_gpr,
     kernel_matrix,
     log_marginal_likelihood,
@@ -135,6 +136,35 @@ class TestFit:
     def test_empty_training_set(self):
         with pytest.raises(FitError):
             fit_gpr(np.empty((0, 2)), np.empty(0), seed=0)
+
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_training_value_is_a_typed_error(self, rng, where, bad):
+        X = rng.normal(size=(6, 2))
+        y = rng.normal(size=6)
+        (X if where == "X" else y)[3] = bad
+        with pytest.raises(InputError):
+            fit_gpr(X, y, seed=0)
+        with pytest.raises(InputError):
+            log_marginal_likelihood(X, y, KernelParams(1.0, 1.0, 1.0))
+
+    def test_overflowing_distances_are_a_typed_error(self):
+        X = np.array([[0.0], [1e200]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AlbenchError):
+            fit_gpr(X, np.zeros(2), seed=0)
+
+    def test_precomputed_constants_give_the_same_bits(self, rng):
+        X = rng.normal(size=(15, 3))
+        y = rng.normal(size=15)
+        constants = TrainingConstants.of(X, y)
+        for theta in rng.uniform(-3, 3, size=(5, 3)):
+            params = KernelParams.from_log_vector(theta)
+            plain = log_marginal_likelihood(X, y, params, eval_gradient=True)
+            shared = log_marginal_likelihood(X, y, params, eval_gradient=True, constants=constants)
+            assert plain[0] == shared[0]
+            assert plain[1].tobytes() == shared[1].tobytes()
+        # evaluations leave the shared constants untouched
+        assert constants.sq.tobytes() == TrainingConstants.of(X, y).sq.tobytes()
 
 
 class TestPredict:
