@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from albench.bnn import (
     BayesianLinearLayer,
@@ -324,3 +326,123 @@ class TestPredict:
         net = init_network(1, BNNConfig(hidden_layers=1, width=2, seed=0), rng)
         with pytest.raises(ConfigError):
             predict_bnn(net, [[0.0]], 1, rng)
+
+
+# --- per-array reference ------------------------------------------------------
+#
+# Training and prediction as computed before the flat parameter vector: one
+# noise array per layer and parameter, exp(log_sigma) recomputed where it is
+# used, and Adam stepping array by array. The reference for bit-for-bit
+# checks of train_bnn and predict_bnn.
+
+
+def reference_forward(network, X, noise):
+    A, caches = X, []
+    last = len(network.layers) - 1
+    for i, (layer, (eps_w, eps_b)) in enumerate(zip(network.layers, noise)):
+        W = layer.mu_w + np.exp(layer.log_sigma_w) * eps_w
+        b = layer.mu_b + np.exp(layer.log_sigma_b) * eps_b
+        Z = A @ W.T + b
+        caches.append((A, Z, W))
+        A = Z if i == last else np.maximum(Z, 0.0)
+    return A[:, 0], caches
+
+
+def reference_loss_and_grads(network, X, y, noise):
+    n = X.shape[0]
+    yhat, caches = reference_forward(network, X, noise)
+    loss = 0.5 * float(np.mean((y - yhat) ** 2)) + sum(kl_layer(l) for l in network.layers)
+    grads = []
+    delta = ((yhat - y) / n)[:, None]
+    for i in reversed(range(len(network.layers))):
+        layer = network.layers[i]
+        eps_w, eps_b = noise[i]
+        A_prev, _, W = caches[i]
+        dW = delta.T @ A_prev
+        db = delta.sum(axis=0)
+        sigma_w = np.exp(layer.log_sigma_w)
+        sigma_b = np.exp(layer.log_sigma_b)
+        grads.append(
+            (
+                dW + layer.mu_w,
+                dW * eps_w * sigma_w + (sigma_w**2 - 1.0),
+                db + layer.mu_b,
+                db * eps_b * sigma_b + (sigma_b**2 - 1.0),
+            )
+        )
+        if i > 0:
+            delta = (delta @ W) * (caches[i - 1][1] > 0.0)
+    grads.reverse()
+    return loss, grads
+
+
+def reference_train(X, y, config):
+    init_ss, noise_ss = np.random.SeedSequence(config.seed).spawn(2)
+    network = init_network(X.shape[1], config, np.random.default_rng(init_ss))
+    noise_rng = np.random.default_rng(noise_ss)
+    params = [a for l in network.layers for a in (l.mu_w, l.log_sigma_w, l.mu_b, l.log_sigma_b)]
+    m = [np.zeros(p.shape) for p in params]
+    v = [np.zeros(p.shape) for p in params]
+    beta1, beta2, lr = 0.9, 0.999, config.learning_rate
+    history = []
+    for t in range(1, config.epochs + 1):
+        loss, layer_grads = reference_loss_and_grads(network, X, y, draw_noise(network, noise_rng))
+        correct1, correct2 = 1.0 - beta1**t, 1.0 - beta2**t
+        for p, g, mp, vp in zip(params, [g for layer in layer_grads for g in layer], m, v):
+            mp *= beta1
+            mp += (1.0 - beta1) * g
+            vp *= beta2
+            vp += (1.0 - beta2) * g * g
+            p -= lr * (mp / correct1) / (np.sqrt(vp / correct2) + 1e-8)
+        history.append(loss)
+    return network, history
+
+
+def reference_predict(network, X, mc_samples, rng):
+    samples = np.array([reference_forward(network, X, draw_noise(network, rng))[0] for _ in range(mc_samples)])
+    return samples.mean(axis=0), samples.std(axis=0)
+
+
+class TestMatchesReference:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        d=st.integers(1, 3),
+        hidden_layers=st.integers(1, 3),
+        width=st.integers(1, 9),
+        epochs=st.integers(1, 30),
+        learning_rate=st.sampled_from([1e-3, 0.05]),
+    )
+    def test_training_and_prediction_match_bit_for_bit(
+        self, seed, n, d, hidden_layers, width, epochs, learning_rate
+    ):
+        gen = np.random.default_rng(seed)
+        X = gen.normal(size=(n, d))
+        y = gen.normal(size=n) * 2.0
+        config = BNNConfig(
+            hidden_layers=hidden_layers, width=width, epochs=epochs, learning_rate=learning_rate, seed=seed
+        )
+        net = train_bnn(X, y, config)
+        ref, history = reference_train(X, y, config)
+        assert net.loss_history == history
+        for got, want in zip(net.layers, ref.layers):
+            for name in ("mu_w", "log_sigma_w", "mu_b", "log_sigma_b"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        Q = gen.normal(size=(4, d))
+        preds = predict_bnn(net, Q, 8, np.random.default_rng(seed))
+        mean, std = reference_predict(ref, Q, 8, np.random.default_rng(seed))
+        assert [p.mean for p in preds] == mean.tolist()
+        assert [p.std for p in preds] == std.tolist()
+
+    def test_gradients_match_the_reference(self):
+        gen = np.random.default_rng(11)
+        net = init_network(3, BNNConfig(hidden_layers=2, width=5, seed=11), gen)
+        X = gen.normal(size=(7, 3))
+        y = gen.normal(size=7)
+        noise = draw_noise(net, gen)
+        loss, grads = elbo_loss_and_grads(net, X, y, noise)
+        ref_loss, ref_grads = reference_loss_and_grads(net, X, y, noise)
+        assert loss == ref_loss
+        for layer, ref_layer in zip(grads, ref_grads):
+            assert [g.tobytes() for g in layer] == [g.tobytes() for g in ref_layer]

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky
 
 from albench.errors import AlbenchError, ConfigError, FitError, InputError, ShapeError
 from albench.gpr import (
@@ -30,6 +33,24 @@ def dense_posterior(X_train, y, params, X_query):
     mean = ks @ K_inv @ y
     var = (params.scale_c + params.noise_n) - np.einsum("ij,jk,ik->i", ks, K_inv, ks)
     return mean, np.maximum(var, 0.0)
+
+
+def reference_lml(X, y, params):
+    """LML and gradient as computed before per-fit constants: everything
+    rebuilt per evaluation, K formed as rbf + noise * I. The reference for
+    bit-for-bit checks."""
+    n = X.shape[0]
+    sq = np.maximum((X * X).sum(1)[:, None] + (X * X).sum(1)[None, :] - 2.0 * X @ X.T, 0.0)
+    rbf = params.scale_c * np.exp(-sq / (2.0 * params.length_l**2))
+    L = cholesky(rbf + params.noise_n * np.eye(n), lower=True)
+    alpha = cho_solve((L, True), y)
+    lml = -0.5 * float(y @ alpha) - float(np.log(np.diag(L)).sum()) - 0.5 * n * math.log(2.0 * math.pi)
+    inner = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(n))
+    grads = np.empty(3)
+    grads[0] = 0.5 * float((inner * rbf).sum())
+    grads[1] = 0.5 * float((inner * (rbf * sq / params.length_l**2)).sum())
+    grads[2] = 0.5 * float(params.noise_n * np.trace(inner))
+    return lml, grads
 
 
 class TestKernelMatrix:
@@ -101,6 +122,28 @@ class TestLogMarginalLikelihood:
                     - log_marginal_likelihood(X, y, KernelParams.from_log_vector(tm))
                 ) / (2 * h)
                 assert abs(fd - grad[j]) / max(abs(fd), abs(grad[j]), 1e-10) < 1e-5
+
+
+class TestMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(1, 4),
+        shared=st.booleans(),
+    )
+    def test_same_bits_as_per_evaluation_reference(self, seed, n, d, shared):
+        gen = np.random.default_rng(seed)
+        X = gen.normal(size=(n, d))
+        y = gen.normal(size=n) * 3.0
+        # L-BFGS-B steps land anywhere in the box, bounds included
+        theta = gen.uniform([-11.6, -6.9, -6.9], [11.6, 6.9, 13.9])
+        params = KernelParams.from_log_vector(theta)
+        constants = TrainingConstants.of(X, y) if shared else None
+        lml, grads = log_marginal_likelihood(X, y, params, eval_gradient=True, constants=constants)
+        ref_lml, ref_grads = reference_lml(X, y, params)
+        assert lml == ref_lml
+        assert grads.tobytes() == ref_grads.tobytes()
 
 
 class TestFit:
