@@ -438,6 +438,9 @@ class TestMatchesReference:
     def test_gradients_match_the_reference(self):
         gen = np.random.default_rng(11)
         net = init_network(3, BNNConfig(hidden_layers=2, width=5, seed=11), gen)
+        # sigma near 1, where sigma**2 and exp(2 log_sigma) differ in the last bits
+        _, log_sigma = net.halves()
+        log_sigma[:] = gen.uniform(-1.0, 0.5, size=log_sigma.size)
         X = gen.normal(size=(7, 3))
         y = gen.normal(size=7)
         noise = draw_noise(net, gen)
