@@ -303,10 +303,10 @@ class LLMProposer:
         # report writing defaults to the main client; pass None explicitly
         # via use_offline_reports to avoid any calls.
         self.report_client = report_client if report_client is not None else client
+        # reports and parameter-prompt lines by candidate id, for _cache_pool
         self.report_cache: dict[int, str] = {}
-        # observation lines of parameter prompts, for the pool they were rendered on
         self.line_cache: dict[int, str] = {}
-        self._line_cache_pool: Optional[Dataset] = None
+        self._cache_pool: Optional[Dataset] = None
         self.backoff = backoff
         self.sleep = sleep
         self._fallback_rng = substream(seed, STREAM_LLM)
@@ -316,13 +316,14 @@ class LLMProposer:
         return self
 
     def _render(self, dataset: Dataset, observed) -> str:
+        if dataset is not self._cache_pool:
+            # an id names another candidate in another pool
+            self.report_cache, self.line_cache = {}, {}
+            self._cache_pool = dataset
         if self.prompt_format is PromptFormat.REPORT:
             return render_report_prompt(
                 dataset, observed, dataset.goal, self.report_client, self.report_cache
             )
-        if dataset is not self._line_cache_pool:
-            self.line_cache = {}
-            self._line_cache_pool = dataset
         return render_parameter_prompt(dataset, observed, dataset.goal, self.line_cache)
 
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:

@@ -523,7 +523,8 @@ class TestPromptLineCache:
         assert len(traj.steps) == 20
         assert rendered == list(range(2, 20))
 
-    def test_a_proposer_reused_on_another_pool_renders_that_pool(self):
+    @pytest.mark.parametrize("prompt_format", list(PromptFormat))
+    def test_a_proposer_reused_on_another_pool_renders_that_pool(self, prompt_format):
         class Capture:
             def __init__(self):
                 self.prompts = []
@@ -532,12 +533,16 @@ class TestPromptLineCache:
                 self.prompts.append(messages[0]["text"])
                 return "```\nx1: 1\nx2: 1\n```"
 
+        def fresh_render(pool):
+            observed = [(pool.candidates[0], 3.0)]
+            if prompt_format is PromptFormat.REPORT:
+                return render_report_prompt(pool, observed, pool.goal, None, {})
+            return render_parameter_prompt(pool, observed, pool.goal)
+
         first = two_feature_pool()
         second = make_pool(targets=[3.0, 1.0, 2.0], features=[(9.0, 8.0), (7.0, 6.0), (5.0, 4.0)])
         client = Capture()
-        proposer = LLMProposer(client, seed=0)
+        proposer = LLMProposer(client, seed=0, prompt_format=prompt_format).use_offline_reports()
         proposer.propose(first, [0], [3.0])
         proposer.propose(second, [0], [3.0])
-        assert client.prompts == [
-            render_parameter_prompt(pool, [(pool.candidates[0], 3.0)], pool.goal) for pool in (first, second)
-        ]
+        assert client.prompts == [fresh_render(first), fresh_render(second)]
