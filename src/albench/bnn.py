@@ -137,11 +137,6 @@ def _flat_noise(noise: NoiseDraw) -> np.ndarray:
     return np.concatenate([np.ravel(e) for pair in noise for e in pair])
 
 
-def _kl_terms(mu: np.ndarray, log_sigma: np.ndarray) -> np.ndarray:
-    """Per-parameter KL to the standard-normal prior."""
-    return -log_sigma + 0.5 * (np.exp(2.0 * log_sigma) + mu * mu - 1.0)
-
-
 def kl_layer(layer: BayesianLinearLayer) -> float:
     """Closed-form KL to the standard-normal prior, summed over parameters.
 
@@ -150,20 +145,8 @@ def kl_layer(layer: BayesianLinearLayer) -> float:
     """
     total = 0.0
     for mu, log_sigma in ((layer.mu_w, layer.log_sigma_w), (layer.mu_b, layer.log_sigma_b)):
-        total += float(np.sum(_kl_terms(mu, log_sigma)))
-    return total
-
-
-def _kl_network(network: BNNetwork) -> float:
-    """The sum of `kl_layer` over the layers, with the terms of every
-    parameter computed in one pass and summed array by array."""
-    terms = _kl_terms(*network.halves())
-    total = 0
-    for w, b in network.split(terms):
-        layer_total = 0.0
-        layer_total += float(w.sum())
-        layer_total += float(b.sum())
-        total += layer_total
+        sigma_sq = np.exp(2.0 * log_sigma)
+        total += float(np.sum(-log_sigma + 0.5 * (sigma_sq + mu * mu - 1.0)))
     return total
 
 
@@ -210,7 +193,7 @@ def elbo_loss(network: BNNetwork, X, y, noise: NoiseDraw) -> float:
     y = np.asarray(y, dtype=float)
     yhat = _forward_batch(network, X, noise)
     mse = float(np.mean((y - yhat) ** 2))
-    return 0.5 * mse + _kl_network(network)
+    return 0.5 * mse + sum(kl_layer(l) for l in network.layers)
 
 
 def _loss_and_grads(network: BNNetwork, X, y, sigma, eps, work, grads) -> float:
@@ -223,7 +206,7 @@ def _loss_and_grads(network: BNNetwork, X, y, sigma, eps, work, grads) -> float:
     n = X.shape[0]
     weights = _sample(network, sigma, eps, work)
     yhat, caches = _forward(X, weights)
-    loss = 0.5 * float(np.mean((y - yhat) ** 2)) + _kl_network(network)
+    loss = 0.5 * float(np.mean((y - yhat) ** 2)) + sum(kl_layer(l) for l in network.layers)
 
     # gradients w.r.t. the sampled weights, written over them layer by
     # layer from the head down (a layer's W is read before it is replaced)
