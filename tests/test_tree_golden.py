@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from albench.forest_gbt import ForestConfig, GBTConfig, fit_forest, fit_gbt
+from albench.forest_gbt import ForestConfig, GBTConfig, fit_forest, fit_gbt, staged_predictions
 
 
 def pool(n, d, seed):
@@ -76,6 +76,41 @@ FOREST_GOLDEN = {
 
 GBT_GOLDEN = ("c7f110b8e20334fbde36461be1e815114e860a42a95edb0a5563a88b6a2968bf", 1104)
 
+GBT_CASES = {
+    "bench_shape": (X150, Y150, GBTConfig(seed=1)),
+    "ties_and_duplicates": (XT, YT, GBTConfig(n_rounds=60, seed=3)),
+    "max_depth_0": (X40, Y40, GBTConfig(n_rounds=20, max_depth=0)),
+    "max_depth_2": (X40, Y40, GBTConfig(n_rounds=60, max_depth=2)),
+    "lambda_l2_0": (X40, Y40, GBTConfig(n_rounds=60, lambda_l2=0.0)),
+    "gamma_min_gain_0.5": (X40, Y40, GBTConfig(n_rounds=60, gamma_min_gain=0.5)),
+    "min_child_weight_0": (X40, Y40, GBTConfig(n_rounds=60, min_child_weight=0.0)),
+    "min_child_weight_3": (X40, Y40, GBTConfig(n_rounds=60, min_child_weight=3.0)),
+    "learning_rate_1": (X40, Y40, GBTConfig(n_rounds=30, learning_rate=1.0)),
+    "one_feature_1d": (X40[:, 0], Y40, GBTConfig(n_rounds=60)),
+    "single_row": (X40[:1], Y40[:1], GBTConfig(n_rounds=5)),
+}
+
+GBT_CASE_GOLDEN = {
+    "bench_shape": ("7f4d5b291f7f52421d9fd145dea30fde67fb46940132e77727460ead3e6af28d", 16872),
+    "gamma_min_gain_0.5": ("7bbe9102791700d192a28d8bb2fb55b010f4255b989a58c613247d6807f1ca10", 632),
+    "lambda_l2_0": ("050f196b57798b3acd5223ee854e69da73da5a03329ada9b8aef4ce9c234de00", 3062),
+    "learning_rate_1": ("1783ff78c8832eb46dc499f8bc12d60d53504aaa71f00fdb53f99e019af218cc", 1024),
+    "max_depth_0": ("4727252253d6d35696b295987d518079aa4e3dfadf46e062a2c1514c85f06069", 20),
+    "max_depth_2": ("5db6280a0bac3d15aca6d083ab9e5a4bc7f859ed26f04d57d2ba0c2d8b43fc99", 398),
+    "min_child_weight_0": ("2b2089477df5347a353522829db4a1bef032f9ca27486caa8be550821ca49af6", 1664),
+    "min_child_weight_3": ("5c45516377ac4cc71c2b75c64377f079d2e6d84847ee313911cb4079bd6ae343", 992),
+    "one_feature_1d": ("dd36a7a6862e9f48bba62a5ccb5bd35b60285dbd5f88b24e2c7fd0fb33cc32f1", 1896),
+    "single_row": ("5bcc6429dcd9fbe16e9188152632b71dbc66c10b1f211f9a4ecda799d2392c9d", 5),
+    "ties_and_duplicates": ("207d05fc2b239b88590191d90944b6d03ce0756d0b38453d1035a055c48905ad", 2358),
+}
+
+# sha256 of the float.hex of staged_predictions on the training rows after
+# every round 0..n_rounds, row-major
+GBT_STAGED_GOLDEN = {
+    "bench_shape": "49301038a3de14b069990e8fad70c699336a854236b35f904f85a40937d216c7",
+    "ties_and_duplicates": "cc2fbf40f1e1be214a4c544264ac1c5dc4b76a9707f0b1895ce3fa25bee7ea6c",
+}
+
 
 @pytest.mark.parametrize("name", sorted(FOREST_CASES))
 def test_forest_fit_matches_golden(name):
@@ -87,3 +122,19 @@ def test_forest_fit_matches_golden(name):
 def test_gbt_fit_matches_golden():
     model = fit_gbt(X40, Y40, GBTConfig(n_rounds=40, seed=2))
     assert (digest(model), node_count(model)) == GBT_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(GBT_CASES))
+def test_gbt_case_matches_golden(name):
+    X, y, config = GBT_CASES[name]
+    model = fit_gbt(X, y, config)
+    assert (digest(model), node_count(model)) == GBT_CASE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GBT_STAGED_GOLDEN))
+def test_gbt_staged_predictions_match_golden(name):
+    X, y, config = GBT_CASES[name]
+    stages = staged_predictions(fit_gbt(X, y, config), X, list(range(config.n_rounds + 1)))
+    assert stages.shape == (config.n_rounds + 1, len(y))
+    blob = " ".join(float(v).hex() for v in stages.ravel())
+    assert hashlib.sha256(blob.encode("ascii")).hexdigest() == GBT_STAGED_GOLDEN[name]
