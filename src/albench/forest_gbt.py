@@ -5,18 +5,24 @@ features, all thresholds between adjacent distinct sorted values).
 Equal-score splits break to the lowest feature index, then the lowest
 threshold, so fits are deterministic.
 
-The forest grows a batch of bootstrap trees together, one depth level at a
-time, with SLIQ-style presorting and the exact greedy search of XGBoost:
-each tree's sample is argsorted once per feature, every live node keeps its
-rows in each feature's order, and a split stably partitions those orders
-into its children. A level scores every candidate node of the batch in a
-few numpy passes over a zero-padded (position, node, feature) block; nodes
-are chunked by size, so padding at most doubles the work. Scores,
-thresholds and leaf means use the same floating-point operations in the
-same order as growing each node on its own, so every tree is identical,
-split for split, to node-by-node growth. Working memory is bounded by
-_GROW_BUDGET and _CHUNK. The booster grows each round's small tree node
-by node.
+Both grow trees one depth level at a time, with SLIQ-style presorting and
+the exact greedy search of XGBoost. The forest grows a batch of bootstrap
+trees together: each tree's sample is argsorted once per feature, every
+live node keeps its rows in each feature's order, and a split stably
+partitions those orders into its children. A level scores every candidate
+node of the batch in a few numpy passes over a zero-padded (position,
+node, feature) block; nodes are chunked by size, so padding at most
+doubles the work. The booster sorts each feature's rows once per fit;
+each round's tree groups those orders by node with one stable sort per
+level, takes per-node prefix sums down a zero-padded (feature, position,
+node) block and scores every node of the level on the compact (feature,
+position) layout. Scores, thresholds and leaf values use the same
+floating-point operations in the same order as growing each node on its
+own, so every tree is identical, split for split, to node-by-node growth.
+Working memory is bounded by _GROW_BUDGET and _CHUNK.
+
+Prediction packs a model's trees into one node array and moves every
+(tree, query) pair down a level per numpy pass.
 
 Uncertainty: the forest reports the population std of per-tree
 predictions; the booster reports the population std of a "virtual
@@ -48,6 +54,8 @@ class ForestConfig:
             raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.min_samples_split < 2 or self.min_samples_leaf < 1:
             raise ConfigError("min_samples_split >= 2 and min_samples_leaf >= 1 required")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ConfigError(f"max_depth must be None or >= 0, got {self.max_depth}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,9 @@ class GBTConfig:
             raise ConfigError(f"n_rounds must be >= 1, got {self.n_rounds}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ConfigError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
+        for name in ("max_depth", "lambda_l2", "gamma_min_gain", "min_child_weight"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -78,15 +89,7 @@ class Tree:
     value: np.ndarray
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node] >= 0
-        while active.any():
-            rows = np.nonzero(active)[0]
-            cur = node[rows]
-            go_left = X[rows, self.feature[cur]] <= self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
-            active = self.feature[node] >= 0
-        return self.value[node]
+        return _predict_trees([self], X)[0]
 
     def to_dict(self, node: int = 0) -> dict:
         if self.feature[node] < 0:
@@ -99,44 +102,13 @@ class Tree:
         }
 
 
-def _pack(nodes: list) -> Tree:
-    arr = np.array(nodes, dtype=float)
-    return Tree(
-        feature=arr[:, 0].astype(np.int64),
-        threshold=arr[:, 1],
-        left=arr[:, 2].astype(np.int64),
-        right=arr[:, 3].astype(np.int64),
-        value=arr[:, 4],
-    )
-
-
-def _best_gain_split(X: np.ndarray, g: np.ndarray, lam: float, gamma: float, min_child: float):
-    """Second-order split gain with unit hessians; None unless gain > 0."""
-    m = X.shape[0]
-    if m < 2:
-        return None
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    cs = np.cumsum(g[order], axis=0)
-    hl = np.arange(1, m, dtype=float)[:, None]
-    hr = m - hl
-    gl = cs[:-1]
-    gt = cs[-1]
-    gain = 0.5 * (gl * gl / (hl + lam) + (gt - gl) ** 2 / (hr + lam) - gt * gt / (m + lam)) - gamma
-    valid = (xs[:-1] < xs[1:]) & (hl >= min_child) & (hr >= min_child)
-    scores = np.where(valid, gain, -np.inf).T
-    flat = int(np.argmax(scores))
-    if not (scores.flat[flat] > 0.0):
-        return None
-    f, k = divmod(flat, m - 1)
-    return int(f), float(0.5 * (xs[k, f] + xs[k + 1, f]))
-
-
-# Working-memory budgets of the batched forest grower, in array elements.
-# A batch takes as many trees as fit (sample row, feature) entries in
-# _GROW_BUDGET, and a scoring chunk or partition step at most _CHUNK
-# (position, node, feature) entries; either takes at least one tree, node
-# or feature row. Working arrays cost 1 to 8 bytes per entry.
+# Working-memory budgets, in array elements. A forest batch takes as many
+# trees as fit (sample row, feature) entries in _GROW_BUDGET, and a scoring
+# chunk or partition step at most _CHUNK (position, node, feature) entries;
+# a booster prefix-sum block at most _GROW_BUDGET (feature, position, node)
+# entries; a prediction pass about _CHUNK (tree, query) pairs. Each takes
+# at least one tree, node or feature row. Working arrays cost 1 to 8 bytes
+# per entry.
 _GROW_BUDGET = 1 << 16
 _CHUNK = 1 << 14
 
@@ -345,31 +317,136 @@ def _unpack_levels(levels: list, n_trees: int) -> list[Tree]:
     ]
 
 
-def _grow_gbt_tree(X, g, config: GBTConfig) -> Tree:
+def _best_gain_splits(xs, gs, m, off, config: GBTConfig):
+    """Best second-order gain split of each node, scored for all nodes together.
+
+    Node i owns columns off[i] .. off[i] + m[i] - 1 (m[i] >= 2) of the
+    (feature, position) tables xs and gs, which list its x values and
+    gradients in each feature's sorted order. Returns the feature (-1
+    unless the best gain is > 0) and the split's position in that
+    feature's order; ties go to the lowest feature, then position.
+    """
+    d, total = xs.shape
+    count = len(m)
+    node = np.repeat(np.arange(count), m)
+    j = np.arange(total) - off[node]  # position within the node
+    # prefix sums run down zero-padded (feature, position, node) blocks, so
+    # each starts at its node's first row, as a one-node cumsum does
+    gl = np.empty((d, total))
+    gt = np.empty((d, count))
+    per = max(1, _GROW_BUDGET // (d * int(m.max())))
+    for a in range(0, count, per):
+        b = min(a + per, count)
+        cols = slice(off[a], off[b - 1] + m[b - 1])
+        cell = j[cols] * (b - a) + node[cols] - a
+        block = np.zeros((d, int(m[a:b].max()), b - a))
+        flat = block.reshape(d, -1)
+        flat[:, cell] = gs[:, cols]
+        np.cumsum(block, axis=1, out=block)
+        gl[:, cols] = flat[:, cell]
+        gt[:, a:b] = flat[:, (m[a:b] - 1) * (b - a) + np.arange(b - a)]
+    # the one-node expression 0.5 * (gl*gl/(hl+lam) + (gt-gl)**2/(hr+lam)
+    # - gt*gt/(m+lam)) - gamma, operation for operation
     lam = config.lambda_l2
-    nodes: list = []
-    nodes.append(None)
-    stack = [(0, np.arange(X.shape[0]), 0)]
-    while stack:
-        ni, idx, depth = stack.pop()
-        sub_g = g[idx]
-        split = None
-        if depth < config.max_depth:
-            split = _best_gain_split(
-                X[idx], sub_g, lam, config.gamma_min_gain, config.min_child_weight
-            )
-        if split is None:
-            weight = -sub_g.sum() / (len(idx) + lam)
-            nodes[ni] = (-1, 0.0, -1, -1, config.learning_rate * weight)
-            continue
-        f, thr = split
-        go_left = X[idx, f] <= thr
-        li, ri = len(nodes), len(nodes) + 1
-        nodes.extend([None, None])
-        nodes[ni] = (f, thr, li, ri, 0.0)
-        stack.append((li, idx[go_left], depth + 1))
-        stack.append((ri, idx[~go_left], depth + 1))
-    return _pack(nodes)
+    hl = j + 1.0
+    hr = m[node] - hl  # 0 at a node's last position, which is no split
+    with np.errstate(divide="ignore", invalid="ignore"):  # a node's last position, masked below
+        gain = gl * gl
+        gain /= hl + lam
+        gr = gt[:, node] - gl
+        gr *= gr
+        gr /= hr + lam
+        gain += gr
+        gt *= gt
+        gt /= m + lam
+        gain -= gt[:, node]
+    gain *= 0.5
+    gain -= config.gamma_min_gain
+    valid = np.zeros((d, total), dtype=bool)
+    np.less(xs[:, :-1], xs[:, 1:], out=valid[:, :-1])
+    valid &= (hr > 0.0) & (hl >= config.min_child_weight) & (hr >= config.min_child_weight)
+    gain = np.where(valid, gain, -np.inf)
+    # the first maximum in (feature, position) order; any NaN makes a leaf
+    by_feature = np.maximum.reduceat(gain, off, axis=1)
+    best = by_feature.max(axis=0)
+    f = (by_feature == best).argmax(axis=0)
+    hit = gain[f[node], np.arange(total)] == best[node]
+    k = np.minimum.reduceat(np.where(hit, j, total), off)
+    f[~(best > 0.0)] = -1
+    return f, k
+
+
+def _grow_gbt_round(X, order, xsorted, g, config: GBTConfig) -> tuple[Tree, np.ndarray]:
+    """One round's tree, grown one depth level at a time, and its value at each row.
+
+    Row f of `order` lists the rows sorted by feature f (ties by row) and
+    the same row of `xsorted` their x values. Each level stably sorts
+    those orders by node, so every node sees its rows in each feature's
+    order, and routes rows by x <= threshold. Nodes are numbered level by
+    level, left children before right ones.
+    """
+    n, d = X.shape
+    gsorted = g[order]
+    row_start = np.arange(0, d * n, n)[:, None]
+    node = np.zeros(n, dtype=np.intp)  # each row's node, finally its leaf
+    # each row's node within its level, -1 once in a leaf; per-level tables
+    # have one more entry, for those rows
+    live = np.zeros(n, dtype=np.intp)
+    m = np.array([n])
+    levels = []
+    first = depth = 0
+    while True:
+        count = len(m)
+        feature = np.full(count, -1)
+        threshold = np.zeros(count)
+        cand = np.flatnonzero(m >= 2) if depth < config.max_depth else ()
+        if len(cand):
+            mc = m[cand]
+            off = np.cumsum(mc) - mc
+            if depth == 0:
+                xs, gs = xsorted, gsorted
+            else:
+                key = np.full(count + 1, len(cand), dtype=np.min_scalar_type(len(cand)))
+                key[cand] = np.arange(len(cand))
+                by_node = np.argsort(key[live][order], axis=1, kind="stable")[:, : off[-1] + mc[-1]]
+                by_node += row_start
+                xs, gs = xsorted.ravel()[by_node], gsorted.ravel()[by_node]
+            f, k = _best_gain_splits(xs, gs, mc, off, config)
+            ok = f >= 0
+            f, pos, at = f[ok], off[ok] + k[ok], cand[ok]
+            feature[at] = f
+            threshold[at] = 0.5 * (xs[f, pos] + xs[f, pos + 1])
+        split = np.flatnonzero(feature >= 0)
+        left = np.full(count, -1)
+        left[split] = np.arange(len(split)) + (first + count)
+        right = np.where(feature >= 0, left + len(split), -1)
+        levels.append((feature, threshold, left, right))
+        if not len(split):
+            break
+        # rows of split nodes move to their children, the next level's nodes
+        rank = np.full(count + 1, -1)
+        rank[split] = np.arange(len(split))
+        moving = np.flatnonzero(rank[live] >= 0)
+        at = live[moving]
+        child = rank[at]
+        child[~(X[moving, feature[at]] <= threshold[at])] += len(split)
+        live.fill(-1)
+        live[moving] = child
+        node[moving] = child + (first + count)
+        m = np.bincount(child, minlength=2 * len(split))
+        first += count
+        depth += 1
+    feature, threshold, left, right = (np.concatenate(c) for c in zip(*levels))
+    # each leaf's weight -g.sum() / (m + lambda), its g in ascending row order
+    leaves = np.flatnonzero(feature < 0)
+    size = np.bincount(node, minlength=len(feature))[leaves]
+    by_leaf = g[np.argsort(node, kind="stable")]
+    ends = np.cumsum(size).tolist()
+    sums = np.array([by_leaf[a:b].sum() for a, b in zip([0] + ends[:-1], ends)])
+    value = np.zeros(len(feature))
+    value[leaves] = config.learning_rate * (-sums / (size + config.lambda_l2))
+    tree = Tree(feature=feature, threshold=threshold, left=left, right=right, value=value)
+    return tree, value[node]
 
 
 @dataclass
@@ -428,27 +505,63 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> ForestModel:
     return ForestModel(trees=trees, config=config, n_features=X.shape[1])
 
 
+def _predict_trees(trees: list[Tree], X: np.ndarray) -> np.ndarray:
+    """(len(trees), n_queries) matrix of every tree's predictions.
+
+    Trees are packed into one node array, in chunks of about _CHUNK
+    (tree, query) pairs, and traversed together: each pass moves every
+    pair not yet at a leaf one level down.
+    """
+    n, d = X.shape
+    x = X.ravel()
+    out = np.empty((len(trees), n))
+    per = max(1, _CHUNK // max(n, 1))
+    for a in range(0, len(trees), per):
+        chunk = trees[a : a + per]
+        sizes = np.array([len(t.feature) for t in chunk])
+        root = np.cumsum(sizes) - sizes
+        shift = np.repeat(root, sizes)
+        feature = np.concatenate([t.feature for t in chunk])
+        threshold = np.concatenate([t.threshold for t in chunk])
+        left = np.concatenate([t.left for t in chunk]) + shift
+        right = np.concatenate([t.right for t in chunk]) + shift
+        node = np.repeat(root, n)
+        pair = np.flatnonzero(feature[node] >= 0)
+        while len(pair):
+            cur = node[pair]
+            go_left = x[pair % n * d + feature[cur]] <= threshold[cur]
+            node[pair] = cur = np.where(go_left, left[cur], right[cur])
+            pair = pair[feature[cur] >= 0]
+        out[a : a + per] = np.concatenate([t.value for t in chunk])[node].reshape(len(chunk), n)
+    return out
+
+
 def predict_forest(model: ForestModel, X) -> list[Prediction]:
     """Ensemble mean and population std of the per-tree predictions."""
     X = as_matrix(X)
     if X.shape[1] != model.n_features:
         raise ShapeError(f"query has {X.shape[1]} features, model expects {model.n_features}")
-    per_tree = np.stack([t.predict(X) for t in model.trees])
+    per_tree = _predict_trees(model.trees, X)
     mean = per_tree.mean(axis=0)
     std = per_tree.std(axis=0)
     return [Prediction(float(m), float(s)) for m, s in zip(mean, std)]
 
 
 def fit_gbt(X, y, config: GBTConfig = GBTConfig()) -> GBTModel:
-    """Boost squared-error residuals; base prediction is mean(y)."""
+    """Boost squared-error residuals; base prediction is mean(y).
+
+    Each feature's rows are sorted once per fit; every round's tree reuses
+    those orders, and the training predictions take each row's leaf value.
+    """
     X, y = _check_xy(X, y)
     base = float(y.mean())
     pred = np.full(y.shape[0], base)
+    order = np.argsort(X, axis=0, kind="stable").T
+    xsorted = np.take_along_axis(X.T, order, axis=1)
     trees = []
     for _ in range(config.n_rounds):
-        g = pred - y
-        tree = _grow_gbt_tree(X, g, config)
-        pred += tree.predict(X)
+        tree, step = _grow_gbt_round(X, order, xsorted, pred - y, config)
+        pred += step
         trees.append(tree)
     return GBTModel(base_score=base, trees=trees, config=config, n_features=X.shape[1])
 
@@ -460,18 +573,15 @@ def stage_rounds(n_rounds: int, members: int = 10) -> list[int]:
 
 
 def staged_predictions(model: GBTModel, X, rounds: list[int]) -> np.ndarray:
-    """(len(rounds), n_queries) matrix of predictions after each checkpoint."""
+    """(len(rounds), n_queries) matrix of predictions after each checkpoint.
+
+    Checkpoints are taken in ascending order, once each; rounds run from
+    0 (the base score) to len(model.trees), and others are ignored.
+    """
     X = as_matrix(X)
-    wanted = set(rounds)
-    out = []
-    cum = np.full(X.shape[0], model.base_score)
-    if 0 in wanted:
-        out.append(cum.copy())
-    for r, tree in enumerate(model.trees, start=1):
-        cum += tree.predict(X)
-        if r in wanted:
-            out.append(cum.copy())
-    return np.stack(out)
+    stages = np.concatenate([np.full((1, X.shape[0]), model.base_score), _predict_trees(model.trees, X)])
+    np.cumsum(stages, axis=0, out=stages)  # round by round, in order
+    return stages[sorted({r for r in rounds if 0 <= r <= len(model.trees)})]
 
 
 def predict_gbt(model: GBTModel, X) -> list[Prediction]:

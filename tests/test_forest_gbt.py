@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albench.errors import FitError, ShapeError
+from albench.errors import ConfigError, FitError, ShapeError
 from albench.forest_gbt import (
     ForestConfig,
     ForestModel,
@@ -105,6 +105,79 @@ def bootstrap_samples(n, config):
             yield np.random.default_rng(child).integers(0, n, size=n)
         else:
             yield np.arange(n)
+
+
+def reference_gbt_fit(X, y, config):
+    """fit_gbt as the node-by-node grower did it before level-by-level
+    growth: every node argsorts its own rows, scores every (feature,
+    position) with the second-order gain, and takes the first maximum in
+    (feature, position) order. Returns the base score and each round's
+    tree as a to_dict()."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    y = np.asarray(y, dtype=float)
+    lam = config.lambda_l2
+
+    def best_split(idx, g):
+        m = len(idx)
+        if m < 2:
+            return None
+        order = np.argsort(X[idx], axis=0, kind="stable")
+        xs = np.take_along_axis(X[idx], order, axis=0)
+        cs = np.cumsum(g[idx][order], axis=0)
+        hl = np.arange(1, m, dtype=float)[:, None]
+        hr = m - hl
+        gl = cs[:-1]
+        gt = cs[-1]
+        gain = 0.5 * (gl * gl / (hl + lam) + (gt - gl) ** 2 / (hr + lam) - gt * gt / (m + lam)) - config.gamma_min_gain
+        valid = (xs[:-1] < xs[1:]) & (hl >= config.min_child_weight) & (hr >= config.min_child_weight)
+        scores = np.where(valid, gain, -np.inf).T
+        flat = int(np.argmax(scores))
+        if not (scores.flat[flat] > 0.0):
+            return None
+        f, k = divmod(flat, m - 1)
+        return int(f), float(0.5 * (xs[k, f] + xs[k + 1, f]))
+
+    def grow(idx, g, depth, step):
+        split = best_split(idx, g) if depth < config.max_depth else None
+        if split is None:
+            value = config.learning_rate * (-g[idx].sum() / (len(idx) + lam))
+            step[idx] = value
+            return {"leaf": float(value)}
+        f, thr = split
+        go_left = X[idx, f] <= thr
+        return {
+            "feature": f,
+            "threshold": thr,
+            "left": grow(idx[go_left], g, depth + 1, step),
+            "right": grow(idx[~go_left], g, depth + 1, step),
+        }
+
+    base = float(y.mean())
+    pred = np.full(len(y), base)
+    trees = []
+    for _ in range(config.n_rounds):
+        step = np.empty(len(y))
+        trees.append(grow(np.arange(len(y)), pred - y, 0, step))
+        pred += step
+    return base, trees
+
+
+def reference_staged(base, trees, Q):
+    """Predictions after rounds 0..len(trees), one dict tree at a time."""
+
+    def leaf(node, q):
+        while "leaf" not in node:
+            node = node["left"] if q[node["feature"]] <= node["threshold"] else node["right"]
+        return node["leaf"]
+
+    cum = np.full(Q.shape[0], base)
+    stages = [cum.copy()]
+    for tree in trees:
+        cum += np.array([leaf(tree, q) for q in Q])
+        stages.append(cum.copy())
+    return np.stack(stages)
 
 
 class ReferenceBooster:
@@ -396,3 +469,142 @@ class TestGBT:
         d = model.to_json_dict()
         assert d["kind"] == "gbt"
         assert len(d["trees"]) == 2
+
+
+@st.composite
+def gbt_problems(draw):
+    """Small pools with tied values, duplicated rows, signed zeros and every
+    GBTConfig field drawn, plus query points off the training rows."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 4))
+    levels = draw(st.sampled_from([2, 5, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(-levels, levels, size=(n, d)) / 4.0
+    X[(X == 0.0) & (rng.random((n, d)) < 0.5)] = -0.0
+    # integer targets give exactly tied gains; thirds round
+    y = rng.integers(-6, 7, size=n) / draw(st.sampled_from([1.0, 3.0]))
+    y[y == 0.0] = draw(st.sampled_from([0.0, -0.0]))
+    if draw(st.booleans()):
+        # mirror images of the rows with negated targets: cuts at mirrored
+        # positions then gain the same
+        X, y = np.vstack([X, (2 * levels + 2) / 4.0 - X]), np.concatenate([y, -y])
+    if draw(st.booleans()):
+        dup = rng.integers(0, n, size=draw(st.integers(1, 10)))
+        X, y = np.vstack([X, X[dup]]), np.concatenate([y, y[dup]])
+    config = GBTConfig(
+        n_rounds=draw(st.integers(1, 12)),
+        learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        max_depth=draw(st.integers(0, 7)),
+        lambda_l2=draw(st.sampled_from([0.0, 1.0])),
+        gamma_min_gain=draw(st.sampled_from([0.0, 0.01, 0.5])),
+        min_child_weight=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    Q = np.vstack([X, rng.integers(-levels - 1, levels + 1, size=(5, d)) / 4.0])
+    return X, y, config, Q
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestGBTMatchesNodeByNodeGrower:
+    @settings(max_examples=200, deadline=None)
+    @given(gbt_problems())
+    def test_fit_and_stages_match_reference(self, problem):
+        X, y, config, Q = problem
+        model = fit_gbt(X, y, config)
+        base, trees = reference_gbt_fit(X, y, config)
+        assert model.base_score == base
+        # JSON text also tells -0.0 from 0.0
+        assert [json.dumps(t.to_dict()) for t in model.trees] == [json.dumps(t) for t in trees]
+        rounds = list(range(config.n_rounds + 1))
+        assert np.array_equal(bits(staged_predictions(model, Q, rounds)), bits(reference_staged(base, trees, Q)))
+
+    def test_equal_gains_break_to_lowest_feature_then_position(self):
+        # g = [-1, 1, 1, -1] sums to 0, so cuts after the first and third row
+        # of each feature gain the same, bit for bit; column 1 repeats column 0
+        X = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
+        y = np.array([1.0, -1.0, -1.0, 1.0])
+        config = GBTConfig(n_rounds=1, max_depth=1)
+        tree = fit_gbt(X, y, config).trees[0]
+        assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+        assert tree.to_dict() == reference_gbt_fit(X, y, config)[1][0]
+
+    def test_node_tails_are_masked(self):
+        # with lambda 0 a cut after a node's last row would score 0/0; its x
+        # is below the next node's first x, so only the mask keeps it out
+        X = np.arange(6.0)[:, None]
+        y = np.array([0.0, 3.0, 0.5, 10.0, 11.0, 10.0])
+        config = GBTConfig(n_rounds=1, max_depth=2, lambda_l2=0.0, min_child_weight=0.0)
+        tree = fit_gbt(X, y, config).trees[0]
+        assert tree.feature[tree.left[0]] >= 0 and tree.feature[tree.right[0]] >= 0
+        assert tree.to_dict() == reference_gbt_fit(X, y, config)[1][0]
+
+    def test_tree_layout(self, rng):
+        X = rng.normal(size=(25, 3))
+        y = rng.normal(size=25)
+        for tree in fit_gbt(X, y, GBTConfig(n_rounds=5, max_depth=3)).trees:
+            inner = tree.feature >= 0
+            assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int64
+            assert np.all(tree.left[~inner] == -1) and np.all(tree.right[~inner] == -1)
+            assert np.all(tree.threshold[~inner] == 0.0) and np.all(tree.value[inner] == 0.0)
+            children = np.concatenate([tree.left[inner], tree.right[inner]])
+            assert sorted(children) == list(range(1, len(tree.feature)))
+
+
+class TestPackedPrediction:
+    def test_forest_matches_per_tree_traversal(self, rng):
+        X = rng.normal(size=(30, 3))
+        y = rng.normal(size=30)
+        model = fit_forest(X, y, ForestConfig(n_trees=20, seed=3))
+        Q = np.vstack([X, rng.normal(size=(40, 3))])
+
+        def walk(tree, q, node=0):
+            while tree.feature[node] >= 0:
+                node = tree.left[node] if q[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+            return tree.value[node]
+
+        per_tree = np.array([[walk(t, q) for q in Q] for t in model.trees])
+        preds = predict_forest(model, Q)
+        assert np.array_equal(bits([p.mean for p in preds]), bits(per_tree.mean(axis=0)))
+        assert np.array_equal(bits([p.std for p in preds]), bits(per_tree.std(axis=0)))
+        for tree, row in zip(model.trees, per_tree):
+            assert np.array_equal(bits(tree.predict(Q)), bits(row))
+
+    def test_empty_query_set(self):
+        model = fit_forest([[0.0], [1.0]], [0.0, 1.0], ForestConfig(n_trees=3))
+        assert predict_forest(model, np.empty((0, 1))) == []
+        gbt = fit_gbt([[0.0], [1.0]], [0.0, 1.0], GBTConfig(n_rounds=3))
+        assert staged_predictions(gbt, np.empty((0, 1)), [0, 3]).shape == (2, 0)
+
+    def test_staged_rounds_sorted_deduplicated_and_clipped(self, rng):
+        X = rng.normal(size=(10, 2))
+        model = fit_gbt(X, rng.normal(size=10), GBTConfig(n_rounds=4, max_depth=2))
+        full = staged_predictions(model, X, [0, 1, 2, 3, 4])
+        assert np.array_equal(staged_predictions(model, X, [3, 0, 3, 9, -1]), full[[0, 3]])
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lambda_l2", -1.0),
+            ("min_child_weight", -0.5),
+            ("gamma_min_gain", -1e-9),
+            ("max_depth", -1),
+            ("lambda_l2", float("nan")),
+        ],
+    )
+    def test_gbt_rejects_negative_fields(self, field, value):
+        with pytest.raises(ConfigError):
+            GBTConfig(**{field: value})
+
+    def test_forest_rejects_negative_max_depth(self):
+        with pytest.raises(ConfigError):
+            ForestConfig(max_depth=-1)
+        assert ForestConfig(max_depth=0).max_depth == 0
+
+    def test_zero_is_allowed(self):
+        config = GBTConfig(max_depth=0, lambda_l2=0.0, gamma_min_gain=0.0, min_child_weight=0.0)
+        fit_gbt([[0.0], [1.0]], [0.0, 1.0], config)
