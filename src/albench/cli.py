@@ -29,7 +29,13 @@ from .data import (
     parse_synthetic_string,
     registry_by_name,
 )
-from .engine import read_trajectory, rebuild_trajectory, run_active_learning, write_trajectory
+from .engine import (
+    reached_optimum_at,
+    read_trajectory,
+    rebuild_trajectory,
+    run_active_learning,
+    write_trajectory,
+)
 from .errors import AlbenchError, ConfigError, RunAborted
 from .forest_gbt import ForestConfig, GBTConfig
 from .llm import MatcherBackend
@@ -335,8 +341,7 @@ def _read_complete(path, dataset: Dataset) -> Optional[tuple[dict, list[StepReco
         return None
     if not steps or header.get("dataset_digest") != dataset.digest():
         return None
-    optimum = dataset.optimum_value
-    reached = any(s.observed_value == optimum for s in steps)
+    reached = reached_optimum_at(steps, dataset.optimum_value) is not None
     if reached or len(steps) >= config.resolved_max_iterations(len(dataset)):
         return header, steps
     return None

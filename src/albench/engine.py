@@ -19,7 +19,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -107,16 +107,27 @@ def pool_zscores(dataset: Dataset) -> tuple[ZScore, np.ndarray]:
     return dataset._pool_z
 
 
-def check_stopping(trajectory: Trajectory, dataset: Dataset) -> bool:
-    """True iff some observed value equals the pool optimum, exactly.
+def unlabeled_pool_ids(pool_size: int, observed_ids: Sequence[int]) -> np.ndarray:
+    """Ascending ids of the pool's candidates that are not in `observed_ids`."""
+    unlabeled = np.ones(pool_size, dtype=bool)
+    unlabeled[np.asarray(observed_ids, dtype=np.intp)] = False
+    return np.flatnonzero(unlabeled)
+
+
+def reached_optimum_at(steps: Sequence[StepRecord], optimum: float) -> Optional[int]:
+    """Iteration of the first step that observed `optimum`, else None.
 
     Observations are pool lookups, so stored values compare verbatim and
     no tolerance is involved; duplicate optima all satisfy the test.
     """
+    return next((s.iteration for s in steps if s.observed_value == optimum), None)
+
+
+def check_stopping(trajectory: Trajectory, dataset: Dataset) -> bool:
+    """True iff some observed value equals the pool optimum, exactly."""
     if not trajectory.steps:
         raise ConfigError("check_stopping needs a non-empty trajectory")
-    optimum = dataset.optimum_value
-    return any(s.observed_value == optimum for s in trajectory.steps)
+    return reached_optimum_at(trajectory.steps, dataset.optimum_value) is not None
 
 
 @dataclass
@@ -181,8 +192,8 @@ def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer)
             )
         )
         observed.add(candidate_id)
-        if reached_at is None and value == optimum:
-            reached_at = iteration
+        if reached_at is None:
+            reached_at = reached_optimum_at(steps[-1:], optimum)
 
     def build() -> Trajectory:
         return Trajectory(
@@ -281,12 +292,10 @@ def read_trajectory(path) -> tuple[dict, list[StepRecord]]:
 def rebuild_trajectory(header: dict, steps: list[StepRecord], dataset: Dataset) -> Trajectory:
     """Reconstruct a Trajectory from a parsed file, against its pool."""
     config = RunConfig.from_dict(header["run_config"])
-    optimum = dataset.optimum_value
-    reached = next((s.iteration for s in steps if s.observed_value == optimum), None)
     return Trajectory(
         run_config_digest=header.get("run_config_digest", ""),
         steps=steps,
-        reached_optimum_at=reached,
+        reached_optimum_at=reached_optimum_at(steps, dataset.optimum_value),
         data_fraction_used=len({s.candidate_id for s in steps}) / len(dataset),
         config=config,
         dataset_digest=header.get("dataset_digest", ""),

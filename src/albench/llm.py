@@ -20,7 +20,7 @@ import numpy as np
 
 from .acquisition import random_walk_select
 from .clients import ChatClient, RerankClient
-from .engine import STREAM_LLM, Suggestion, pool_zscores, substream
+from .engine import STREAM_LLM, Suggestion, pool_zscores, substream, unlabeled_pool_ids
 from .engine import standardize_features  # noqa: F401 -- bench/spans.py traces calls under this name
 from .errors import ProposalParseError, ProposerError, TransportError
 from .types import Candidate, Dataset, Goal, PromptFormat, ProposerKind
@@ -330,9 +330,7 @@ class LLMProposer:
         observed = [
             (dataset.by_id(i), v) for i, v in zip(observed_ids, observed_values)
         ]
-        unlabeled_mask = np.ones(len(dataset), dtype=bool)
-        unlabeled_mask[list(observed_ids)] = False
-        unlabeled = np.flatnonzero(unlabeled_mask)
+        unlabeled = unlabeled_pool_ids(len(dataset), observed_ids)
         prompt = self._render(dataset, observed)
         raw = propose_next(prompt, self.client, backoff=self.backoff, sleep=self.sleep)
         try:

@@ -16,7 +16,7 @@ import numpy as np
 from . import bnn as bnn_mod
 from . import forest_gbt, gpr
 from .acquisition import random_walk_select, ucb_select
-from .engine import STREAM_MODEL, STREAM_WALK, Suggestion, standardize_features, substream
+from .engine import STREAM_MODEL, STREAM_WALK, Suggestion, standardize_features, substream, unlabeled_pool_ids
 from .errors import ConfigError
 from .types import Dataset, Prediction, ProposerKind, RunConfig
 
@@ -30,7 +30,7 @@ class RandomWalkProposer:
         self._rng = substream(seed, STREAM_WALK)
 
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:
-        unlabeled = sorted(set(range(len(dataset))) - set(observed_ids))
+        unlabeled = unlabeled_pool_ids(len(dataset), observed_ids)
         return Suggestion(candidate_id=random_walk_select(unlabeled, self._rng))
 
 
@@ -87,7 +87,7 @@ class SurrogateProposer:
         return preds, {"bnn_final_loss": network.final_loss}
 
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:
-        unlabeled = sorted(set(range(len(dataset))) - set(observed_ids))
+        unlabeled = unlabeled_pool_ids(len(dataset), observed_ids)
         X = dataset.feature_matrix
         X_obs = X[list(observed_ids)]
         y = np.asarray(observed_values, dtype=float)
@@ -96,7 +96,7 @@ class SurrogateProposer:
         model_seed = int(self._model_rng.integers(2**31 - 1))
         preds, diag = self._fit_predict(Z_train, y, Z_pool, model_seed)
         index = ucb_select(preds, self.alpha, dataset.goal)
-        return Suggestion(candidate_id=unlabeled[index], surrogate_diag=diag)
+        return Suggestion(candidate_id=int(unlabeled[index]), surrogate_diag=diag)
 
 
 def make_proposer(

@@ -13,12 +13,14 @@ from albench.data import synthetic_pool
 from albench.engine import (
     Suggestion,
     check_stopping,
+    reached_optimum_at,
     read_trajectory,
     rebuild_trajectory,
     run_active_learning,
     select_initial,
     standardize_features,
     trajectory_to_jsonl,
+    unlabeled_pool_ids,
     write_trajectory,
 )
 from albench.errors import (
@@ -30,7 +32,7 @@ from albench.errors import (
     ShapeError,
 )
 from albench.proposers import RandomWalkProposer, make_proposer
-from albench.types import Goal, ProposerKind, RunConfig
+from albench.types import Goal, ProposerKind, RunConfig, StepRecord
 
 from conftest import make_pool
 
@@ -122,6 +124,22 @@ class TestCheckStopping:
         cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=0, n_initial=1)
         traj = run_active_learning(pool, cfg, ScriptedProposer(ids=[0, 1]))
         assert traj.reached_optimum_at is not None
+
+
+class TestPoolHelpers:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), unique=True))))
+    def test_unlabeled_ids_are_the_sorted_set_difference(self, case):
+        n, observed = case
+        got = unlabeled_pool_ids(n, observed)
+        assert got.tolist() == sorted(set(range(n)) - set(observed))
+
+    def test_reached_optimum_at_is_the_first_exact_hit(self):
+        values = [1.0, 5.0 - 1e-12, 5.0, 2.0, 5.0]
+        steps = [StepRecord(i, i, v, max(values[: i + 1])) for i, v in enumerate(values)]
+        assert reached_optimum_at(steps, 5.0) == 2
+        assert reached_optimum_at(steps[:2], 5.0) is None
+        assert reached_optimum_at([], 5.0) is None
 
 
 class TestRunLoop:

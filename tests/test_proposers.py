@@ -8,7 +8,8 @@ import pytest
 from albench.bnn import BNNConfig
 from albench.clients import ConstantChatClient, TokenBucket
 from albench.data import synthetic_pool
-from albench.engine import run_active_learning, trajectory_to_jsonl
+from albench.acquisition import random_walk_select
+from albench.engine import STREAM_WALK, run_active_learning, substream, trajectory_to_jsonl
 from albench.errors import ConfigError
 from albench.forest_gbt import ForestConfig, GBTConfig
 from albench.proposers import RandomWalkProposer, SurrogateProposer, make_proposer
@@ -25,6 +26,24 @@ class TestRandomWalk:
             cfg = RunConfig(ProposerKind.RANDOM_WALK, alpha=alpha, seed=9)
             trajs.append(run_active_learning(pool, cfg, RandomWalkProposer(9)))
         assert trajs[0].selected_ids() == trajs[1].selected_ids()
+
+
+class TestUnlabeledIds:
+    def test_proposals_are_python_ints_from_the_same_draws(self):
+        pool = synthetic_pool("quadratic2d", 16, seed=2)
+        observed = [3, 0, 7, 12]
+        values = [pool.by_id(i).target for i in observed]
+        walk = RandomWalkProposer(5)
+        reference_rng = substream(5, STREAM_WALK)
+        for _ in range(4):
+            cid = walk.propose(pool, observed, values).candidate_id
+            assert type(cid) is int
+            assert cid == random_walk_select(sorted(set(range(len(pool))) - set(observed)), reference_rng)
+        gbt = SurrogateProposer(ProposerKind.GBT, alpha=1.0, seed=4, gbt_config=GBTConfig(n_rounds=5))
+        llm = make_proposer(RunConfig(ProposerKind.LLM, seed=0), chat_client=ConstantChatClient("x1: 0.1\nx2: 0.2"))
+        for proposer in (gbt, llm):
+            cid = proposer.propose(pool, observed, values).candidate_id
+            assert type(cid) is int and cid not in observed
 
 
 class TestSurrogateProposers:
