@@ -36,7 +36,6 @@ from .forest_gbt import (
     predict_forest,
     predict_gbt,
 )
-from .gpr import KernelParams, fit_gpr, kernel_matrix, log_marginal_likelihood, predict_gpr
 from .llm import (
     LLMProposer,
     MatcherBackend,
@@ -60,6 +59,24 @@ from .types import (
 )
 
 __version__ = "0.1.0"
+
+# gpr imports scipy.linalg and scipy.optimize, about 0.5 s and 40 MB that
+# only GPR runs need, so its names load on first access (PEP 562).
+_GPR_NAMES = frozenset(
+    {"KernelParams", "fit_gpr", "kernel_matrix", "log_marginal_likelihood", "predict_gpr"}
+)
+
+
+def __getattr__(name):
+    if name in _GPR_NAMES:
+        from . import gpr
+
+        return getattr(gpr, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
 
 __all__ = [
     "BNNConfig",

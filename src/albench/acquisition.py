@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -18,8 +19,8 @@ def ucb_select(predictions: Sequence[Prediction], alpha: float, goal: Goal) -> i
     """
     if len(predictions) == 0:
         raise ConfigError("ucb_select needs at least one prediction")
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     means = np.array([p.mean for p in predictions], dtype=float)
     stds = np.array([p.std for p in predictions], dtype=float)
     if np.isnan(means).any() or np.isnan(stds).any():

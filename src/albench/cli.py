@@ -12,9 +12,10 @@ import concurrent.futures
 import csv
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -115,12 +116,35 @@ def build_matcher(descriptor: Optional[str]):
 
 
 def _model_configs(overrides: Optional[dict]):
+    """(forest, gbt, bnn, gpr standardize_targets) from a config's model_overrides.
+
+    Raises ConfigError on an unknown section or key, or a value of the wrong type.
+    """
     overrides = overrides or {}
-    forest = ForestConfig(**overrides["forest"]) if overrides.get("forest") else None
-    gbt = GBTConfig(**overrides["gbt"]) if overrides.get("gbt") else None
-    bnn = BNNConfig(**overrides["bnn"]) if overrides.get("bnn") else None
-    gpr_std = bool(overrides.get("gpr", {}).get("standardize_targets", False))
-    return forest, gbt, bnn, gpr_std
+    if not isinstance(overrides, dict):
+        raise ConfigError("model_overrides must be an object")
+    classes = {"forest": ForestConfig, "gbt": GBTConfig, "bnn": BNNConfig}
+    known = {name: {f.name for f in fields(cls)} for name, cls in classes.items()}
+    known["gpr"] = {"standardize_targets"}
+    built = {}
+    for section, values in overrides.items():
+        if section not in known:
+            raise ConfigError(f"unknown model_overrides section {section!r}; known: {sorted(known)}")
+        values = values or {}
+        if not isinstance(values, dict):
+            raise ConfigError(f"model_overrides.{section} must be an object")
+        unknown = sorted(set(values) - known[section])
+        if unknown:
+            raise ConfigError(
+                f"unknown model_overrides.{section} keys {unknown}; known: {sorted(known[section])}"
+            )
+        if section in classes and values:
+            try:
+                built[section] = classes[section](**values)
+            except TypeError as exc:
+                raise ConfigError(f"bad model_overrides.{section} value: {exc}") from exc
+    gpr_std = bool((overrides.get("gpr") or {}).get("standardize_targets", False))
+    return built.get("forest"), built.get("gbt"), built.get("bnn"), gpr_std
 
 
 def execute_run(
@@ -291,8 +315,8 @@ def expand_sweep(cfg: dict) -> list[dict]:
     seeds = cfg.get("seeds", [38, 39, 40, 41, 42])
     if not alphas or not seeds:
         raise ConfigError("sweep config needs non-empty 'alphas' and 'seeds'")
-    if any(a < 0 for a in alphas):
-        raise ConfigError("alphas must all be >= 0")
+    if not all(math.isfinite(a) and a >= 0 for a in alphas):
+        raise ConfigError(f"alphas must all be finite and >= 0, got {alphas}")
     prompt_formats = cfg.get("prompt_formats", ["parameter"])
     if not prompt_formats:
         raise ConfigError("sweep config needs a non-empty 'prompt_formats' list")
@@ -391,6 +415,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep config needs a 'dataset' entry")
     dataset, header_entry = build_dataset(cfg["dataset"])
     grid = expand_sweep(cfg)
+    _model_configs(cfg.get("model_overrides"))  # a bad override fails the sweep, not each cell
     out_dir = Path(args.out_dir or cfg.get("out_dir") or "sweep_results")
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
@@ -425,6 +450,9 @@ def cmd_sweep(args) -> int:
 
     results = []
     if parallelism > 1 and len(tasks) > 1:
+        if any(t["run"]["proposer"] == ProposerKind.GPR.value for t in tasks):
+            from . import gpr  # noqa: F401 -- load scipy once; the forked workers share it
+
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=parallelism, initializer=_init_sweep_worker, initargs=(header_entry,)
         ) as pool:

@@ -245,21 +245,3 @@ class LiveRerankClient:
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"unrecognized rerank response shape: {exc}") from exc
 
-
-class StaticRerankClient:
-    """Test double: scores documents by a fixed callable."""
-
-    def __init__(self, scorer, fail: bool = False):
-        self.scorer = scorer
-        self.fail = fail
-        self.calls = 0
-
-    def rerank(self, query, documents, top_n=1):
-        self.calls += 1
-        if self.fail:
-            raise TransportError("static rerank client configured to fail")
-        scored = sorted(
-            ((i, float(self.scorer(query, doc))) for i, doc in enumerate(documents)),
-            key=lambda t: -t[1],
-        )
-        return scored[:top_n]

@@ -66,7 +66,6 @@ class GBTConfig:
     lambda_l2: float = 1.0
     gamma_min_gain: float = 0.0
     min_child_weight: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_rounds < 1:

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import bnn as bnn_mod
-from . import forest_gbt, gpr
+from . import forest_gbt
 from .acquisition import random_walk_select, ucb_select
 from .engine import STREAM_MODEL, STREAM_WALK, Suggestion, standardize_features, substream, unlabeled_pool_ids
 from .errors import ConfigError
@@ -61,6 +61,8 @@ class SurrogateProposer:
 
     def _fit_predict(self, Z_train, y, Z_pool, model_seed: int):
         if self.kind is ProposerKind.GPR:
+            from . import gpr  # loads scipy, which no other proposer needs
+
             shift, scale = 0.0, 1.0
             if self.gpr_standardize_targets:
                 shift = float(y.mean())

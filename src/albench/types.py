@@ -210,8 +210,8 @@ class RunConfig:
     prompt_format: PromptFormat = PromptFormat.PARAMETER
 
     def validate(self, pool_size: int) -> None:
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 1 <= self.n_initial < pool_size:
             raise ConfigError(
                 f"n_initial must satisfy 1 <= n_initial < pool size "

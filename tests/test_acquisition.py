@@ -45,6 +45,12 @@ class TestUcbSelect:
         with pytest.raises(ConfigError):
             ucb_select(preds([1], [0]), -0.5, Goal.MAXIMIZE)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # a NaN score everywhere used to make argmax pick index 0
+        with pytest.raises(ConfigError, match="finite"):
+            ucb_select(preds([1, 3], [0.5, 0.5]), alpha, Goal.MAXIMIZE)
+
     # dyadic-rational inputs keep every product and sum exactly representable,
     # so the exact-arithmetic invariance transfers to float64 verbatim
     dyadic = st.integers(-3200, 3200).map(lambda k: k / 32.0)

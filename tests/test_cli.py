@@ -8,6 +8,7 @@ import pytest
 from albench.cli import EXIT_CONFIG, EXIT_OK, expand_sweep, main
 from albench.clients import save_fixtures, FixtureRecord
 from albench.engine import read_trajectory
+from albench.errors import ConfigError
 
 
 def read_summary(path):
@@ -56,6 +57,40 @@ class TestRun:
             ]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_config_error(self, tmp_path, alpha):
+        out = tmp_path / "x.jsonl"
+        code = main(
+            ["run", "--dataset", "synthetic:linear1d:10:0", "--proposer", "rfr",
+             "--alpha", alpha, "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"gbt": {"n_round": 5}}, "n_round"),
+            ({"gbt": {"seed": 1}}, "seed"),
+            ({"xgb": {"n_rounds": 5}}, "xgb"),
+            ({"gpr": {"standardise_targets": True}}, "standardise_targets"),
+            ({"forest": [10]}, "forest"),
+            ({"gbt": {"n_rounds": "5"}}, "gbt"),
+        ],
+        ids=["gbt-typo", "gbt-seed", "unknown-section", "gpr-typo", "non-object", "wrong-type"],
+    )
+    def test_bad_model_override_is_config_error(self, tmp_path, capsys, overrides, named):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"model_overrides": overrides}))
+        out = tmp_path / "x.jsonl"
+        code = main(
+            ["run", "--config", str(cfg_path), "--dataset", "synthetic:linear1d:10:0",
+             "--proposer", "gbt", "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dataset_is_config_error(self):
         assert main(["run", "--proposer", "gpr"]) == EXIT_CONFIG
@@ -186,6 +221,19 @@ class TestSweep:
             }
         )
         assert len(grid) == 8
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # random_walk ignores alpha, so no cell would reject it later
+        with pytest.raises(ConfigError, match="finite"):
+            expand_sweep({"proposers": ["random_walk"], "alphas": [0, alpha], "seeds": [38]})
+
+    def test_bad_model_override_fails_before_any_cell(self, tmp_path, capsys):
+        path = self.sweep_config(tmp_path, model_overrides={"gbt": {"n_round": 5}})
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        assert "n_round" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_llm_repeats_at_seed(self):
         grid = expand_sweep(

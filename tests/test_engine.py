@@ -213,6 +213,11 @@ class TestRunLoop:
         with pytest.raises(ConfigError):
             RunConfig(ProposerKind.GPR, alpha=-1.0).validate(len(ramp_pool))
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, ramp_pool, alpha):
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig(ProposerKind.RFR, alpha=alpha).validate(len(ramp_pool))
+
     def test_max_iterations_below_n_initial(self, ramp_pool):
         with pytest.raises(ConfigError):
             RunConfig(ProposerKind.GPR, n_initial=3, max_iterations=2).validate(len(ramp_pool))

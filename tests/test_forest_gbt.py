@@ -498,7 +498,6 @@ def gbt_problems(draw):
         lambda_l2=draw(st.sampled_from([0.0, 1.0])),
         gamma_min_gain=draw(st.sampled_from([0.0, 0.01, 0.5])),
         min_child_weight=draw(st.sampled_from([0.0, 1.0, 2.5])),
-        seed=draw(st.integers(0, 1000)),
     )
     Q = np.vstack([X, rng.integers(-levels - 1, levels + 1, size=(5, d)) / 4.0])
     return X, y, config, Q

@@ -12,7 +12,6 @@ from albench.clients import (
     FixtureRecord,
     RecordingChatClient,
     ScriptedChatClient,
-    StaticRerankClient,
     load_fixtures,
     message_digest,
     save_fixtures,
@@ -47,6 +46,25 @@ def two_feature_pool():
         features=[(1.0, 2.0), (4.0, 6.0), (0.0, -1.0)],
         context="Catalyst screening runs with two tunable knobs.",
     )
+
+
+class StaticRerankClient:
+    """Scores documents by a fixed callable, or fails every call."""
+
+    def __init__(self, scorer, fail: bool = False):
+        self.scorer = scorer
+        self.fail = fail
+        self.calls = 0
+
+    def rerank(self, query, documents, top_n=1):
+        self.calls += 1
+        if self.fail:
+            raise TransportError("static rerank client configured to fail")
+        scored = sorted(
+            ((i, float(self.scorer(query, doc))) for i, doc in enumerate(documents)),
+            key=lambda t: -t[1],
+        )
+        return scored[:top_n]
 
 
 class TestParameterPrompt:

@@ -77,8 +77,8 @@ FOREST_GOLDEN = {
 GBT_GOLDEN = ("c7f110b8e20334fbde36461be1e815114e860a42a95edb0a5563a88b6a2968bf", 1104)
 
 GBT_CASES = {
-    "bench_shape": (X150, Y150, GBTConfig(seed=1)),
-    "ties_and_duplicates": (XT, YT, GBTConfig(n_rounds=60, seed=3)),
+    "bench_shape": (X150, Y150, GBTConfig()),
+    "ties_and_duplicates": (XT, YT, GBTConfig(n_rounds=60)),
     "max_depth_0": (X40, Y40, GBTConfig(n_rounds=20, max_depth=0)),
     "max_depth_2": (X40, Y40, GBTConfig(n_rounds=60, max_depth=2)),
     "lambda_l2_0": (X40, Y40, GBTConfig(n_rounds=60, lambda_l2=0.0)),
@@ -120,7 +120,7 @@ def test_forest_fit_matches_golden(name):
 
 
 def test_gbt_fit_matches_golden():
-    model = fit_gbt(X40, Y40, GBTConfig(n_rounds=40, seed=2))
+    model = fit_gbt(X40, Y40, GBTConfig(n_rounds=40))
     assert (digest(model), node_count(model)) == GBT_GOLDEN
 
 
