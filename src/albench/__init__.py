@@ -50,7 +50,6 @@ from .types import (
     Candidate,
     Dataset,
     Goal,
-    Prediction,
     PromptFormat,
     ProposerKind,
     RunConfig,
@@ -89,7 +88,6 @@ __all__ = [
     "KernelParams",
     "LLMProposer",
     "MatcherBackend",
-    "Prediction",
     "PromptFormat",
     "Proposer",
     "ProposerKind",

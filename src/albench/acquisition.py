@@ -7,27 +7,31 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError
-from .types import Goal, Prediction
+from .errors import ConfigError, InputError, ShapeError
+from .types import Goal
 
 
-def ucb_select(predictions: Sequence[Prediction], alpha: float, goal: Goal) -> int:
-    """Pick the candidate index maximizing mu + alpha*sigma.
+def ucb_select(mean, std, alpha: float, goal: Goal) -> int:
+    """Pick the candidate index maximizing mean + alpha*std.
 
-    Minimization uses the lower-confidence mirror, argmin(mu - alpha*sigma),
-    equivalent to negating the targets. Ties break to the lowest index.
+    mean and std are the surrogate's predictive arrays, one entry per
+    candidate. Minimization uses the lower-confidence mirror,
+    argmin(mean - alpha*std), equivalent to negating the targets. Ties
+    break to the lowest index.
     """
-    if len(predictions) == 0:
+    mean = np.asarray(mean, dtype=float)
+    std = np.asarray(std, dtype=float)
+    if mean.size == 0:
         raise ConfigError("ucb_select needs at least one prediction")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
-    means = np.array([p.mean for p in predictions], dtype=float)
-    stds = np.array([p.std for p in predictions], dtype=float)
-    if np.isnan(means).any() or np.isnan(stds).any():
-        raise InputError("NaN in predictions")
+    if mean.ndim != 1 or mean.shape != std.shape:
+        raise ShapeError(f"mean and std must be two arrays of shape (n,), got {mean.shape} and {std.shape}")
+    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std >= 0).all()):
+        raise InputError("predictions need a finite mean and a finite std >= 0 for every candidate")
     if goal is Goal.MAXIMIZE:
-        return int(np.argmax(means + alpha * stds))
-    return int(np.argmin(means - alpha * stds))
+        return int(np.argmax(mean + alpha * std))
+    return int(np.argmin(mean - alpha * std))
 
 
 def random_walk_select(unlabeled_ids: Sequence[int], rng: np.random.Generator) -> int:

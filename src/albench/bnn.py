@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FitError, ShapeError
-from .types import Prediction
 
 INIT_MU_HALF_RANGE = 0.2
 INIT_LOG_SIGMA = -5.0
@@ -128,10 +127,6 @@ def draw_noise(network: BNNetwork, rng: np.random.Generator) -> NoiseDraw:
     ]
 
 
-def zero_noise(network: BNNetwork) -> NoiseDraw:
-    return [(np.zeros_like(l.mu_w), np.zeros_like(l.mu_b)) for l in network.layers]
-
-
 def _flat_noise(noise: NoiseDraw) -> np.ndarray:
     """A NoiseDraw laid out like one half of `BNNetwork.params`."""
     return np.concatenate([np.ravel(e) for pair in noise for e in pair])
@@ -231,23 +226,6 @@ def _loss_and_grads(network: BNNetwork, X, y, sigma, eps, work, grads) -> float:
     return loss
 
 
-def elbo_loss_and_grads(network: BNNetwork, X, y, noise: NoiseDraw):
-    """Loss plus hand-derived gradients for every mu and log_sigma.
-
-    Returns (loss, grads) where grads mirrors the layer list as tuples
-    (d_mu_w, d_log_sigma_w, d_mu_b, d_log_sigma_b).
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    eps = _flat_noise(noise)
-    grads = np.empty_like(network.params)
-    sigma = np.exp(network.halves()[1])
-    loss = _loss_and_grads(network, X, y, sigma, eps, np.empty_like(eps), grads)
-    half = eps.size
-    d_mu, d_log_sigma = network.split(grads[:half]), network.split(grads[half:])
-    return loss, [(mw, sw, mb, sb) for (mw, mb), (sw, sb) in zip(d_mu, d_log_sigma)]
-
-
 class _Adam:
     """Adam over one flat parameter vector, updated in place."""
 
@@ -319,8 +297,9 @@ def train_bnn(X, y, config: BNNConfig) -> BNNetwork:
 
 def predict_bnn(
     network: BNNetwork, X_query, mc_samples: int, rng: np.random.Generator
-) -> list[Prediction]:
-    """Empirical mean and population std over MC sampled forward passes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical mean and population std over MC sampled forward passes,
+    each of shape (n,).
 
     Each pass draws its noise in `draw_noise` order, so the stream is the
     same as drawing a NoiseDraw per pass.
@@ -334,6 +313,4 @@ def predict_bnn(
     for s in range(mc_samples):
         rng.standard_normal(out=eps)
         samples[s] = _forward(X_query, _sample(network, sigma, eps, work))[0]
-    mean = samples.mean(axis=0)
-    std = samples.std(axis=0)
-    return [Prediction(float(m), float(s)) for m, s in zip(mean, std)]
+    return samples.mean(axis=0), samples.std(axis=0)

@@ -40,7 +40,7 @@ from .engine import (
 from .errors import AlbenchError, ConfigError, RunAborted
 from .forest_gbt import ForestConfig, GBTConfig
 from .llm import MatcherBackend
-from .proposers import make_proposer
+from .proposers import FIT_PREDICT, make_proposer
 from .types import Dataset, Goal, PromptFormat, ProposerKind, RunConfig, StepRecord, Trajectory
 
 logger = logging.getLogger(__name__)
@@ -124,7 +124,9 @@ def _model_configs(overrides: Optional[dict]):
     if not isinstance(overrides, dict):
         raise ConfigError("model_overrides must be an object")
     classes = {"forest": ForestConfig, "gbt": GBTConfig, "bnn": BNNConfig}
-    known = {name: {f.name for f in fields(cls)} for name, cls in classes.items()}
+    # forest and bnn fits take a fresh seed from the run's model stream every
+    # step, so a seed override would select nothing
+    known = {name: {f.name for f in fields(cls)} - {"seed"} for name, cls in classes.items()}
     known["gpr"] = {"standardize_targets"}
     built = {}
     for section, values in overrides.items():
@@ -313,10 +315,16 @@ def expand_sweep(cfg: dict) -> list[dict]:
         raise ConfigError("sweep config needs a non-empty 'proposers' list")
     alphas = cfg.get("alphas", [0, 1, 2, 3, 4, 5])
     seeds = cfg.get("seeds", [38, 39, 40, 41, 42])
-    if not alphas or not seeds:
-        raise ConfigError("sweep config needs non-empty 'alphas' and 'seeds'")
-    if not all(math.isfinite(a) and a >= 0 for a in alphas):
-        raise ConfigError(f"alphas must all be finite and >= 0, got {alphas}")
+    # bool is an int subclass, and JSON true/false is no alpha or seed
+    if not (isinstance(alphas, list) and alphas and all(
+        isinstance(a, (int, float)) and not isinstance(a, bool) and math.isfinite(a) and a >= 0
+        for a in alphas
+    )):
+        raise ConfigError(f"'alphas' must be a non-empty list of finite numbers >= 0, got {alphas!r}")
+    if not (isinstance(seeds, list) and seeds and all(
+        isinstance(s, int) and not isinstance(s, bool) for s in seeds
+    )):
+        raise ConfigError(f"'seeds' must be a non-empty list of integers, got {seeds!r}")
     prompt_formats = cfg.get("prompt_formats", ["parameter"])
     if not prompt_formats:
         raise ConfigError("sweep config needs a non-empty 'prompt_formats' list")
@@ -328,8 +336,7 @@ def expand_sweep(cfg: dict) -> list[dict]:
     tasks = []
     for name in proposers:
         kind = ProposerKind(name)
-        uses_alpha = kind not in (ProposerKind.RANDOM_WALK, ProposerKind.LLM)
-        alpha_grid = alphas if uses_alpha else [0.0]
+        alpha_grid = alphas if kind in FIT_PREDICT else [0.0]  # only surrogates use alpha
         format_grid = prompt_formats if kind is ProposerKind.LLM else ["parameter"]
         for fmt in format_grid:
             for alpha in alpha_grid:

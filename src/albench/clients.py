@@ -110,24 +110,6 @@ class ScriptedChatClient:
         return record.response_text
 
 
-class RecordingChatClient:
-    """Wraps another client and captures fixtures for later replay."""
-
-    def __init__(self, inner: ChatClient):
-        self.inner = inner
-        self.records: list[FixtureRecord] = []
-
-    def send(self, messages, temperature):
-        text = self.inner.send(messages, temperature)
-        self.records.append(
-            FixtureRecord(response_text=text, request_digest=message_digest(messages, temperature))
-        )
-        return text
-
-    def dump(self, path) -> None:
-        save_fixtures(self.records, path)
-
-
 class TokenBucket:
     """Simple requests-per-minute limiter shared across runs."""
 

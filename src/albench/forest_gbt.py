@@ -21,8 +21,8 @@ floating-point operations in the same order as growing each node on its
 own, so every tree is identical, split for split, to node-by-node growth.
 Working memory is bounded by _GROW_BUDGET and _CHUNK.
 
-Prediction packs a model's trees into one node array and moves every
-(tree, query) pair down a level per numpy pass.
+At prediction time a model's trees are packed into one node array, and
+every (tree, query) pair moves down a level per numpy pass.
 
 Uncertainty: the forest reports the population std of per-tree
 predictions; the booster reports the population std of a "virtual
@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, FitError, ShapeError
-from .types import Prediction, as_matrix
+from .types import as_matrix
 
 
 @dataclass(frozen=True)
@@ -535,15 +535,13 @@ def _predict_trees(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_forest(model: ForestModel, X) -> list[Prediction]:
-    """Ensemble mean and population std of the per-tree predictions."""
+def predict_forest(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble mean and population std of the per-tree predictions, each of shape (n,)."""
     X = as_matrix(X)
     if X.shape[1] != model.n_features:
         raise ShapeError(f"query has {X.shape[1]} features, model expects {model.n_features}")
     per_tree = _predict_trees(model.trees, X)
-    mean = per_tree.mean(axis=0)
-    std = per_tree.std(axis=0)
-    return [Prediction(float(m), float(s)) for m, s in zip(mean, std)]
+    return per_tree.mean(axis=0), per_tree.std(axis=0)
 
 
 def fit_gbt(X, y, config: GBTConfig = GBTConfig()) -> GBTModel:
@@ -583,12 +581,10 @@ def staged_predictions(model: GBTModel, X, rounds: list[int]) -> np.ndarray:
     return stages[sorted({r for r in rounds if 0 <= r <= len(model.trees)})]
 
 
-def predict_gbt(model: GBTModel, X) -> list[Prediction]:
-    """Full-ensemble mean; std from the staged virtual ensemble."""
+def predict_gbt(model: GBTModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Full-ensemble mean and the staged virtual ensemble's std, each of shape (n,)."""
     X = as_matrix(X)
     if X.shape[1] != model.n_features:
         raise ShapeError(f"query has {X.shape[1]} features, model expects {model.n_features}")
     stages = staged_predictions(model, X, stage_rounds(model.config.n_rounds))
-    mean = stages[-1]  # last checkpoint is always round n
-    std = stages.std(axis=0)
-    return [Prediction(float(m), float(s)) for m, s in zip(mean, std)]
+    return stages[-1], stages.std(axis=0)  # last checkpoint is always round n

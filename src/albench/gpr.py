@@ -19,7 +19,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
 from .errors import ConfigError, FitError, InputError, NumericalError, ShapeError
-from .types import Prediction, as_matrix
+from .types import as_matrix
 
 SCALE_BOUNDS = (1e-5, 1e5)
 LENGTH_BOUNDS = (1e-3, 1e3)
@@ -45,9 +45,6 @@ class KernelParams:
         ):
             if not (lo <= value <= hi):
                 raise ConfigError(f"{name}={value} outside bounds [{lo}, {hi}]")
-
-    def log_vector(self) -> np.ndarray:
-        return np.log([self.scale_c, self.length_l, self.noise_n])
 
     @classmethod
     def from_log_vector(cls, theta) -> "KernelParams":
@@ -209,8 +206,8 @@ def fit_gpr(X, y, seed: int, n_restarts: int = 4) -> KernelParams:
     return KernelParams.from_log_vector(np.clip(best[1], [b[0] for b in _LOG_BOUNDS], [b[1] for b in _LOG_BOUNDS]))
 
 
-def predict_gpr(X_train, y_train, params: KernelParams, X_query) -> list[Prediction]:
-    """Exact posterior mean and std at the queries.
+def predict_gpr(X_train, y_train, params: KernelParams, X_query) -> tuple[np.ndarray, np.ndarray]:
+    """Exact posterior mean and std at the queries, each of shape (n,).
 
     The predictive variance includes the white-noise term: far from all
     training points it reverts to scale_c + noise_n.
@@ -229,4 +226,4 @@ def predict_gpr(X_train, y_train, params: KernelParams, X_query) -> list[Predict
     v = solve_triangular(L, k_star.T, lower=True)
     prior = params.scale_c + params.noise_n
     var = np.maximum(prior - (v * v).sum(axis=0), 0.0)
-    return [Prediction(float(m), float(math.sqrt(s))) for m, s in zip(mean, var)]
+    return mean, np.sqrt(var)

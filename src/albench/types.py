@@ -1,4 +1,4 @@
-"""Core domain types: candidates, datasets, predictions, run records.
+"""Core domain types: candidates, datasets, run configs, run records.
 
 A Dataset is an immutable, fully labeled pool. "Running an experiment"
 means looking up a candidate's stored target value, so stopping tests use
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InputError, UnknownCandidateError
+from .errors import ConfigError, UnknownCandidateError
 
 
 def as_matrix(X) -> np.ndarray:
@@ -50,10 +50,6 @@ class ProposerKind(str, Enum):
     BNN = "bnn"
     RANDOM_WALK = "random_walk"
     LLM = "llm"
-
-
-#: Proposer kinds whose selection rule uses the UCB trade-off alpha.
-SURROGATE_KINDS = (ProposerKind.GPR, ProposerKind.RFR, ProposerKind.GBT, ProposerKind.BNN)
 
 
 class PromptFormat(str, Enum):
@@ -148,12 +144,6 @@ class Dataset:
         """Pool-wide best target under the dataset's goal."""
         return self.goal.best(self._targets)
 
-    @property
-    def optimum_id(self) -> int:
-        """Lowest id among candidates attaining the optimal value."""
-        hits = np.flatnonzero(self._targets == self.optimum_value)
-        return int(self.candidates[hits[0]].id)
-
     def by_id(self, candidate_id: int) -> Candidate:
         """The candidate with this id, which is its position in the pool."""
         if not 0 <= candidate_id < len(self.candidates):
@@ -176,20 +166,6 @@ class Dataset:
             digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
             object.__setattr__(self, "_digest", digest)
         return self._digest
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Surrogate output for one candidate: predictive mean and std."""
-
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
-            raise InputError(f"non-finite prediction (mean={self.mean}, std={self.std})")
-        if self.std < 0:
-            raise InputError(f"negative predictive std {self.std}")
 
 
 @dataclass

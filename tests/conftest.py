@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from albench import bnn
 from albench.types import Candidate, Dataset, Goal
 
 
@@ -22,6 +23,28 @@ def make_pool(targets, features=None, goal=Goal.MAXIMIZE, name="pool", context="
         goal=goal,
         context=context,
     )
+
+
+def optimum_id(dataset: Dataset) -> int:
+    """Lowest id among the candidates attaining the pool's optimal value."""
+    return int(np.flatnonzero(dataset.targets == dataset.optimum_value)[0])
+
+
+def elbo_loss_and_grads(network: bnn.BNNetwork, X, y, noise: bnn.NoiseDraw):
+    """Loss plus the hand-derived gradients that training steps on.
+
+    Returns (loss, grads) where grads mirrors the layer list as tuples
+    (d_mu_w, d_log_sigma_w, d_mu_b, d_log_sigma_b).
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    eps = bnn._flat_noise(noise)
+    grads = np.empty_like(network.params)
+    sigma = np.exp(network.halves()[1])
+    loss = bnn._loss_and_grads(network, X, y, sigma, eps, np.empty_like(eps), grads)
+    half = eps.size
+    d_mu, d_log_sigma = network.split(grads[:half]), network.split(grads[half:])
+    return loss, [(mw, sw, mb, sb) for (mw, mb), (sw, sb) in zip(d_mu, d_log_sigma)]
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 
 from albench.acquisition import ucb_select
 from albench.analytics import cumulative_l2, pca_project, running_best
-from albench.bnn import BNNConfig, draw_noise, elbo_loss, elbo_loss_and_grads, init_network, kl_layer
+from albench.bnn import BNNConfig, draw_noise, elbo_loss, init_network, kl_layer
 from albench.clients import ScriptedChatClient
 from albench.data import load_csv, registry_by_name, synthetic_pool
 from albench.engine import run_active_learning, standardize_features, trajectory_to_jsonl
@@ -23,9 +23,9 @@ from albench.forest_gbt import ForestConfig, GBTConfig
 from albench.gpr import KernelParams, kernel_matrix, log_marginal_likelihood, predict_gpr
 from albench.llm import LLMProposer
 from albench.proposers import RandomWalkProposer, SurrogateProposer, make_proposer
-from albench.types import Goal, Prediction, PromptFormat, ProposerKind, RunConfig
+from albench.types import Goal, PromptFormat, ProposerKind, RunConfig
 
-from conftest import make_pool
+from conftest import elbo_loss_and_grads, make_pool, optimum_id
 
 
 def criterion(number, name, budget_seconds):
@@ -128,12 +128,12 @@ def test_criterion_3_gpr_oracles():
         var_dense = np.maximum(
             (params.scale_c + params.noise_n) - np.einsum("ij,jk,ik->i", ks, K_inv, ks), 0.0
         )
-        preds = predict_gpr(X, y, params, Q)
-        assert max(abs(p.mean - m) for p, m in zip(preds, mean_dense)) < 1e-8
-        assert max(abs(p.std**2 - v) for p, v in zip(preds, var_dense)) < 1e-8
+        mean, std = predict_gpr(X, y, params, Q)
+        assert np.abs(mean - mean_dense).max() < 1e-8
+        assert np.abs(std**2 - var_dense).max() < 1e-8
 
         lml, grad = log_marginal_likelihood(X, y, params, eval_gradient=True)
-        theta = params.log_vector()
+        theta = np.log([params.scale_c, params.length_l, params.noise_n])
         h = 1e-5
         for j in range(3):
             tp, tm = theta.copy(), theta.copy()
@@ -157,20 +157,16 @@ def test_criterion_4_ucb_invariances():
         alpha = float(gen.integers(0, 160)) / 32.0
         shift = float(gen.integers(-32000, 32000)) / 32.0
         scale = float(gen.integers(1, 1024)) / 32.0
-        preds = [Prediction(float(m), float(s)) for m, s in zip(means, stds)]
-        base = ucb_select(preds, alpha, Goal.MAXIMIZE)
-        shifted = [Prediction(float(m + shift), float(s)) for m, s in zip(means, stds)]
-        scaled = [Prediction(float(m * scale), float(s * scale)) for m, s in zip(means, stds)]
-        assert ucb_select(shifted, alpha, Goal.MAXIMIZE) == base
-        assert ucb_select(scaled, alpha, Goal.MAXIMIZE) == base
+        base = ucb_select(means, stds, alpha, Goal.MAXIMIZE)
+        assert ucb_select(means + shift, stds, alpha, Goal.MAXIMIZE) == base
+        assert ucb_select(means * scale, stds * scale, alpha, Goal.MAXIMIZE) == base
 
     # alpha-threshold crossover on constructed two-candidate instances
     for da, ds in ((0.5, 0.5), (1.0, 0.25), (0.125, 2.0)):
-        a = Prediction(1.0 + da, 0.5)
-        b = Prediction(1.0, 0.5 + ds)
+        means, stds = np.array([1.0 + da, 1.0]), np.array([0.5, 0.5 + ds])
         alpha_star = da / ds
-        assert ucb_select([a, b], alpha_star * 0.9, Goal.MAXIMIZE) == 0
-        assert ucb_select([a, b], alpha_star * 1.1, Goal.MAXIMIZE) == 1
+        assert ucb_select(means, stds, alpha_star * 0.9, Goal.MAXIMIZE) == 0
+        assert ucb_select(means, stds, alpha_star * 1.1, Goal.MAXIMIZE) == 1
 
 
 SEEDS_20 = list(range(38, 58))
@@ -243,7 +239,7 @@ def test_criterion_6_distance_ordering():
 @criterion(7, "deterministic LLM-AL replay", budget_seconds=5)
 def test_criterion_7_llm_replay():
     pool = synthetic_pool("quadratic2d", 30, seed=3)
-    best = pool.candidates[pool.optimum_id]
+    best = pool.candidates[optimum_id(pool)]
     # a scripted proposal walk that closes in on the optimum
     by_dist = sorted(pool.candidates, key=lambda c: -(c.features[0] ** 2 + c.features[1] ** 2))
     waypoints = [by_dist[len(by_dist) // 2], by_dist[-3], best]

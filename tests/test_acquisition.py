@@ -6,50 +6,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from albench.acquisition import random_walk_select, ucb_select
-from albench.errors import ConfigError, InputError
-from albench.types import Goal, Prediction
+from albench.errors import ConfigError, InputError, ShapeError
+from albench.types import Goal
 
 
 def preds(means, stds):
-    return [Prediction(float(m), float(s)) for m, s in zip(means, stds)]
+    return np.asarray(means, dtype=float), np.asarray(stds, dtype=float)
 
 
 class TestUcbSelect:
     def test_zero_std_reduces_to_argmax_mean(self):
         for alpha in (0.0, 1.0, 5.0):
-            assert ucb_select(preds([1, 2, 3], [0, 0, 0]), alpha, Goal.MAXIMIZE) == 2
+            assert ucb_select(*preds([1, 2, 3], [0, 0, 0]), alpha, Goal.MAXIMIZE) == 2
 
     def test_documented_arithmetic(self):
-        assert ucb_select(preds([1.0, 0.5], [0.1, 0.5]), 2.0, Goal.MAXIMIZE) == 1
+        assert ucb_select(*preds([1.0, 0.5], [0.1, 0.5]), 2.0, Goal.MAXIMIZE) == 1
 
     def test_minimize_mirror(self):
-        assert ucb_select(preds([1.0, 0.5], [0.1, 0.5]), 2.0, Goal.MINIMIZE) == 1
+        assert ucb_select(*preds([1.0, 0.5], [0.1, 0.5]), 2.0, Goal.MINIMIZE) == 1
         # scores are 0.8 and -0.5; flipping stds flips the winner
-        assert ucb_select(preds([1.0, 0.5], [1.5, 0.0]), 2.0, Goal.MINIMIZE) == 0
+        assert ucb_select(*preds([1.0, 0.5], [1.5, 0.0]), 2.0, Goal.MINIMIZE) == 0
 
     def test_ties_break_to_lowest_index(self):
-        assert ucb_select(preds([2, 2, 2], [1, 1, 1]), 3.0, Goal.MAXIMIZE) == 0
-        assert ucb_select(preds([2, 2], [0, 0]), 0.0, Goal.MINIMIZE) == 0
+        assert ucb_select(*preds([2, 2, 2], [1, 1, 1]), 3.0, Goal.MAXIMIZE) == 0
+        assert ucb_select(*preds([2, 2], [0, 0]), 0.0, Goal.MINIMIZE) == 0
 
-    def test_nan_rejected(self):
-        bad = [Prediction(1.0, 0.0), Prediction(2.0, 0.5)]
-        bad[0] = Prediction.__new__(Prediction)  # bypass validation to hold NaN
-        object.__setattr__(bad[0], "mean", float("nan"))
-        object.__setattr__(bad[0], "std", 0.0)
+    @pytest.mark.parametrize(
+        "means, stds",
+        [
+            ([float("nan"), 2.0], [0.0, 0.5]),
+            ([float("inf"), 2.0], [0.0, 0.5]),
+            ([1.0, -float("inf")], [0.0, 0.5]),
+            ([1.0, 2.0], [float("nan"), 0.5]),
+            ([1.0, 2.0], [0.0, float("inf")]),
+            ([1.0, 2.0], [0.0, -0.5]),
+        ],
+        ids=["nan-mean", "inf-mean", "minus-inf-mean", "nan-std", "inf-std", "negative-std"],
+    )
+    def test_nan_rejected(self, means, stds):
         with pytest.raises(InputError):
-            ucb_select(bad, 1.0, Goal.MAXIMIZE)
+            ucb_select(np.array(means), np.array(stds), 1.0, Goal.MAXIMIZE)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ShapeError):
+            ucb_select(np.zeros(3), np.zeros(2), 1.0, Goal.MAXIMIZE)
+        with pytest.raises(ShapeError):
+            ucb_select(np.zeros((2, 2)), np.zeros((2, 2)), 1.0, Goal.MAXIMIZE)
 
     def test_empty_and_negative_alpha(self):
         with pytest.raises(ConfigError):
-            ucb_select([], 1.0, Goal.MAXIMIZE)
+            ucb_select(np.array([]), np.array([]), 1.0, Goal.MAXIMIZE)
         with pytest.raises(ConfigError):
-            ucb_select(preds([1], [0]), -0.5, Goal.MAXIMIZE)
+            ucb_select(*preds([1], [0]), -0.5, Goal.MAXIMIZE)
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_non_finite_alpha_rejected(self, alpha):
         # a NaN score everywhere used to make argmax pick index 0
         with pytest.raises(ConfigError, match="finite"):
-            ucb_select(preds([1, 3], [0.5, 0.5]), alpha, Goal.MAXIMIZE)
+            ucb_select(*preds([1, 3], [0.5, 0.5]), alpha, Goal.MAXIMIZE)
 
     # dyadic-rational inputs keep every product and sum exactly representable,
     # so the exact-arithmetic invariance transfers to float64 verbatim
@@ -66,10 +80,10 @@ class TestUcbSelect:
     def test_affine_invariance(self, data, alpha, shift, scale):
         means = [m for m, _ in data]
         stds = [s for _, s in data]
-        base = ucb_select(preds(means, stds), alpha, Goal.MAXIMIZE)
-        shifted = ucb_select(preds([m + shift for m in means], stds), alpha, Goal.MAXIMIZE)
+        base = ucb_select(*preds(means, stds), alpha, Goal.MAXIMIZE)
+        shifted = ucb_select(*preds([m + shift for m in means], stds), alpha, Goal.MAXIMIZE)
         scaled = ucb_select(
-            preds([m * scale for m in means], [s * scale for s in stds]), alpha, Goal.MAXIMIZE
+            *preds([m * scale for m in means], [s * scale for s in stds]), alpha, Goal.MAXIMIZE
         )
         assert base == shifted
         assert base == scaled
@@ -84,17 +98,16 @@ class TestUcbSelect:
     def test_minimize_maximize_duality(self, data, alpha):
         means = [m for m, _ in data]
         stds = [s for _, s in data]
-        mini = ucb_select(preds(means, stds), alpha, Goal.MINIMIZE)
-        maxi = ucb_select(preds([-m for m in means], stds), alpha, Goal.MAXIMIZE)
+        mini = ucb_select(*preds(means, stds), alpha, Goal.MINIMIZE)
+        maxi = ucb_select(*preds([-m for m in means], stds), alpha, Goal.MAXIMIZE)
         assert mini == maxi
 
     def test_alpha_threshold_crossover(self):
-        # A: higher mean, lower std; B: lower mean, strictly higher std
-        a = Prediction(1.0, 0.1)
-        b = Prediction(0.5, 0.6)
-        alpha_star = (a.mean - b.mean) / (b.std - a.std)  # = 1.0
-        assert ucb_select([a, b], alpha_star - 0.01, Goal.MAXIMIZE) == 0
-        assert ucb_select([a, b], alpha_star + 0.01, Goal.MAXIMIZE) == 1
+        # 0: higher mean, lower std; 1: lower mean, strictly higher std
+        means, stds = preds([1.0, 0.5], [0.1, 0.6])
+        alpha_star = (means[0] - means[1]) / (stds[1] - stds[0])  # = 1.0
+        assert ucb_select(means, stds, alpha_star - 0.01, Goal.MAXIMIZE) == 0
+        assert ucb_select(means, stds, alpha_star + 0.01, Goal.MAXIMIZE) == 1
 
 
 class TestRandomWalkSelect:

@@ -77,8 +77,13 @@ class TestRun:
             ({"gpr": {"standardise_targets": True}}, "standardise_targets"),
             ({"forest": [10]}, "forest"),
             ({"gbt": {"n_rounds": "5"}}, "gbt"),
+            ({"forest": {"seed": 1}}, "seed"),
+            ({"bnn": {"seed": 1}}, "seed"),
         ],
-        ids=["gbt-typo", "gbt-seed", "unknown-section", "gpr-typo", "non-object", "wrong-type"],
+        ids=[
+            "gbt-typo", "gbt-seed", "unknown-section", "gpr-typo", "non-object", "wrong-type",
+            "forest-seed", "bnn-seed",
+        ],
     )
     def test_bad_model_override_is_config_error(self, tmp_path, capsys, overrides, named):
         cfg_path = tmp_path / "run.json"
@@ -222,11 +227,48 @@ class TestSweep:
         )
         assert len(grid) == 8
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
-    def test_non_finite_alpha_rejected(self, alpha):
+    @pytest.mark.parametrize(
+        "alphas",
+        [
+            pytest.param([0, float("nan")], id="nan"),
+            pytest.param([0, float("inf")], id="inf"),
+            pytest.param([0, "2"], id="string"),
+            pytest.param([0, None], id="null"),
+            pytest.param([0, True], id="boolean"),
+            pytest.param([0, [1]], id="list"),
+            pytest.param(2, id="not-a-list"),
+        ],
+    )
+    def test_non_finite_alpha_rejected(self, alphas):
         # random_walk ignores alpha, so no cell would reject it later
         with pytest.raises(ConfigError, match="finite"):
-            expand_sweep({"proposers": ["random_walk"], "alphas": [0, alpha], "seeds": [38]})
+            expand_sweep({"proposers": ["random_walk"], "alphas": alphas, "seeds": [38]})
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [["x"], [38, 1.5], [True], [None], 38, "38"],
+        ids=["string", "fraction", "boolean", "null", "not-a-list", "string-list"],
+    )
+    def test_non_integer_seed_rejected(self, seeds):
+        with pytest.raises(ConfigError, match="integers"):
+            expand_sweep({"proposers": ["random_walk"], "alphas": [0], "seeds": seeds})
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({"alphas": ["2"]}, "alphas"),
+            ({"seeds": ["x"]}, "seeds"),
+            ({"model_overrides": {"forest": {"seed": 1}}}, "seed"),
+        ],
+        ids=["string-alpha", "string-seed", "forest-seed"],
+    )
+    def test_malformed_grid_exits_before_any_cell(self, tmp_path, capsys, extra, named):
+        path = self.sweep_config(tmp_path, **extra)
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_bad_model_override_fails_before_any_cell(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path, model_overrides={"gbt": {"n_round": 5}})

@@ -18,7 +18,7 @@ from albench.engine import pool_zscores, standardize_features
 from albench.errors import ConfigError, CsvParseError, EmptyDatasetError, SchemaError, UnknownCandidateError
 from albench.types import Candidate, Dataset, Goal
 
-from conftest import make_pool
+from conftest import make_pool, optimum_id
 
 
 def write_csv(path, text):
@@ -142,13 +142,13 @@ class TestSyntheticPools:
         ds = synthetic_pool("linear1d", 10, seed=3)
         xs = [c.features[0] for c in ds.candidates]
         best = max(range(10), key=lambda i: xs[i])
-        assert ds.optimum_id == best
+        assert optimum_id(ds) == best
         assert ds.optimum_value == xs[best]
 
     def test_quadratic2d_optimum_nearest_center(self):
         ds = synthetic_pool("quadratic2d", 50, seed=5)
         dists = [c.features[0] ** 2 + c.features[1] ** 2 for c in ds.candidates]
-        assert ds.optimum_id == int(np.argmin(dists))
+        assert optimum_id(ds) == int(np.argmin(dists))
 
     def test_quadratic_formula_at_origin(self):
         # a pool containing the exact center scores y=0 there, the maximum
@@ -159,7 +159,7 @@ class TestSyntheticPools:
             features=[(0.0, 0.0), (1.0, 0.5), (-0.5, 2.0)],
         )
         assert pool.optimum_value == 0.0
-        assert pool.optimum_id == 0
+        assert optimum_id(pool) == 0
 
     def test_plateau_has_duplicate_maxima(self):
         ds = synthetic_pool("plateau_mix", 40, seed=1)

@@ -235,15 +235,15 @@ class ReferenceBooster:
 class TestForest:
     def test_single_training_point_all_leaves(self):
         model = fit_forest([[1.0, 2.0]], [5.0], ForestConfig(n_trees=10, seed=0))
-        preds = predict_forest(model, [[9.0, -3.0], [1.0, 2.0]])
-        assert all(p.mean == 5.0 and p.std == 0.0 for p in preds)
+        mean, std = predict_forest(model, [[9.0, -3.0], [1.0, 2.0]])
+        assert mean.tolist() == [5.0, 5.0] and std.tolist() == [0.0, 0.0]
 
     def test_memorization_without_bootstrap(self, rng):
         X = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
         model = fit_forest(X, y, ForestConfig(n_trees=1, bootstrap=False, seed=0))
-        preds = predict_forest(model, X)
-        assert np.allclose([p.mean for p in preds], y)
+        mean, _ = predict_forest(model, X)
+        assert np.allclose(mean, y)
 
     def test_root_split_matches_enumeration_oracle(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -256,18 +256,18 @@ class TestForest:
 
     def test_mean_and_std_arithmetic(self):
         model = ForestModel(trees=[leaf_tree(1.0), leaf_tree(3.0)], config=ForestConfig(n_trees=2), n_features=1)
-        (pred,) = predict_forest(model, [[0.0]])
-        assert pred.mean == 2.0
-        assert pred.std == 1.0
+        (mean,), (std,) = predict_forest(model, [[0.0]])
+        assert mean == 2.0
+        assert std == 1.0
 
     def test_mean_matches_per_tree_recomputation(self, rng):
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
         model = fit_forest(X, y, ForestConfig(n_trees=25, seed=4))
         Q = rng.normal(size=(7, 2))
-        preds = predict_forest(model, Q)
+        mean, _ = predict_forest(model, Q)
         manual = np.mean([t.predict(Q) for t in model.trees], axis=0)
-        assert np.allclose([p.mean for p in preds], manual)
+        assert np.allclose(mean, manual)
 
     def test_tree_order_permutation_invariance(self, rng):
         X = rng.normal(size=(15, 2))
@@ -279,22 +279,22 @@ class TestForest:
         Q = rng.normal(size=(5, 2))
         a = predict_forest(model, Q)
         b = predict_forest(shuffled, Q)
-        assert np.allclose([p.mean for p in a], [p.mean for p in b])
-        assert np.allclose([p.std for p in a], [p.std for p in b])
+        assert np.allclose(a[0], b[0])
+        assert np.allclose(a[1], b[1])
 
     def test_predictions_within_target_range(self, rng):
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
         model = fit_forest(X, y, ForestConfig(n_trees=40, seed=7))
-        preds = predict_forest(model, rng.normal(size=(50, 3)) * 3)
-        assert all(y.min() <= p.mean <= y.max() for p in preds)
+        mean, _ = predict_forest(model, rng.normal(size=(50, 3)) * 3)
+        assert ((y.min() <= mean) & (mean <= y.max())).all()
 
     def test_deterministic_under_seed(self, rng):
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)
         a = predict_forest(fit_forest(X, y, ForestConfig(n_trees=12, seed=5)), X)
         b = predict_forest(fit_forest(X, y, ForestConfig(n_trees=12, seed=5)), X)
-        assert [(p.mean, p.std) for p in a] == [(q.mean, q.std) for q in b]
+        assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
 
     def test_empty_training_set(self):
         with pytest.raises(FitError):
@@ -387,15 +387,15 @@ class TestGBT:
         for tree in model.trees:
             assert np.all(tree.feature == -1)
             assert np.all(tree.value == 0.0)
-        preds = predict_gbt(model, X)
-        assert all(p.mean == 3.25 and p.std == 0.0 for p in preds)
+        mean, std = predict_gbt(model, X)
+        assert (mean == 3.25).all() and (std == 0.0).all()
 
     def test_single_round_memorization(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([4.0, -1.0, 2.5, 7.0])
         model = fit_gbt(X, y, GBTConfig(n_rounds=1, learning_rate=1.0, max_depth=3, lambda_l2=0.0))
-        preds = predict_gbt(model, X)
-        assert np.allclose([p.mean for p in preds], y)
+        mean, _ = predict_gbt(model, X)
+        assert np.allclose(mean, y)
 
     def test_staged_predictions_match_reference_booster(self, rng):
         X = rng.normal(size=(6, 2))
@@ -411,10 +411,10 @@ class TestGBT:
         y = rng.normal(size=10)
         model = fit_gbt(X, y, GBTConfig(n_rounds=20, max_depth=2))
         Q = rng.normal(size=(4, 2))
-        preds = predict_gbt(model, Q)
+        mean, std = predict_gbt(model, Q)
         stages = staged_predictions(model, Q, stage_rounds(20))
-        assert np.allclose([p.std for p in preds], stages.std(axis=0))
-        assert np.allclose([p.mean for p in preds], stages[-1])
+        assert np.allclose(std, stages.std(axis=0))
+        assert np.allclose(mean, stages[-1])
 
     def test_stage_rounds_shape(self):
         stages = stage_rounds(400)
@@ -427,8 +427,8 @@ class TestGBT:
         y = np.array([4.0, -1.0, 2.5, 7.0])
         # high rounds with lr=1: residuals hit zero after round 1, later trees are no-ops
         model = fit_gbt(X, y, GBTConfig(n_rounds=30, learning_rate=1.0, max_depth=3, lambda_l2=0.0))
-        preds = predict_gbt(model, X)
-        assert all(p.std < 1e-12 for p in preds)
+        _, std = predict_gbt(model, X)
+        assert (std < 1e-12).all()
 
     def test_training_loss_non_increasing(self, rng):
         X = rng.normal(size=(15, 2))
@@ -462,7 +462,7 @@ class TestGBT:
         y = rng.normal(size=9)
         a = predict_gbt(fit_gbt(X, y, GBTConfig(n_rounds=10)), X)
         b = predict_gbt(fit_gbt(X, y, GBTConfig(n_rounds=10)), X)
-        assert [(p.mean, p.std) for p in a] == [(q.mean, q.std) for q in b]
+        assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
 
     def test_json_dump(self):
         model = fit_gbt([[0.0], [1.0]], [0.0, 1.0], GBTConfig(n_rounds=2, max_depth=1))
@@ -565,15 +565,16 @@ class TestPackedPrediction:
             return tree.value[node]
 
         per_tree = np.array([[walk(t, q) for q in Q] for t in model.trees])
-        preds = predict_forest(model, Q)
-        assert np.array_equal(bits([p.mean for p in preds]), bits(per_tree.mean(axis=0)))
-        assert np.array_equal(bits([p.std for p in preds]), bits(per_tree.std(axis=0)))
+        mean, std = predict_forest(model, Q)
+        assert np.array_equal(bits(mean), bits(per_tree.mean(axis=0)))
+        assert np.array_equal(bits(std), bits(per_tree.std(axis=0)))
         for tree, row in zip(model.trees, per_tree):
             assert np.array_equal(bits(tree.predict(Q)), bits(row))
 
     def test_empty_query_set(self):
         model = fit_forest([[0.0], [1.0]], [0.0, 1.0], ForestConfig(n_trees=3))
-        assert predict_forest(model, np.empty((0, 1))) == []
+        mean, std = predict_forest(model, np.empty((0, 1)))
+        assert mean.shape == std.shape == (0,)
         gbt = fit_gbt([[0.0], [1.0]], [0.0, 1.0], GBTConfig(n_rounds=3))
         assert staged_predictions(gbt, np.empty((0, 1)), [0, 3]).shape == (2, 0)
 

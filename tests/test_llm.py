@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from albench.clients import (
     ConstantChatClient,
     FixtureRecord,
-    RecordingChatClient,
     ScriptedChatClient,
     load_fixtures,
     message_digest,
@@ -46,6 +45,24 @@ def two_feature_pool():
         features=[(1.0, 2.0), (4.0, 6.0), (0.0, -1.0)],
         context="Catalyst screening runs with two tunable knobs.",
     )
+
+
+class RecordingChatClient:
+    """Wraps another client and captures its replies as replay fixtures."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.records: list[FixtureRecord] = []
+
+    def send(self, messages, temperature):
+        text = self.inner.send(messages, temperature)
+        self.records.append(
+            FixtureRecord(response_text=text, request_digest=message_digest(messages, temperature))
+        )
+        return text
+
+    def dump(self, path) -> None:
+        save_fixtures(self.records, path)
 
 
 class StaticRerankClient:

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from albench import bnn, forest_gbt, gpr
 from albench.bnn import BNNConfig
 from albench.clients import ConstantChatClient, TokenBucket
 from albench.data import synthetic_pool
@@ -12,7 +13,7 @@ from albench.acquisition import random_walk_select
 from albench.engine import STREAM_WALK, run_active_learning, substream, trajectory_to_jsonl
 from albench.errors import ConfigError
 from albench.forest_gbt import ForestConfig, GBTConfig
-from albench.proposers import RandomWalkProposer, SurrogateProposer, make_proposer
+from albench.proposers import FIT_PREDICT, RandomWalkProposer, SurrogateProposer, make_proposer
 from albench.types import ProposerKind, RunConfig
 
 from conftest import make_pool
@@ -113,6 +114,45 @@ class TestSurrogateProposers:
             suggestion = proposer.propose(pool, [0, 3, 6], [pool.candidates[i].target for i in (0, 3, 6)])
             picks.append(suggestion.candidate_id)
         assert picks[0] == picks[1]
+
+    # per surrogate: its module, fit function and predict function
+    MODEL_FUNCTIONS = {
+        ProposerKind.GPR: (gpr, "fit_gpr", "predict_gpr"),
+        ProposerKind.RFR: (forest_gbt, "fit_forest", "predict_forest"),
+        ProposerKind.GBT: (forest_gbt, "fit_gbt", "predict_gbt"),
+        ProposerKind.BNN: (bnn, "train_bnn", "predict_bnn"),
+    }
+    SMALL = {
+        "forest_config": ForestConfig(n_trees=5),
+        "gbt_config": GBTConfig(n_rounds=4, max_depth=2),
+        "bnn_config": BNNConfig(hidden_layers=1, width=4, epochs=5, mc_samples=8),
+    }
+
+    @pytest.mark.parametrize("kind", list(MODEL_FUNCTIONS), ids=lambda k: k.value)
+    def test_predict_returns_float64_arrays_over_the_pool(self, kind, monkeypatch):
+        # each entry calls its model functions through the module at call
+        # time, so a wrapper installed there sees the fit and the predict
+        module, fit_name, predict_name = self.MODEL_FUNCTIONS[kind]
+        results = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                results.append(fn(*args, **kwargs))
+                return results[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(module, fit_name, recording(getattr(module, fit_name)))
+        monkeypatch.setattr(module, predict_name, recording(getattr(module, predict_name)))
+        gen = np.random.default_rng(0)
+        Z_train, y, Z_pool = gen.normal(size=(6, 2)), gen.normal(size=6), gen.normal(size=(9, 2))
+        proposer = SurrogateProposer(kind, alpha=1.0, seed=0, **self.SMALL)
+        mean, std, _ = FIT_PREDICT[kind](proposer, Z_train, y, Z_pool, 3)
+        assert len(results) == 2  # one fit, one predict
+        for arrays in (results[1], (mean, std)):
+            assert len(arrays) == 2
+            for a in arrays:
+                assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (9,)
 
     def test_kind_validation(self):
         with pytest.raises(ConfigError):
