@@ -308,11 +308,17 @@ def cmd_run(args) -> int:
 _UNREADABLE = (OSError, ValueError, KeyError, TypeError, AlbenchError)
 
 
+def _is_int(value, low: int) -> bool:
+    """An integer >= low; bool is an int subclass, and JSON true/false is no count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 def expand_sweep(cfg: dict) -> list[dict]:
     """Factorial grid over proposers, alphas, seeds, repeats, and formats."""
-    proposers = cfg.get("proposers") or []
-    if not proposers:
-        raise ConfigError("sweep config needs a non-empty 'proposers' list")
+    proposers = cfg.get("proposers")
+    kinds = [k.value for k in ProposerKind]
+    if not (isinstance(proposers, list) and proposers and all(p in kinds for p in proposers)):
+        raise ConfigError(f"'proposers' must be a non-empty list of {kinds}, got {proposers!r}")
     alphas = cfg.get("alphas", [0, 1, 2, 3, 4, 5])
     seeds = cfg.get("seeds", [38, 39, 40, 41, 42])
     # bool is an int subclass, and JSON true/false is no alpha or seed
@@ -326,9 +332,16 @@ def expand_sweep(cfg: dict) -> list[dict]:
     )):
         raise ConfigError(f"'seeds' must be a non-empty list of integers, got {seeds!r}")
     prompt_formats = cfg.get("prompt_formats", ["parameter"])
-    if not prompt_formats:
-        raise ConfigError("sweep config needs a non-empty 'prompt_formats' list")
-    repeats_at_seed = {int(k): int(v) for k, v in cfg.get("repeats_at_seed", {"42": 5}).items()}
+    formats = [f.value for f in PromptFormat]
+    if not (isinstance(prompt_formats, list) and prompt_formats and all(f in formats for f in prompt_formats)):
+        raise ConfigError(f"'prompt_formats' must be a non-empty list of {formats}, got {prompt_formats!r}")
+    repeats = cfg.get("repeats_at_seed", {"42": 5})
+    try:
+        repeats_at_seed = {int(k): v for k, v in repeats.items()}
+    except (AttributeError, TypeError, ValueError):
+        repeats_at_seed = None
+    if repeats_at_seed is None or not all(_is_int(v, 1) for v in repeats_at_seed.values()):
+        raise ConfigError(f"'repeats_at_seed' must map integer seeds to integers >= 1, got {repeats!r}")
     base = {
         "n_initial": cfg.get("n_initial", 1),
         "max_iterations": cfg.get("max_iterations"),
@@ -422,13 +435,24 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep config needs a 'dataset' entry")
     dataset, header_entry = build_dataset(cfg["dataset"])
     grid = expand_sweep(cfg)
+    configs = [_run_config_from(cell) for cell in grid]
+    for config in configs:
+        config.validate(len(dataset))
     _model_configs(cfg.get("model_overrides"))  # a bad override fails the sweep, not each cell
+    parallelism = cfg.get("parallelism", 0)
+    if not _is_int(parallelism, 0):
+        raise ConfigError(f"'parallelism' must be an integer >= 0 (0: one worker per core), got {parallelism!r}")
+    llm_cfg = cfg.get("llm") or {}
+    if not isinstance(llm_cfg, dict):
+        raise ConfigError(f"'llm' must be an object, got {llm_cfg!r}")
+    if llm_cfg.get("rate_limit") is not None and not _is_int(llm_cfg["rate_limit"], 1):
+        raise ConfigError(f"'llm.rate_limit' must be an integer >= 1 (requests/minute), got {llm_cfg['rate_limit']!r}")
     out_dir = Path(args.out_dir or cfg.get("out_dir") or "sweep_results")
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
-    parallelism = int(cfg.get("parallelism", 0)) or (os.cpu_count() or 1)
-    llm_cfg = dict(cfg.get("llm") or {})
+    parallelism = parallelism or (os.cpu_count() or 1)
+    llm_cfg = dict(llm_cfg)
     any_llm = any(cell["proposer"] == "llm" for cell in grid)
     if any_llm and not llm_cfg.get("rate_limit"):
         parallelism = 1  # serialize LLM calls unless a rate limit is configured
@@ -437,9 +461,7 @@ def cmd_sweep(args) -> int:
         llm_cfg["rate_limit"] = max(1, int(llm_cfg["rate_limit"]) // parallelism)
 
     tasks, skipped = [], []
-    for cell in grid:
-        config = _run_config_from(cell)
-        config.validate(len(dataset))
+    for config in configs:
         digest = config.digest(dataset.digest())[:16]
         out_path = runs_dir / f"{digest}.jsonl"
         stored = _read_complete(out_path, dataset) if out_path.exists() else None

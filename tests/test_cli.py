@@ -259,15 +259,34 @@ class TestSweep:
             ({"alphas": ["2"]}, "alphas"),
             ({"seeds": ["x"]}, "seeds"),
             ({"model_overrides": {"forest": {"seed": 1}}}, "seed"),
+            ({"proposers": ["nope"]}, "nope"),
+            # a bare string would be iterated per character
+            ({"proposers": "random_walk"}, "proposers"),
+            ({"repeats_at_seed": {"42": "x"}}, "repeats_at_seed"),
+            ({"parallelism": "x"}, "parallelism"),
+            ({"llm": {"rate_limit": "x"}}, "rate_limit"),
+            ({"prompt_formats": "parameter"}, "prompt_formats"),
+            ({"n_initial": "x"}, "bad run config"),
         ],
-        ids=["string-alpha", "string-seed", "forest-seed"],
+        ids=[
+            "string-alpha",
+            "string-seed",
+            "forest-seed",
+            "unknown-proposer",
+            "string-proposers",
+            "string-repeats",
+            "string-parallelism",
+            "string-rate-limit",
+            "string-prompt-formats",
+            "string-n-initial",
+        ],
     )
     def test_malformed_grid_exits_before_any_cell(self, tmp_path, capsys, extra, named):
         path = self.sweep_config(tmp_path, **extra)
         out_dir = tmp_path / "results"
         assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert named in err and "Traceback" not in err
+        assert err.startswith("config error:") and named in err and "Traceback" not in err
         assert not out_dir.exists()
 
     def test_bad_model_override_fails_before_any_cell(self, tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Tree ensembles against brute-force split and boosting oracles."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from albench import forest_gbt
 from albench.errors import ConfigError, FitError, ShapeError
 from albench.forest_gbt import (
     ForestConfig,
@@ -20,6 +23,13 @@ from albench.forest_gbt import (
     stage_rounds,
     staged_predictions,
 )
+
+
+def walk(tree, q, node=0):
+    """One query's leaf value, found node by node."""
+    while tree.feature[node] >= 0:
+        node = tree.left[node] if q[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return tree.value[node]
 
 
 def leaf_tree(value):
@@ -266,7 +276,7 @@ class TestForest:
         model = fit_forest(X, y, ForestConfig(n_trees=25, seed=4))
         Q = rng.normal(size=(7, 2))
         mean, _ = predict_forest(model, Q)
-        manual = np.mean([t.predict(Q) for t in model.trees], axis=0)
+        manual = np.mean([[walk(t, q) for q in Q] for t in model.trees], axis=0)
         assert np.allclose(mean, manual)
 
     def test_tree_order_permutation_invariance(self, rng):
@@ -558,18 +568,10 @@ class TestPackedPrediction:
         y = rng.normal(size=30)
         model = fit_forest(X, y, ForestConfig(n_trees=20, seed=3))
         Q = np.vstack([X, rng.normal(size=(40, 3))])
-
-        def walk(tree, q, node=0):
-            while tree.feature[node] >= 0:
-                node = tree.left[node] if q[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
-            return tree.value[node]
-
         per_tree = np.array([[walk(t, q) for q in Q] for t in model.trees])
         mean, std = predict_forest(model, Q)
         assert np.array_equal(bits(mean), bits(per_tree.mean(axis=0)))
         assert np.array_equal(bits(std), bits(per_tree.std(axis=0)))
-        for tree, row in zip(model.trees, per_tree):
-            assert np.array_equal(bits(tree.predict(Q)), bits(row))
 
     def test_empty_query_set(self):
         model = fit_forest([[0.0], [1.0]], [0.0, 1.0], ForestConfig(n_trees=3))
@@ -583,6 +585,98 @@ class TestPackedPrediction:
         model = fit_gbt(X, rng.normal(size=10), GBTConfig(n_rounds=4, max_depth=2))
         full = staged_predictions(model, X, [0, 1, 2, 3, 4])
         assert np.array_equal(staged_predictions(model, X, [3, 0, 3, 9, -1]), full[[0, 3]])
+
+
+def integer_pool(n, d, seed):
+    """Features and targets built from integers, as the golden pins build them."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-500, 500, size=(n, d)) / 7.0
+    y = (X[:, 0] - 0.5 * X[:, -1]) ** 2 / 50.0 + rng.integers(-40, 40, size=n) / 3.0
+    return X, y
+
+
+def model_digest(model):
+    return hashlib.sha256(json.dumps(model.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
+class TestBudgetBoundaries:
+    """Budgets of one element give one tree per forest batch, one node per
+    scoring chunk, one feature row per partition step and one tree per
+    prediction pass: every boundary the default budgets cross only at
+    larger sizes. Fits and predictions must not change, bit for bit."""
+
+    X, Y = integer_pool(40, 3, 1)
+    XD, YD = np.vstack([X, X[:9]]), np.concatenate([Y, Y[:9]])  # duplicated rows
+    Q = np.vstack([X, np.random.default_rng(5).integers(-500, 500, size=(20, 3)) / 7.0])
+
+    def tiny_budgets(self, monkeypatch):
+        monkeypatch.setattr(forest_gbt, "_GROW_BUDGET", 1)
+        monkeypatch.setattr(forest_gbt, "_CHUNK", 1)
+
+    @pytest.mark.parametrize(
+        "duplicated, config",
+        [
+            (False, ForestConfig(n_trees=12, seed=3)),
+            (True, ForestConfig(n_trees=10, seed=4)),
+            (False, ForestConfig(n_trees=6, bootstrap=False, min_samples_leaf=2, max_depth=4, seed=5)),
+        ],
+        ids=["bootstrap", "duplicated-rows", "no-bootstrap"],
+    )
+    def test_forest_matches_default_budgets(self, monkeypatch, duplicated, config):
+        X, y = (self.XD, self.YD) if duplicated else (self.X, self.Y)
+        expected = fit_forest(X, y, config)
+        mean, std = predict_forest(expected, self.Q)
+        self.tiny_budgets(monkeypatch)
+        model = fit_forest(X, y, config)
+        assert model_digest(model) == model_digest(expected)
+        got_mean, got_std = predict_forest(model, self.Q)
+        assert np.array_equal(bits(got_mean), bits(mean)) and np.array_equal(bits(got_std), bits(std))
+
+    @pytest.mark.parametrize(
+        "duplicated, config",
+        [
+            (False, GBTConfig(n_rounds=15)),
+            (True, GBTConfig(n_rounds=12, max_depth=3, lambda_l2=0.0, min_child_weight=2.5)),
+        ],
+        ids=["default", "duplicated-rows"],
+    )
+    def test_gbt_matches_default_budgets(self, monkeypatch, duplicated, config):
+        X, y = (self.XD, self.YD) if duplicated else (self.X, self.Y)
+        expected = fit_gbt(X, y, config)
+        mean, std = predict_gbt(expected, self.Q)
+        self.tiny_budgets(monkeypatch)
+        model = fit_gbt(X, y, config)
+        assert model_digest(model) == model_digest(expected)
+        got_mean, got_std = predict_gbt(model, self.Q)
+        assert np.array_equal(bits(got_mean), bits(mean)) and np.array_equal(bits(got_std), bits(std))
+
+
+class TestWorkingMemory:
+    """What a fit allocates beyond the model it returns, at 150 rows and 14
+    features (the benchmark's size): under 2 MB for the forest and 0.5 MB
+    for the booster, as README states. The booster's working arrays live
+    for one round, so fewer rounds than the default show the same peak."""
+
+    @pytest.mark.parametrize(
+        "fit, limit",
+        [
+            (lambda X, y: fit_forest(X, y, ForestConfig(seed=1)), 2 << 20),
+            (lambda X, y: fit_gbt(X, y, GBTConfig(n_rounds=100)), 1 << 19),
+        ],
+        ids=["forest", "gbt"],
+    )
+    def test_fit_stays_within_its_budget(self, fit, limit):
+        X, y = integer_pool(150, 14, 2)
+        tracemalloc.start()
+        try:
+            model = fit(X, y)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current <= limit
+        # each tree owns its arrays, so none keeps a larger working array alive
+        arrays = [a for t in model.trees for a in (t.feature, t.threshold, t.left, t.right, t.value)]
+        assert all(a.flags.owndata for a in arrays)
 
 
 class TestConfigValidation:
