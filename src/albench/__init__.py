@@ -38,7 +38,6 @@ from .forest_gbt import (
 )
 from .llm import (
     LLMProposer,
-    MatcherBackend,
     match_to_pool,
     parse_proposal,
     propose_next,
@@ -87,7 +86,6 @@ __all__ = [
     "Goal",
     "KernelParams",
     "LLMProposer",
-    "MatcherBackend",
     "PromptFormat",
     "Proposer",
     "ProposerKind",

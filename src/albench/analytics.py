@@ -79,12 +79,11 @@ class RunSummary:
     iterations_to_optimum: Optional[int]
     data_fraction: float
     final_best: float
-    cumulative_distance: list[float]
     mean_match_score: Optional[float] = None
     prompt_format: str = "parameter"
 
 
-def summarize_trajectory(trajectory: Trajectory, pool: Dataset) -> RunSummary:
+def summarize_trajectory(trajectory: Trajectory) -> RunSummary:
     config = trajectory.config
     return RunSummary(
         proposer=config.proposer.value,
@@ -94,7 +93,6 @@ def summarize_trajectory(trajectory: Trajectory, pool: Dataset) -> RunSummary:
         iterations_to_optimum=trajectory.reached_optimum_at,
         data_fraction=trajectory.data_fraction_used,
         final_best=trajectory.final_best,
-        cumulative_distance=cumulative_l2(trajectory, pool),
         mean_match_score=trajectory.mean_match_score(),
         prompt_format=config.prompt_format.value,
     )
@@ -231,7 +229,9 @@ def export_pca(records: Sequence[RunRecord], coords_path, edges_path) -> None:
 
 
 def export_variability(summaries: Sequence[RunSummary], path, group_by=("proposer", "alpha")) -> None:
-    stats = variability_stats(summaries, group_by=group_by)
+    """Variability table per group; only the header when no run reached the optimum."""
+    finished = any(s.iterations_to_optimum is not None for s in summaries)
+    stats = variability_stats(summaries, group_by=group_by) if finished else {}
     rows = []
     for key, st in sorted(stats.items(), key=lambda kv: tuple(str(k) for k in kv[0])):
         row = {field: value for field, value in zip(group_by, key)}

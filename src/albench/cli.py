@@ -21,7 +21,14 @@ from typing import Optional
 
 from . import analytics
 from .bnn import BNNConfig
-from .clients import ConstantChatClient, LiveChatClient, LiveRerankClient, ScriptedChatClient
+from .clients import (
+    ConstantChatClient,
+    LiveChatClient,
+    LiveRerankClient,
+    ScriptedChatClient,
+    TokenBucket,
+    load_fixtures,
+)
 from .data import (
     DatasetSpec,
     dataset_from_header_entry,
@@ -39,7 +46,6 @@ from .engine import (
 )
 from .errors import AlbenchError, ConfigError, RunAborted
 from .forest_gbt import ForestConfig, GBTConfig
-from .llm import MatcherBackend
 from .proposers import FIT_PREDICT, make_proposer
 from .types import Dataset, Goal, PromptFormat, ProposerKind, RunConfig, StepRecord, Trajectory
 
@@ -87,54 +93,71 @@ def build_dataset(spec_like) -> tuple[Dataset, dict]:
     return dataset, dataset_header_entry(dataset, spec)
 
 
-def build_chat_client(descriptor: str, rate_limiter=None):
-    """Parse 'mock:TEXT', 'replay:PATH', or 'live:ENDPOINT|MODEL'."""
-    kind, _, rest = descriptor.partition(":")
+def _is_int(value, low: int) -> bool:
+    """An integer >= low; bool is an int subclass, and JSON true/false is no count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _is_real(value, low: float) -> bool:
+    """A finite number >= low; JSON true/false is no number either."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value >= low
+
+
+def _section(cfg: dict, name: str, parent: str = "") -> dict:
+    """cfg[name] as an object ({} when absent or null); `parent` prefixes its name in errors."""
+    value = cfg.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{parent}{name}' must be an object, got {value!r}")
+    return value
+
+
+def _chat_client_factory(descriptor, rate_limiter):
+    """Parse 'mock:TEXT', 'replay:PATH' or 'live:ENDPOINT|MODEL' into a
+    function that builds a fresh client: a replay client's position
+    belongs to one run. Replay fixtures are read once, here."""
+    kind, _, rest = descriptor.partition(":") if isinstance(descriptor, str) else (None, "", "")
     if kind == "mock":
-        return ConstantChatClient(rest)
+        return lambda: ConstantChatClient(rest)
     if kind == "replay":
-        return ScriptedChatClient.from_file(rest)
-    if kind == "live":
-        endpoint, _, model = rest.partition("|")
-        if not endpoint or not model:
-            raise ConfigError("live client descriptor must be live:ENDPOINT|MODEL")
-        return LiveChatClient(endpoint=endpoint, model=model, rate_limiter=rate_limiter)
-    raise ConfigError(f"unknown chat client descriptor {descriptor!r}")
+        try:
+            records = load_fixtures(rest)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad replay fixtures in {rest}: {exc!r}") from exc
+        return lambda: ScriptedChatClient(records)
+    endpoint, _, model = rest.partition("|")
+    if kind == "live" and endpoint and model:
+        return lambda: LiveChatClient(endpoint=endpoint, model=model, rate_limiter=rate_limiter)
+    raise ConfigError(f"'llm.client' must be mock:TEXT, replay:PATH or live:ENDPOINT|MODEL, got {descriptor!r}")
 
 
-def build_matcher(descriptor: Optional[str]):
-    """Parse 'offline' or 'rerank:ENDPOINT[|MODEL]' into (backend, client)."""
-    if not descriptor or descriptor == "offline":
-        return MatcherBackend.OFFLINE_NEAREST, None
-    kind, _, rest = descriptor.partition(":")
-    if kind == "rerank":
-        endpoint, _, model = rest.partition("|")
-        if not endpoint:
-            raise ConfigError("rerank matcher descriptor must be rerank:ENDPOINT[|MODEL]")
-        return MatcherBackend.RERANK_API, LiveRerankClient(endpoint=endpoint, model=model)
-    raise ConfigError(f"unknown matcher descriptor {descriptor!r}")
+def _rerank_client(descriptor) -> Optional[LiveRerankClient]:
+    """None for 'offline' (the default); a client for 'rerank:ENDPOINT[|MODEL]'."""
+    if descriptor in (None, "", "offline"):
+        return None
+    kind, _, rest = descriptor.partition(":") if isinstance(descriptor, str) else (None, "", "")
+    endpoint, _, model = rest.partition("|")
+    if kind != "rerank" or not endpoint:
+        raise ConfigError(f"'llm.matcher' must be offline or rerank:ENDPOINT[|MODEL], got {descriptor!r}")
+    return LiveRerankClient(endpoint=endpoint, model=model)
 
 
-def _model_configs(overrides: Optional[dict]):
-    """(forest, gbt, bnn, gpr standardize_targets) from a config's model_overrides.
+def _model_configs(overrides: dict) -> dict:
+    """make_proposer's model keywords from a config's model_overrides.
 
     Raises ConfigError on an unknown section or key, or a value of the wrong type.
     """
-    overrides = overrides or {}
-    if not isinstance(overrides, dict):
-        raise ConfigError("model_overrides must be an object")
     classes = {"forest": ForestConfig, "gbt": GBTConfig, "bnn": BNNConfig}
     # forest and bnn fits take a fresh seed from the run's model stream every
     # step, so a seed override would select nothing
     known = {name: {f.name for f in fields(cls)} - {"seed"} for name, cls in classes.items()}
     known["gpr"] = {"standardize_targets"}
     built = {}
-    for section, values in overrides.items():
+    for section in overrides:
         if section not in known:
             raise ConfigError(f"unknown model_overrides section {section!r}; known: {sorted(known)}")
-        values = values or {}
-        if not isinstance(values, dict):
-            raise ConfigError(f"model_overrides.{section} must be an object")
+        values = _section(overrides, section, "model_overrides.")
         unknown = sorted(set(values) - known[section])
         if unknown:
             raise ConfigError(
@@ -142,46 +165,67 @@ def _model_configs(overrides: Optional[dict]):
             )
         if section in classes and values:
             try:
-                built[section] = classes[section](**values)
+                built[f"{section}_config"] = classes[section](**values)
             except TypeError as exc:
                 raise ConfigError(f"bad model_overrides.{section} value: {exc}") from exc
-    gpr_std = bool((overrides.get("gpr") or {}).get("standardize_targets", False))
-    return built.get("forest"), built.get("gbt"), built.get("bnn"), gpr_std
+    standardize = _section(overrides, "gpr").get("standardize_targets", False)
+    if not isinstance(standardize, bool):
+        raise ConfigError(f"'model_overrides.gpr.standardize_targets' must be true or false, got {standardize!r}")
+    return {**built, "gpr_standardize_targets": standardize}
 
 
-def execute_run(
-    dataset: Dataset,
-    header_entry: dict,
-    config: RunConfig,
-    out_path,
-    llm_options: Optional[dict] = None,
-    model_overrides: Optional[dict] = None,
-) -> dict:
-    """Run one configuration and persist its trajectory (partial on abort)."""
-    llm_options = llm_options or {}
-    chat_client = None
-    matcher, rerank_client = MatcherBackend.OFFLINE_NEAREST, None
-    if config.proposer is ProposerKind.LLM:
-        limiter = None
-        if llm_options.get("rate_limit"):
-            from .clients import TokenBucket
+def proposer_factory(cfg: dict, kinds, workers: int = 1):
+    """Check a config and build, once, what the proposers of its runs share.
 
-            limiter = TokenBucket(int(llm_options["rate_limit"]))
-        chat_client = build_chat_client(llm_options.get("client", ""), rate_limiter=limiter)
-        matcher, rerank_client = build_matcher(llm_options.get("matcher"))
-    forest, gbt, bnn, gpr_std = _model_configs(model_overrides)
-    proposer = make_proposer(
-        config,
-        chat_client=chat_client,
-        matcher=matcher,
-        rerank_client=rerank_client,
-        offline_reports=bool(llm_options.get("offline_reports", False)),
-        forest_config=forest,
-        gbt_config=gbt,
-        bnn_config=bnn,
-        gpr_standardize_targets=gpr_std,
-        backoff=float(llm_options.get("backoff", 1.0)),
-    )
+    The one reader of the `llm` and `model_overrides` sections: ConfigError
+    on a `run`, `llm` or `model_overrides` section that is not an object,
+    an unknown key, a value of the wrong type, or LLM runs among `kinds`
+    without a chat client. It builds the model configs, the rerank client
+    and, with `llm.rate_limit` set, one TokenBucket with that budget split
+    between `workers` processes. Returns (new_proposer, workers):
+    new_proposer(run_config) makes a fresh proposer, with a fresh chat
+    client; workers drops to 1 when LLM runs have no rate limit, so that
+    their calls are serialized.
+    """
+    _section(cfg, "run")
+    llm = _section(cfg, "llm")
+    known = ["backoff", "client", "matcher", "offline_reports", "rate_limit"]
+    unknown = sorted(set(llm) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown llm keys {unknown}; known: {known}")
+    rate_limit, backoff = llm.get("rate_limit"), llm.get("backoff", 1.0)
+    if rate_limit is not None and not _is_int(rate_limit, 1):
+        raise ConfigError(f"'llm.rate_limit' must be an integer >= 1 (requests/minute), got {rate_limit!r}")
+    if not _is_real(backoff, 0):
+        raise ConfigError(f"'llm.backoff' must be a finite number >= 0 (seconds), got {backoff!r}")
+    offline_reports = llm.get("offline_reports", False)
+    if not isinstance(offline_reports, bool):
+        raise ConfigError(f"'llm.offline_reports' must be true or false, got {offline_reports!r}")
+    keywords = {
+        "rerank_client": _rerank_client(llm.get("matcher")),
+        "offline_reports": offline_reports,
+        "backoff": float(backoff),
+        **_model_configs(_section(cfg, "model_overrides")),
+    }
+    llm_runs = ProposerKind.LLM in kinds
+    if llm_runs and rate_limit is None:
+        workers = 1
+    limiter = TokenBucket(max(1, rate_limit // workers)) if rate_limit is not None else None
+    new_chat_client = None if llm.get("client") is None else _chat_client_factory(llm["client"], limiter)
+    if llm_runs and new_chat_client is None:
+        raise ConfigError("LLM runs need a chat client (flag --client or config llm.client)")
+
+    def new_proposer(config: RunConfig):
+        chat_client = new_chat_client() if new_chat_client and config.proposer is ProposerKind.LLM else None
+        return make_proposer(config, chat_client=chat_client, **keywords)
+
+    return new_proposer, workers
+
+
+def execute_run(dataset: Dataset, header_entry: dict, config: RunConfig, out_path, new_proposer=make_proposer) -> dict:
+    """Run one configuration with the proposer `new_proposer(config)` and
+    persist its trajectory (partial on abort)."""
+    proposer = new_proposer(config)
     try:
         trajectory = run_active_learning(dataset, config, proposer)
     except RunAborted as exc:
@@ -249,15 +293,22 @@ def summary_row(
 def _run_config_from(cfg: dict) -> RunConfig:
     try:
         return RunConfig.from_dict(cfg)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad run config: {exc}") from exc
 
 
+def _read_config(path) -> dict:
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a config must be a JSON object, got {type(cfg).__name__} in {path}")
+    return cfg
+
+
 def cmd_run(args) -> int:
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+    cfg = _read_config(args.config) if args.config else {}
+    flags = {"client": args.client, "matcher": args.matcher, "offline_reports": args.offline_reports}
+    cfg["llm"] = {**_section(cfg, "llm"), **{k: v for k, v in flags.items() if v}}
     overrides = {
         "proposer": args.proposer,
         "alpha": args.alpha,
@@ -267,31 +318,18 @@ def cmd_run(args) -> int:
         "max_iterations": args.max_iterations,
         "prompt_format": args.prompt_format,
     }
-    run_cfg_dict = dict(cfg.get("run", {}))
-    for key, value in overrides.items():
-        if value is not None:
-            run_cfg_dict[key] = value
+    run_cfg_dict = {**_section(cfg, "run"), **{k: v for k, v in overrides.items() if v is not None}}
     if "proposer" not in run_cfg_dict:
         raise ConfigError("no proposer given (flag --proposer or config run.proposer)")
+    config = _run_config_from(run_cfg_dict)
+    new_proposer, _ = proposer_factory(cfg, {config.proposer})
     dataset_like = args.dataset or cfg.get("dataset")
     if dataset_like is None:
         raise ConfigError("no dataset given (flag --dataset or config dataset)")
     dataset, header_entry = build_dataset(dataset_like)
-    config = _run_config_from(run_cfg_dict)
     config.validate(len(dataset))
-
-    llm_options = dict(cfg.get("llm", {}))
-    if args.client:
-        llm_options["client"] = args.client
-    if args.matcher:
-        llm_options["matcher"] = args.matcher
-    if args.offline_reports:
-        llm_options["offline_reports"] = True
-
     out_path = args.out or f"run_{config.digest(dataset.digest())[:16]}.jsonl"
-    summary = execute_run(
-        dataset, header_entry, config, out_path, llm_options, cfg.get("model_overrides")
-    )
+    summary = execute_run(dataset, header_entry, config, out_path, new_proposer)
     frac = summary["data_fraction"]
     print(
         f"{config.proposer.value} on {dataset.name}: "
@@ -308,11 +346,6 @@ def cmd_run(args) -> int:
 _UNREADABLE = (OSError, ValueError, KeyError, TypeError, AlbenchError)
 
 
-def _is_int(value, low: int) -> bool:
-    """An integer >= low; bool is an int subclass, and JSON true/false is no count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
 def expand_sweep(cfg: dict) -> list[dict]:
     """Factorial grid over proposers, alphas, seeds, repeats, and formats."""
     proposers = cfg.get("proposers")
@@ -321,12 +354,9 @@ def expand_sweep(cfg: dict) -> list[dict]:
         raise ConfigError(f"'proposers' must be a non-empty list of {kinds}, got {proposers!r}")
     alphas = cfg.get("alphas", [0, 1, 2, 3, 4, 5])
     seeds = cfg.get("seeds", [38, 39, 40, 41, 42])
-    # bool is an int subclass, and JSON true/false is no alpha or seed
-    if not (isinstance(alphas, list) and alphas and all(
-        isinstance(a, (int, float)) and not isinstance(a, bool) and math.isfinite(a) and a >= 0
-        for a in alphas
-    )):
+    if not (isinstance(alphas, list) and alphas and all(_is_real(a, 0) for a in alphas)):
         raise ConfigError(f"'alphas' must be a non-empty list of finite numbers >= 0, got {alphas!r}")
+    # bool is an int subclass, and JSON true/false is no seed
     if not (isinstance(seeds, list) and seeds and all(
         isinstance(s, int) and not isinstance(s, bool) for s in seeds
     )):
@@ -391,103 +421,73 @@ def _read_complete(path, dataset: Dataset) -> Optional[tuple[dict, list[StepReco
     return None
 
 
-def _run_cell(dataset: Dataset, header_entry: dict, task: dict) -> dict:
+def _run_cell(dataset: Dataset, header_entry: dict, new_proposer, config: RunConfig, out_path) -> dict:
     """Execute one sweep cell on an already-built pool; errors become a failed row."""
-    config = RunConfig.from_dict(task["run"])
     try:
-        return execute_run(
-            dataset,
-            header_entry,
-            config,
-            task["out_path"],
-            task.get("llm"),
-            task.get("model_overrides"),
-        )
+        return execute_run(dataset, header_entry, config, out_path, new_proposer)
     except AlbenchError as exc:
         return summary_row(config, dataset, "failed", error=str(exc))
 
 
-# (pool, header entry) of a sweep worker process; set by _init_sweep_worker
-_worker_pool: Optional[tuple[Dataset, dict]] = None
+# (pool, header entry, new_proposer) of a sweep worker process; set by _init_sweep_worker
+_worker: Optional[tuple] = None
 
 
-def _init_sweep_worker(dataset_entry: dict) -> None:
-    """Process-pool initializer: build the sweep's pool once per worker."""
-    global _worker_pool
-    _worker_pool = build_dataset(dataset_entry)
+def _init_sweep_worker(dataset_entry: dict, cfg: dict, kinds, workers: int) -> None:
+    """Process-pool initializer: build the sweep's pool and proposer factory
+    once per worker."""
+    global _worker
+    _worker = (*build_dataset(dataset_entry), proposer_factory(cfg, kinds, workers)[0])
 
 
-def _sweep_worker(task: dict) -> dict:
+def _sweep_worker(task: tuple[RunConfig, Path]) -> dict:
     """Execute one sweep cell in a worker process, on the worker's pool."""
-    return _run_cell(*_worker_pool, task)
+    return _run_cell(*_worker, *task)
 
 
 def cmd_sweep(args) -> int:
     """Run every cell of the sweep grid that has no complete stored run.
 
-    The pool is built once per process: serial cells share the sweep's
-    Dataset, and each worker process builds its own once. This relies on
-    Dataset being immutable, since each caches its digest and z-scores.
+    The pool and the proposer factory are built once per process: serial
+    cells share the sweep's, and each worker process builds its own once.
+    This relies on Dataset being immutable, since each caches its digest
+    and z-scores.
     """
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _read_config(args.config)
     if "dataset" not in cfg:
         raise ConfigError("sweep config needs a 'dataset' entry")
-    dataset, header_entry = build_dataset(cfg["dataset"])
-    grid = expand_sweep(cfg)
-    configs = [_run_config_from(cell) for cell in grid]
-    for config in configs:
-        config.validate(len(dataset))
-    _model_configs(cfg.get("model_overrides"))  # a bad override fails the sweep, not each cell
+    configs = [_run_config_from(cell) for cell in expand_sweep(cfg)]
     parallelism = cfg.get("parallelism", 0)
     if not _is_int(parallelism, 0):
         raise ConfigError(f"'parallelism' must be an integer >= 0 (0: one worker per core), got {parallelism!r}")
-    llm_cfg = cfg.get("llm") or {}
-    if not isinstance(llm_cfg, dict):
-        raise ConfigError(f"'llm' must be an object, got {llm_cfg!r}")
-    if llm_cfg.get("rate_limit") is not None and not _is_int(llm_cfg["rate_limit"], 1):
-        raise ConfigError(f"'llm.rate_limit' must be an integer >= 1 (requests/minute), got {llm_cfg['rate_limit']!r}")
+    kinds = {config.proposer for config in configs}
+    new_proposer, workers = proposer_factory(cfg, kinds, parallelism or os.cpu_count() or 1)
+    dataset, header_entry = build_dataset(cfg["dataset"])
+    for config in configs:
+        config.validate(len(dataset))
     out_dir = Path(args.out_dir or cfg.get("out_dir") or "sweep_results")
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
-    parallelism = parallelism or (os.cpu_count() or 1)
-    llm_cfg = dict(llm_cfg)
-    any_llm = any(cell["proposer"] == "llm" for cell in grid)
-    if any_llm and not llm_cfg.get("rate_limit"):
-        parallelism = 1  # serialize LLM calls unless a rate limit is configured
-    elif llm_cfg.get("rate_limit") and parallelism > 1:
-        # workers hold independent buckets; split the budget between them
-        llm_cfg["rate_limit"] = max(1, int(llm_cfg["rate_limit"]) // parallelism)
-
     tasks, skipped = [], []
     for config in configs:
-        digest = config.digest(dataset.digest())[:16]
-        out_path = runs_dir / f"{digest}.jsonl"
+        out_path = runs_dir / f"{config.digest(dataset.digest())[:16]}.jsonl"
         stored = _read_complete(out_path, dataset) if out_path.exists() else None
         if stored is not None:
             skipped.append(stored)
-            continue
-        tasks.append(
-            {
-                "run": config.to_dict(),
-                "out_path": str(out_path),
-                "llm": llm_cfg,
-                "model_overrides": cfg.get("model_overrides"),
-            }
-        )
+        else:
+            tasks.append((config, out_path))
 
-    results = []
-    if parallelism > 1 and len(tasks) > 1:
-        if any(t["run"]["proposer"] == ProposerKind.GPR.value for t in tasks):
+    if workers > 1 and len(tasks) > 1:
+        if any(config.proposer is ProposerKind.GPR for config, _ in tasks):
             from . import gpr  # noqa: F401 -- load scipy once; the forked workers share it
 
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=parallelism, initializer=_init_sweep_worker, initargs=(header_entry,)
+            max_workers=workers, initializer=_init_sweep_worker, initargs=(header_entry, cfg, kinds, workers)
         ) as pool:
-            results.extend(pool.map(_sweep_worker, tasks))
+            results = list(pool.map(_sweep_worker, tasks))
     else:
-        results.extend(_run_cell(dataset, header_entry, t) for t in tasks)
+        results = [_run_cell(dataset, header_entry, new_proposer, *task) for task in tasks]
 
     for header, steps in skipped:
         trajectory = rebuild_trajectory(header, steps, dataset)
@@ -558,17 +558,8 @@ def _export_reports(results_dir: Path, out_dir: Path) -> None:
         analytics.export_pca(
             group, out_dir / f"pca_coordinates{suffix}.csv", out_dir / f"pca_trajectories{suffix}.csv"
         )
-        summaries = [analytics.summarize_trajectory(r.trajectory, r.pool) for r in group]
-        finished = [s for s in summaries if s.iterations_to_optimum is not None]
-        variability_path = out_dir / f"variability{suffix}.csv"
-        if finished:
-            analytics.export_variability(finished, variability_path)
-        else:  # keep the family present even when no run reached the optimum
-            with open(variability_path, "w", newline="", encoding="utf-8") as fh:
-                csv.DictWriter(
-                    fh,
-                    fieldnames=["proposer", "alpha", "count", "mean", "std", "min", "max", "q1", "median", "q3"],
-                ).writeheader()
+        summaries = [analytics.summarize_trajectory(r.trajectory) for r in group]
+        analytics.export_variability(summaries, out_dir / f"variability{suffix}.csv")
         analytics.export_similarity_scores(group, out_dir / f"similarity_scores{suffix}.csv")
 
 

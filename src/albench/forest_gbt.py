@@ -241,7 +241,12 @@ def _chunk_splits(order, xt, fo, vv, off, m, rule):
     best = by_feature[node, f]
     k = (score[:, node, f] == best).argmax(axis=0)
     ok = rule.accept(best) & varies
-    threshold = 0.5 * (xs[k, node, f] + xs[k + 1, node, f])
+    lo, hi = xs[k, node, f], xs[k + 1, node, f]
+    # the midpoint, or lo where it is not below hi (adjacent floats, an
+    # infinite x, a sum past the float range): x <= threshold must send lo
+    # left and hi right
+    mid = 0.5 * (lo + hi)
+    threshold = np.where(mid < hi, mid, lo)
     return np.where(ok, f, -1), np.where(ok, threshold, 0.0)
 
 
@@ -266,7 +271,7 @@ def _grow(xt, order, v, n_trees: int, rule) -> tuple[list[Tree], np.ndarray]:
     side = np.empty(rows, dtype=np.int8)  # 0: in a leaf, 1: left, 2: right
     levels = []
     first = depth = 0
-    with np.errstate(divide="ignore", invalid="ignore"):  # masked cuts and thresholds
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # masked cuts and thresholds
         while True:
             count = len(m)
             off = np.cumsum(m) - m

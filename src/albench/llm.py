@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import re
 import time
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -231,11 +230,6 @@ def parse_proposal(
     return parsed
 
 
-class MatcherBackend(str, Enum):
-    RERANK_API = "rerank_api"
-    OFFLINE_NEAREST = "offline_nearest"
-
-
 def _offline_nearest(
     parsed: dict[str, float], dataset: Dataset, unlabeled_ids: np.ndarray
 ) -> tuple[int, float]:
@@ -253,18 +247,19 @@ def match_to_pool(
     raw_text: str,
     dataset: Dataset,
     unlabeled_ids: Sequence[int],
-    backend: MatcherBackend = MatcherBackend.OFFLINE_NEAREST,
     rerank_client: Optional[RerankClient] = None,
 ) -> tuple[int, float]:
     """Resolve a proposal to one unlabeled candidate id plus a score in [0,1].
 
-    Rerank transport failures fall back to the offline nearest-neighbor
-    matcher with a logged warning, so a run never dies on the matcher.
+    With a rerank client the raw text is ranked against the candidates'
+    text renderings; without one, the offline nearest-neighbor matcher
+    picks. Rerank transport failures fall back to the offline matcher with
+    a logged warning, so a run never dies on the matcher.
     """
     unlabeled_ids = np.sort(np.asarray(unlabeled_ids, dtype=np.intp))
     if unlabeled_ids.size == 0:
         raise ProposerError("no unlabeled candidates left to match against")
-    if backend is MatcherBackend.RERANK_API and rerank_client is not None:
+    if rerank_client is not None:
         documents = [candidate_document(dataset.by_id(i), dataset) for i in unlabeled_ids.tolist()]
         try:
             ranked = rerank_client.rerank(raw_text, documents, top_n=1)
@@ -290,19 +285,17 @@ class LLMProposer:
         client: ChatClient,
         seed: int,
         prompt_format: PromptFormat = PromptFormat.PARAMETER,
-        matcher: MatcherBackend = MatcherBackend.OFFLINE_NEAREST,
         rerank_client: Optional[RerankClient] = None,
-        report_client: Optional[ChatClient] = None,
+        offline_reports: bool = False,
         backoff: float = 1.0,
         sleep=time.sleep,
     ):
         self.client = client
         self.prompt_format = prompt_format
-        self.matcher = matcher
         self.rerank_client = rerank_client
-        # report writing defaults to the main client; pass None explicitly
-        # via use_offline_reports to avoid any calls.
-        self.report_client = report_client if report_client is not None else client
+        # the chat client writes the report prompt's reports, unless the
+        # offline template stands in for them
+        self.offline_reports = offline_reports
         # reports and parameter-prompt lines by candidate id, for _cache_pool
         self.report_cache: dict[int, str] = {}
         self.line_cache: dict[int, str] = {}
@@ -311,19 +304,14 @@ class LLMProposer:
         self.sleep = sleep
         self._fallback_rng = substream(seed, STREAM_LLM)
 
-    def use_offline_reports(self) -> "LLMProposer":
-        self.report_client = None
-        return self
-
     def _render(self, dataset: Dataset, observed) -> str:
         if dataset is not self._cache_pool:
             # an id names another candidate in another pool
             self.report_cache, self.line_cache = {}, {}
             self._cache_pool = dataset
         if self.prompt_format is PromptFormat.REPORT:
-            return render_report_prompt(
-                dataset, observed, dataset.goal, self.report_client, self.report_cache
-            )
+            report_client = None if self.offline_reports else self.client
+            return render_report_prompt(dataset, observed, dataset.goal, report_client, self.report_cache)
         return render_parameter_prompt(dataset, observed, dataset.goal, self.line_cache)
 
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:
@@ -349,7 +337,5 @@ class LLMProposer:
                     match_score=None,
                     surrogate_diag={"parse_fallback": 1.0},
                 )
-        cid, score = match_to_pool(
-            parsed, raw, dataset, unlabeled, backend=self.matcher, rerank_client=self.rerank_client
-        )
+        cid, score = match_to_pool(parsed, raw, dataset, unlabeled, self.rerank_client)
         return Suggestion(candidate_id=cid, proposal_text=raw, match_score=score)

@@ -120,7 +120,6 @@ def make_proposer(
     config: RunConfig,
     *,
     chat_client=None,
-    matcher=None,
     rerank_client=None,
     offline_reports: bool = False,
     forest_config: Optional[forest_gbt.ForestConfig] = None,
@@ -134,21 +133,18 @@ def make_proposer(
     if kind is ProposerKind.RANDOM_WALK:
         return RandomWalkProposer(config.seed)
     if kind is ProposerKind.LLM:
-        from .llm import LLMProposer, MatcherBackend
+        from .llm import LLMProposer
 
         if chat_client is None:
             raise ConfigError("LLM proposer needs a chat client (live, replay, or mock)")
-        proposer = LLMProposer(
+        return LLMProposer(
             client=chat_client,
             seed=config.seed,
             prompt_format=config.prompt_format,
-            matcher=matcher or MatcherBackend.OFFLINE_NEAREST,
             rerank_client=rerank_client,
+            offline_reports=offline_reports,
             backoff=backoff,
         )
-        if offline_reports:
-            proposer.use_offline_reports()
-        return proposer
     return SurrogateProposer(
         kind,
         alpha=config.alpha,

@@ -183,7 +183,6 @@ def summary(proposer="gpr", alpha=1.0, seed=38, its=5, repeat=0):
         iterations_to_optimum=its,
         data_fraction=0.1,
         final_best=1.0,
-        cumulative_distance=[0.0],
     )
 
 
@@ -236,6 +235,10 @@ class TestVariabilityStats:
         with pytest.raises(ConfigError):
             variability_stats([unfinished])
 
+    def test_export_without_finished_runs_writes_the_header(self, tmp_path):
+        export_variability([summary(its=None)], tmp_path / "vr.csv")
+        assert (tmp_path / "vr.csv").read_text() == "proposer,alpha,count,mean,std,min,max,q1,median,q3\n"
+
 
 class TestExports:
     def _records(self, rng):
@@ -253,7 +256,7 @@ class TestExports:
         export_running_best(records, tmp_path / "rb.csv")
         export_distance_curves(records, tmp_path / "dc.csv")
         export_pca(records, tmp_path / "pc.csv", tmp_path / "pe.csv")
-        summaries = [summarize_trajectory(r.trajectory, pool) for r in records]
+        summaries = [summarize_trajectory(r.trajectory) for r in records]
         export_variability(summaries, tmp_path / "vr.csv", group_by=("proposer",))
         export_similarity_scores(records, tmp_path / "ss.csv")
         for name in ("rb", "dc", "pc", "pe", "vr", "ss"):

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from albench import cli
 from albench.cli import EXIT_CONFIG, EXIT_OK, expand_sweep, main
-from albench.clients import save_fixtures, FixtureRecord
+from albench.clients import FixtureRecord, TokenBucket, save_fixtures
 from albench.engine import read_trajectory
 from albench.errors import ConfigError
 
@@ -14,6 +15,101 @@ from albench.errors import ConfigError
 def read_summary(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+BAD_MODEL_OVERRIDES = [
+    pytest.param({"gbt": {"n_round": 5}}, "n_round", id="gbt-typo"),
+    pytest.param({"gbt": {"seed": 1}}, "seed", id="gbt-seed"),
+    pytest.param({"xgb": {"n_rounds": 5}}, "xgb", id="unknown-section"),
+    pytest.param({"gpr": {"standardise_targets": True}}, "standardise_targets", id="gpr-typo"),
+    pytest.param({"forest": [10]}, "forest", id="non-object"),
+    pytest.param({"gbt": {"n_rounds": "5"}}, "gbt", id="wrong-type"),
+    pytest.param({"forest": {"seed": 1}}, "seed", id="forest-seed"),
+    pytest.param({"bnn": {"seed": 1}}, "seed", id="bnn-seed"),
+]
+
+MOCK = "mock:```\nx: 0.5\n```"
+
+# Malformed configs, each as a patch over a valid config (or a function of
+# it), and a text the error must name. `albench run` and `albench sweep` read
+# these sections down one path, so each case fails both the same way.
+MALFORMED_CONFIGS = [
+    pytest.param({"llm": {"client": MOCK, "rate_limit": "x"}}, "rate_limit", id="llm-string-rate-limit"),
+    pytest.param({"llm": {"client": MOCK, "rate_limit": 0}}, "rate_limit", id="llm-zero-rate-limit"),
+    pytest.param({"llm": {"client": MOCK, "rate_limit": True}}, "rate_limit", id="llm-boolean-rate-limit"),
+    pytest.param({"llm": {"client": MOCK, "backoff": "x"}}, "backoff", id="llm-string-backoff"),
+    pytest.param({"llm": {"client": MOCK, "backoff": -1}}, "backoff", id="llm-negative-backoff"),
+    pytest.param({"llm": {"client": MOCK, "backoff": float("inf")}}, "backoff", id="llm-infinite-backoff"),
+    pytest.param({"llm": {"client": 5}}, "llm.client", id="llm-number-client"),
+    pytest.param({"llm": {"client": "bogus:x"}}, "bogus:x", id="llm-unknown-client"),
+    pytest.param({"llm": {"client": "live:http://127.0.0.1:1/v1"}}, "live:", id="llm-live-client-without-model"),
+    pytest.param({"llm": {"client": MOCK, "matcher": "nearest"}}, "nearest", id="llm-unknown-matcher"),
+    pytest.param({"llm": {"client": MOCK, "matcher": 5}}, "llm.matcher", id="llm-number-matcher"),
+    pytest.param({"llm": {"client": MOCK, "offline_reports": "yes"}}, "offline_reports", id="llm-string-offline-reports"),
+    pytest.param({"llm": {"client": MOCK, "retries": 3}}, "retries", id="llm-unknown-key"),
+    pytest.param({"llm": {"matcher": "offline"}}, "chat client", id="llm-no-client"),
+    pytest.param({"llm": MOCK}, "'llm'", id="llm-not-object"),
+    *(
+        pytest.param({"model_overrides": p.values[0]}, p.values[1], id=f"model-overrides-{p.id}")
+        for p in BAD_MODEL_OVERRIDES
+    ),
+    pytest.param({"model_overrides": {"gpr": {"standardize_targets": "yes"}}}, "standardize_targets",
+                 id="model-overrides-string-standardize"),
+    pytest.param({"model_overrides": ["gbt"]}, "model_overrides", id="model-overrides-not-object"),
+    pytest.param({"run": 5}, "'run'", id="run-not-object"),
+    pytest.param({"run": ["llm"]}, "'run'", id="run-list"),
+    pytest.param(lambda cfg: [cfg], "JSON object", id="config-list"),
+    pytest.param(lambda cfg: "llm", "JSON object", id="config-string"),
+]
+
+
+def write_config(path, base, patch):
+    path.write_text(json.dumps(patch(base) if callable(patch) else {**base, **patch}))
+    return path
+
+
+class TestMalformedConfig:
+    """Each malformed case exits 1 from `albench run` and from `albench
+    sweep`, names the bad key, and writes no trajectory or sweep directory."""
+
+    RUN = {
+        "dataset": "synthetic:linear1d:10:0",
+        "run": {"proposer": "llm", "seed": 38, "max_iterations": 3},
+        "llm": {"client": MOCK},
+    }
+    SWEEP = {
+        "dataset": "synthetic:linear1d:10:0",
+        "proposers": ["random_walk", "llm"],
+        "seeds": [38, 39],
+        "repeats_at_seed": {},
+        "max_iterations": 3,
+        "parallelism": 1,
+        "llm": {"client": MOCK},
+    }
+
+    def run(self, tmp_path, patch):
+        out = tmp_path / "run.jsonl"
+        path = write_config(tmp_path / "run.json", self.RUN, patch)
+        return main(["run", "--config", str(path), "--out", str(out)]), out
+
+    def sweep(self, tmp_path, patch):
+        out_dir = tmp_path / "results"
+        path = write_config(tmp_path / "sweep.json", self.SWEEP, patch)
+        return main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]), out_dir
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_valid_base_config_runs(self, tmp_path, command):
+        code, out = getattr(self, command)(tmp_path, {})
+        assert code == EXIT_OK and out.exists()
+
+    @pytest.mark.parametrize("patch, named", MALFORMED_CONFIGS)
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_is_config_error_before_any_write(self, tmp_path, capsys, command, patch, named):
+        code, out = getattr(self, command)(tmp_path, patch)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and named in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestRun:
@@ -68,23 +164,7 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "overrides, named",
-        [
-            ({"gbt": {"n_round": 5}}, "n_round"),
-            ({"gbt": {"seed": 1}}, "seed"),
-            ({"xgb": {"n_rounds": 5}}, "xgb"),
-            ({"gpr": {"standardise_targets": True}}, "standardise_targets"),
-            ({"forest": [10]}, "forest"),
-            ({"gbt": {"n_rounds": "5"}}, "gbt"),
-            ({"forest": {"seed": 1}}, "seed"),
-            ({"bnn": {"seed": 1}}, "seed"),
-        ],
-        ids=[
-            "gbt-typo", "gbt-seed", "unknown-section", "gpr-typo", "non-object", "wrong-type",
-            "forest-seed", "bnn-seed",
-        ],
-    )
+    @pytest.mark.parametrize("overrides, named", BAD_MODEL_OVERRIDES)
     def test_bad_model_override_is_config_error(self, tmp_path, capsys, overrides, named):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"model_overrides": overrides}))
@@ -295,6 +375,29 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_CONFIG
         assert "n_round" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_serial_llm_sweep_builds_one_token_bucket(self, tmp_path, monkeypatch):
+        built = []
+
+        class CountingBucket(TokenBucket):
+            def __init__(self, requests_per_minute):
+                built.append(requests_per_minute)
+                super().__init__(requests_per_minute)
+
+        monkeypatch.setattr(cli, "TokenBucket", CountingBucket)
+        path = self.sweep_config(
+            tmp_path,
+            dataset="synthetic:linear1d:10:0",
+            proposers=["llm"],
+            seeds=[38, 39, 40],
+            repeats_at_seed={"40": 2},
+            max_iterations=4,
+            llm={"client": MOCK, "rate_limit": 600},
+        )
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert [r["status"] for r in read_summary(out_dir / "summary.csv")] == ["ok"] * 4
+        assert built == [600]
 
     def test_llm_repeats_at_seed(self):
         grid = expand_sweep(

@@ -60,6 +60,14 @@ def enumerate_best_sse_split(X, y):
     return best
 
 
+def reference_threshold(lo, hi):
+    """The midpoint of a cut, or lo where the midpoint is not below hi
+    (adjacent floats round it up to hi; an infinite x makes it inf or NaN)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        mid = 0.5 * (lo + hi)
+    return float(mid if mid < hi else lo)
+
+
 def reference_variance_tree(X, y, config):
     """One CART tree grown node by node, as the forest grew it before the
     level-synchronous grower: each node argsorts its own rows, scores every
@@ -83,7 +91,7 @@ def reference_variance_tree(X, y, config):
         if not np.isfinite(scores.flat[flat]):
             return None
         f, k = divmod(flat, m - 1)
-        return int(f), float(0.5 * (xs[k, f] + xs[k + 1, f]))
+        return int(f), reference_threshold(xs[k, f], xs[k + 1, f])
 
     def grow(idx, depth):
         sub_y = y[idx]
@@ -147,7 +155,7 @@ def reference_gbt_fit(X, y, config):
         if not (scores.flat[flat] > 0.0):
             return None
         f, k = divmod(flat, m - 1)
-        return int(f), float(0.5 * (xs[k, f] + xs[k + 1, f]))
+        return int(f), reference_threshold(xs[k, f], xs[k + 1, f])
 
     def grow(idx, g, depth, step):
         split = best_split(idx, g) if depth < config.max_depth else None
@@ -560,6 +568,44 @@ class TestGBTMatchesNodeByNodeGrower:
             assert np.all(tree.threshold[~inner] == 0.0) and np.all(tree.value[inner] == 0.0)
             children = np.concatenate([tree.left[inner], tree.right[inner]])
             assert sorted(children) == list(range(1, len(tree.feature)))
+
+
+# Cuts whose midpoint is not below the upper x: adjacent floats round it up
+# to that x, and an infinite x makes it inf or NaN. The threshold must still
+# send the lower x left and the upper x right.
+EDGE_CUTS = [
+    pytest.param([0.1257302210933933, 0.12573022109339332], id="adjacent-floats"),
+    pytest.param([0.0, np.inf], id="inf"),
+    pytest.param([-np.inf, 0.0], id="minus-inf"),
+    pytest.param([-np.inf, np.inf], id="both-inf"),
+    pytest.param([1e308, 1.7e308], id="overflowing-sum"),
+]
+
+
+class TestEdgeThresholds:
+    # a deep finite max_depth: a threshold that routes both rows left would
+    # repeat the node to that depth instead of never returning
+    @pytest.mark.parametrize("xs", EDGE_CUTS)
+    def test_forest_splits_once(self, xs):
+        X = np.array(xs)[:, None]
+        y = np.array([0.0, 1.0])
+        config = ForestConfig(n_trees=1, bootstrap=False, max_depth=64)
+        model = fit_forest(X, y, config)
+        tree = model.trees[0]
+        assert len(tree.feature) == 3 and tree.threshold[0] == xs[0] < xs[1]
+        assert tree.to_dict() == reference_variance_tree(X, y, config)
+        assert predict_forest(model, X)[0].tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("xs", EDGE_CUTS)
+    def test_booster_splits_once(self, xs):
+        X = np.array(xs)[:, None]
+        y = np.array([0.0, 1.0])
+        config = GBTConfig(n_rounds=3, max_depth=3)
+        model = fit_gbt(X, y, config)
+        assert [len(t.feature) for t in model.trees] == [3, 3, 3]
+        assert [t.to_dict() for t in model.trees] == reference_gbt_fit(X, y, config)[1]
+        mean, _ = predict_gbt(model, X)
+        assert np.all(np.isfinite(mean)) and mean[0] < mean[1]
 
 
 class TestPackedPrediction:

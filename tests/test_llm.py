@@ -26,7 +26,6 @@ from albench.errors import (
 )
 from albench.llm import (
     LLMProposer,
-    MatcherBackend,
     match_to_pool,
     offline_report,
     parse_proposal,
@@ -356,7 +355,6 @@ class TestMatchToPool:
             "prefer the third",
             pool,
             [0, 1, 2],
-            backend=MatcherBackend.RERANK_API,
             rerank_client=client,
         )
         assert cid == 2
@@ -372,7 +370,6 @@ class TestMatchToPool:
                 "raw",
                 pool,
                 [0, 1, 2],
-                backend=MatcherBackend.RERANK_API,
                 rerank_client=client,
             )
         assert cid == 1
@@ -577,7 +574,7 @@ class TestPromptLineCache:
         first = two_feature_pool()
         second = make_pool(targets=[3.0, 1.0, 2.0], features=[(9.0, 8.0), (7.0, 6.0), (5.0, 4.0)])
         client = Capture()
-        proposer = LLMProposer(client, seed=0, prompt_format=prompt_format).use_offline_reports()
+        proposer = LLMProposer(client, seed=0, prompt_format=prompt_format, offline_reports=True)
         proposer.propose(first, [0], [3.0])
         proposer.propose(second, [0], [3.0])
         assert client.prompts == [fresh_render(first), fresh_render(second)]
