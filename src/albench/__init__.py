@@ -9,7 +9,6 @@ orchestration on top.
 
 from .acquisition import random_walk_select, ucb_select
 from .analytics import (
-    RunSummary,
     cumulative_l2,
     pca_project,
     running_best,
@@ -21,7 +20,6 @@ from .data import DatasetSpec, load_csv, registry, save_csv, synthetic_pool
 from .engine import (
     Proposer,
     Suggestion,
-    check_stopping,
     read_trajectory,
     run_active_learning,
     select_initial,
@@ -91,12 +89,10 @@ __all__ = [
     "ProposerKind",
     "RandomWalkProposer",
     "RunConfig",
-    "RunSummary",
     "StepRecord",
     "Suggestion",
     "SurrogateProposer",
     "Trajectory",
-    "check_stopping",
     "cumulative_l2",
     "elbo_loss",
     "fit_forest",

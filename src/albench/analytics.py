@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .engine import pool_zscores
 from .engine import standardize_features  # noqa: F401 -- bench/spans.py traces calls under this name
 from .errors import ConfigError
-from .types import Dataset, Goal, Trajectory
+from .types import Dataset, Goal, RunConfig, Trajectory
 
 
 def running_best(values: Sequence[float], goal: Goal) -> list[float]:
@@ -68,34 +68,38 @@ def pca_project(pool: Dataset, k: int = 2):
     return components, projected, explained
 
 
-@dataclass
-class RunSummary:
-    """Per-run scalars feeding the variability and efficiency summaries."""
+# --- run columns ------------------------------------------------------------
+#
+# One row per run: `summary.csv` and the report CSVs name a run by its
+# identity columns, and `summary.csv` and the variability table read its
+# outcome columns.
 
-    proposer: str
-    alpha: float
-    seed: int
-    repeat_index: int
-    iterations_to_optimum: Optional[int]
-    data_fraction: float
-    final_best: float
-    mean_match_score: Optional[float] = None
-    prompt_format: str = "parameter"
+IDENTITY = ("digest", "proposer", "alpha", "seed", "repeat_index", "prompt_format")
+OUTCOME = ("steps", "iterations_to_optimum", "data_fraction", "final_best", "mean_match_score")
 
 
-def summarize_trajectory(trajectory: Trajectory) -> RunSummary:
-    config = trajectory.config
-    return RunSummary(
-        proposer=config.proposer.value,
-        alpha=config.alpha,
-        seed=config.seed,
-        repeat_index=config.repeat_index,
-        iterations_to_optimum=trajectory.reached_optimum_at,
-        data_fraction=trajectory.data_fraction_used,
-        final_best=trajectory.final_best,
-        mean_match_score=trajectory.mean_match_score(),
-        prompt_format=config.prompt_format.value,
-    )
+def run_identity(config: RunConfig, run_config_digest: str) -> dict:
+    """The IDENTITY columns of a run; the digest is cut to 16 hex digits."""
+    return {
+        "digest": run_config_digest[:16],
+        "proposer": config.proposer.value,
+        "alpha": config.alpha,
+        "seed": config.seed,
+        "repeat_index": config.repeat_index,
+        "prompt_format": config.prompt_format.value,
+    }
+
+
+def summarize_trajectory(trajectory: Trajectory) -> dict:
+    """The IDENTITY and OUTCOME columns of a run."""
+    return {
+        **run_identity(trajectory.config, trajectory.run_config_digest),
+        "steps": len(trajectory.steps),
+        "iterations_to_optimum": trajectory.reached_optimum_at,
+        "data_fraction": trajectory.data_fraction_used,
+        "final_best": trajectory.final_best,
+        "mean_match_score": trajectory.mean_match_score(),
+    }
 
 
 def _quartiles(sorted_values: np.ndarray) -> tuple[float, float, float]:
@@ -105,20 +109,21 @@ def _quartiles(sorted_values: np.ndarray) -> tuple[float, float, float]:
 
 
 def variability_stats(
-    summaries: Sequence[RunSummary], group_by: Sequence[str] = ("proposer",)
+    summaries: Sequence[dict], group_by: Sequence[str] = ("proposer",)
 ) -> dict[tuple, dict[str, float]]:
-    """Order statistics of iterations-to-optimum per group.
+    """Order statistics of iterations-to-optimum per group of
+    `summarize_trajectory` rows.
 
     Runs that never reached the optimum are excluded; quartiles use
     linear interpolation; std is the population convention.
     """
-    finished = [s for s in summaries if s.iterations_to_optimum is not None]
+    finished = [s for s in summaries if s["iterations_to_optimum"] is not None]
     if not finished:
         raise ConfigError("variability_stats: no finished runs")
     groups: dict[tuple, list[int]] = {}
     for s in finished:
-        key = tuple(getattr(s, field) for field in group_by)
-        groups.setdefault(key, []).append(s.iterations_to_optimum)
+        key = tuple(s[field] for field in group_by)
+        groups.setdefault(key, []).append(s["iterations_to_optimum"])
     out = {}
     for key, values in groups.items():
         arr = np.array(sorted(values), dtype=float)
@@ -138,10 +143,8 @@ def variability_stats(
 
 # --- plot-ready CSV exports ---------------------------------------------
 #
-# One file per plot family. Every row carries the run identity columns
-# so plotting tools can facet without re-parsing trajectory files.
-
-_IDENTITY = ("digest", "proposer", "alpha", "seed", "repeat_index", "prompt_format")
+# One file per plot family. Every per-run row starts with the IDENTITY
+# columns so plotting tools can facet without re-parsing trajectory files.
 
 
 @dataclass
@@ -153,15 +156,7 @@ class RunRecord:
 
     @property
     def identity(self) -> dict:
-        c = self.trajectory.config
-        return {
-            "digest": self.trajectory.run_config_digest[:16],
-            "proposer": c.proposer.value,
-            "alpha": c.alpha,
-            "seed": c.seed,
-            "repeat_index": c.repeat_index,
-            "prompt_format": c.prompt_format.value,
-        }
+        return run_identity(self.trajectory.config, self.trajectory.run_config_digest)
 
 
 def _write_csv(path, fieldnames, rows) -> None:
@@ -183,7 +178,7 @@ def export_running_best(records: Sequence[RunRecord], path) -> None:
                     "running_best": step.running_best,
                 }
             )
-    _write_csv(path, list(_IDENTITY) + ["iteration", "observed_value", "running_best"], rows)
+    _write_csv(path, [*IDENTITY, "iteration", "observed_value", "running_best"], rows)
 
 
 def export_distance_curves(records: Sequence[RunRecord], path) -> None:
@@ -191,7 +186,7 @@ def export_distance_curves(records: Sequence[RunRecord], path) -> None:
     for rec in records:
         for i, dist in enumerate(cumulative_l2(rec.trajectory, rec.pool)):
             rows.append({**rec.identity, "iteration": i, "cumulative_l2": dist})
-    _write_csv(path, list(_IDENTITY) + ["iteration", "cumulative_l2"], rows)
+    _write_csv(path, [*IDENTITY, "iteration", "cumulative_l2"], rows)
 
 
 def export_pca(records: Sequence[RunRecord], coords_path, edges_path) -> None:
@@ -225,12 +220,13 @@ def export_pca(records: Sequence[RunRecord], coords_path, edges_path) -> None:
                     "pc2": float(point[1]) if k > 1 else 0.0,
                 }
             )
-    _write_csv(edges_path, list(_IDENTITY) + ["order", "candidate_id", "pc1", "pc2"], edge_rows)
+    _write_csv(edges_path, [*IDENTITY, "order", "candidate_id", "pc1", "pc2"], edge_rows)
 
 
-def export_variability(summaries: Sequence[RunSummary], path, group_by=("proposer", "alpha")) -> None:
-    """Variability table per group; only the header when no run reached the optimum."""
-    finished = any(s.iterations_to_optimum is not None for s in summaries)
+def export_variability(summaries: Sequence[dict], path, group_by=("proposer", "alpha")) -> None:
+    """Variability table per group of `summarize_trajectory` rows; only the
+    header when no run reached the optimum."""
+    finished = any(s["iterations_to_optimum"] is not None for s in summaries)
     stats = variability_stats(summaries, group_by=group_by) if finished else {}
     rows = []
     for key, st in sorted(stats.items(), key=lambda kv: tuple(str(k) for k in kv[0])):
@@ -248,4 +244,4 @@ def export_similarity_scores(records: Sequence[RunRecord], path) -> None:
         if score is None:
             continue
         rows.append({**rec.identity, "mean_match_score": score})
-    _write_csv(path, list(_IDENTITY) + ["mean_match_score"], rows)
+    _write_csv(path, [*IDENTITY, "mean_match_score"], rows)

@@ -12,10 +12,9 @@ import concurrent.futures
 import csv
 import json
 import logging
-import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -29,16 +28,8 @@ from .clients import (
     TokenBucket,
     load_fixtures,
 )
-from .data import (
-    DatasetSpec,
-    dataset_from_header_entry,
-    dataset_header_entry,
-    load_csv,
-    parse_synthetic_string,
-    registry_by_name,
-)
+from .data import DatasetSpec, dataset_from_header_entry, dataset_header_entry, load_csv, parse_synthetic_string
 from .engine import (
-    reached_optimum_at,
     read_trajectory,
     rebuild_trajectory,
     run_active_learning,
@@ -47,7 +38,7 @@ from .engine import (
 from .errors import AlbenchError, ConfigError, RunAborted
 from .forest_gbt import ForestConfig, GBTConfig
 from .proposers import FIT_PREDICT, make_proposer
-from .types import Dataset, Goal, PromptFormat, ProposerKind, RunConfig, StepRecord, Trajectory
+from .types import Dataset, PromptFormat, ProposerKind, RunConfig, Trajectory, is_int, is_real
 
 logger = logging.getLogger(__name__)
 
@@ -63,8 +54,8 @@ EXIT_PARTIAL_SWEEP = 3
 def build_dataset(spec_like) -> tuple[Dataset, dict]:
     """Resolve a dataset description into (pool, header entry).
 
-    Accepts 'synthetic:<kind>:<n>[:<seed>]' strings, DatasetSpec dicts, or
-    {'registry': <name>, 'csv_path': ..., <overrides>} dicts.
+    Accepts 'synthetic:<kind>:<n>[:<seed>]' strings, header entries, and
+    `dataset` objects, which `DatasetSpec.from_dict` checks.
     """
     if isinstance(spec_like, str):
         if spec_like.startswith("synthetic:"):
@@ -74,33 +65,9 @@ def build_dataset(spec_like) -> tuple[Dataset, dict]:
         raise ConfigError(f"dataset must be a string or object, got {type(spec_like).__name__}")
     if "source" in spec_like:  # header entry round-trip
         return dataset_from_header_entry(spec_like), dict(spec_like)
-    if "registry" in spec_like:
-        spec = registry_by_name(spec_like["registry"])
-        overrides = {
-            k: v
-            for k, v in spec_like.items()
-            if k in ("csv_path", "target_column", "context", "name") and v is not None
-        }
-        if "feature_columns" in spec_like and spec_like["feature_columns"]:
-            overrides["feature_columns"] = tuple(spec_like["feature_columns"])
-        if "goal" in spec_like and spec_like["goal"]:
-            overrides["goal"] = Goal(spec_like["goal"])
-        spec = replace(spec, **overrides)
-        dataset = load_csv(spec)
-        return dataset, dataset_header_entry(dataset, spec)
     spec = DatasetSpec.from_dict(spec_like)
     dataset = load_csv(spec)
     return dataset, dataset_header_entry(dataset, spec)
-
-
-def _is_int(value, low: int) -> bool:
-    """An integer >= low; bool is an int subclass, and JSON true/false is no count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
-def _is_real(value, low: float) -> bool:
-    """A finite number >= low; JSON true/false is no number either."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value >= low
 
 
 def _section(cfg: dict, name: str, parent: str = "") -> dict:
@@ -194,9 +161,9 @@ def proposer_factory(cfg: dict, kinds, workers: int = 1):
     if unknown:
         raise ConfigError(f"unknown llm keys {unknown}; known: {known}")
     rate_limit, backoff = llm.get("rate_limit"), llm.get("backoff", 1.0)
-    if rate_limit is not None and not _is_int(rate_limit, 1):
+    if rate_limit is not None and not is_int(rate_limit, 1):
         raise ConfigError(f"'llm.rate_limit' must be an integer >= 1 (requests/minute), got {rate_limit!r}")
-    if not _is_real(backoff, 0):
+    if not is_real(backoff, 0):
         raise ConfigError(f"'llm.backoff' must be a finite number >= 0 (seconds), got {backoff!r}")
     offline_reports = llm.get("offline_reports", False)
     if not isinstance(offline_reports, bool):
@@ -237,22 +204,7 @@ def execute_run(dataset: Dataset, header_entry: dict, config: RunConfig, out_pat
     return summary_row(config, dataset, "ok", trajectory)
 
 
-SUMMARY_FIELDS = [
-    "digest",
-    "proposer",
-    "alpha",
-    "seed",
-    "repeat_index",
-    "prompt_format",
-    "pool_size",
-    "steps",
-    "iterations_to_optimum",
-    "data_fraction",
-    "final_best",
-    "mean_match_score",
-    "status",
-    "error",
-]
+SUMMARY_FIELDS = [*analytics.IDENTITY, "pool_size", *analytics.OUTCOME, "status", "error"]
 
 
 def summary_row(
@@ -263,38 +215,17 @@ def summary_row(
     error: str = "",
 ) -> dict:
     """One `summary.csv` row; the outcome columns stay empty without a trajectory."""
-    stored_digest = trajectory.run_config_digest[:16] if trajectory is not None else ""
+    if trajectory is None:
+        columns = analytics.run_identity(config, config.digest(dataset.digest()))
+    else:
+        columns = analytics.summarize_trajectory(trajectory)
+        columns["digest"] = columns["digest"] or config.digest(dataset.digest())[:16]
     row = dict.fromkeys(SUMMARY_FIELDS)
-    row.update(
-        digest=stored_digest or config.digest(dataset.digest())[:16],
-        proposer=config.proposer.value,
-        alpha=config.alpha,
-        seed=config.seed,
-        repeat_index=config.repeat_index,
-        prompt_format=config.prompt_format.value,
-        pool_size=len(dataset),
-        status=status,
-        error=error,
-    )
-    if trajectory is not None:
-        row.update(
-            steps=len(trajectory.steps),
-            iterations_to_optimum=trajectory.reached_optimum_at,
-            data_fraction=trajectory.data_fraction_used,
-            final_best=trajectory.final_best,
-            mean_match_score=trajectory.mean_match_score(),
-        )
+    row.update(columns, pool_size=len(dataset), status=status, error=error)
     return row
 
 
 # --- run command -------------------------------------------------------------
-
-
-def _run_config_from(cfg: dict) -> RunConfig:
-    try:
-        return RunConfig.from_dict(cfg)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad run config: {exc}") from exc
 
 
 def _read_config(path) -> dict:
@@ -321,7 +252,7 @@ def cmd_run(args) -> int:
     run_cfg_dict = {**_section(cfg, "run"), **{k: v for k, v in overrides.items() if v is not None}}
     if "proposer" not in run_cfg_dict:
         raise ConfigError("no proposer given (flag --proposer or config run.proposer)")
-    config = _run_config_from(run_cfg_dict)
+    config = RunConfig.from_dict(run_cfg_dict)
     new_proposer, _ = proposer_factory(cfg, {config.proposer})
     dataset_like = args.dataset or cfg.get("dataset")
     if dataset_like is None:
@@ -354,13 +285,10 @@ def expand_sweep(cfg: dict) -> list[dict]:
         raise ConfigError(f"'proposers' must be a non-empty list of {kinds}, got {proposers!r}")
     alphas = cfg.get("alphas", [0, 1, 2, 3, 4, 5])
     seeds = cfg.get("seeds", [38, 39, 40, 41, 42])
-    if not (isinstance(alphas, list) and alphas and all(_is_real(a, 0) for a in alphas)):
+    if not (isinstance(alphas, list) and alphas and all(is_real(a, 0) for a in alphas)):
         raise ConfigError(f"'alphas' must be a non-empty list of finite numbers >= 0, got {alphas!r}")
-    # bool is an int subclass, and JSON true/false is no seed
-    if not (isinstance(seeds, list) and seeds and all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds
-    )):
-        raise ConfigError(f"'seeds' must be a non-empty list of integers, got {seeds!r}")
+    if not (isinstance(seeds, list) and seeds and all(is_int(s, 0) for s in seeds)):
+        raise ConfigError(f"'seeds' must be a non-empty list of integers >= 0, got {seeds!r}")
     prompt_formats = cfg.get("prompt_formats", ["parameter"])
     formats = [f.value for f in PromptFormat]
     if not (isinstance(prompt_formats, list) and prompt_formats and all(f in formats for f in prompt_formats)):
@@ -370,7 +298,7 @@ def expand_sweep(cfg: dict) -> list[dict]:
         repeats_at_seed = {int(k): v for k, v in repeats.items()}
     except (AttributeError, TypeError, ValueError):
         repeats_at_seed = None
-    if repeats_at_seed is None or not all(_is_int(v, 1) for v in repeats_at_seed.values()):
+    if repeats_at_seed is None or not all(is_int(v, 1) for v in repeats_at_seed.values()):
         raise ConfigError(f"'repeats_at_seed' must map integer seeds to integers >= 1, got {repeats!r}")
     base = {
         "n_initial": cfg.get("n_initial", 1),
@@ -401,23 +329,20 @@ def expand_sweep(cfg: dict) -> list[dict]:
     return tasks
 
 
-def _read_complete(path, dataset: Dataset) -> Optional[tuple[dict, list[StepRecord]]]:
-    """The stored (header, steps) if the run at `path` is complete, else None.
+def _read_complete(path, dataset: Dataset) -> Optional[Trajectory]:
+    """The stored run at `path`, rebuilt, if it is complete, else None.
 
     A run is complete if it hit the optimum or its iteration cap. A file
     that cannot be read, is torn, has a malformed header or ran on another
     pool counts as incomplete, so its cell runs again.
     """
     try:
-        header, steps = read_trajectory(path)
-        config = RunConfig.from_dict(header["run_config"])
+        trajectory = rebuild_trajectory(*read_trajectory(path), dataset)
     except _UNREADABLE:
         return None
-    if not steps or header.get("dataset_digest") != dataset.digest():
-        return None
-    reached = reached_optimum_at(steps, dataset.optimum_value) is not None
-    if reached or len(steps) >= config.resolved_max_iterations(len(dataset)):
-        return header, steps
+    cap = trajectory.config.resolved_max_iterations(len(dataset))
+    if trajectory.steps and (trajectory.reached_optimum_at is not None or len(trajectory.steps) >= cap):
+        return trajectory
     return None
 
 
@@ -456,9 +381,9 @@ def cmd_sweep(args) -> int:
     cfg = _read_config(args.config)
     if "dataset" not in cfg:
         raise ConfigError("sweep config needs a 'dataset' entry")
-    configs = [_run_config_from(cell) for cell in expand_sweep(cfg)]
+    configs = [RunConfig.from_dict(cell) for cell in expand_sweep(cfg)]
     parallelism = cfg.get("parallelism", 0)
-    if not _is_int(parallelism, 0):
+    if not is_int(parallelism, 0):
         raise ConfigError(f"'parallelism' must be an integer >= 0 (0: one worker per core), got {parallelism!r}")
     kinds = {config.proposer for config in configs}
     new_proposer, workers = proposer_factory(cfg, kinds, parallelism or os.cpu_count() or 1)
@@ -474,7 +399,7 @@ def cmd_sweep(args) -> int:
         out_path = runs_dir / f"{config.digest(dataset.digest())[:16]}.jsonl"
         stored = _read_complete(out_path, dataset) if out_path.exists() else None
         if stored is not None:
-            skipped.append(stored)
+            skipped.append(summary_row(stored.config, dataset, "skipped", stored))
         else:
             tasks.append((config, out_path))
 
@@ -489,10 +414,7 @@ def cmd_sweep(args) -> int:
     else:
         results = [_run_cell(dataset, header_entry, new_proposer, *task) for task in tasks]
 
-    for header, steps in skipped:
-        trajectory = rebuild_trajectory(header, steps, dataset)
-        results.append(summary_row(trajectory.config, dataset, "skipped", trajectory))
-
+    results += skipped
     results.sort(key=lambda r: (r["proposer"], r["prompt_format"], r["alpha"], r["seed"], r["repeat_index"]))
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
@@ -516,27 +438,18 @@ def cmd_sweep(args) -> int:
 
 
 def _load_records(results_dir: Path):
-    """Parse every trajectory in a directory, skipping corrupt files."""
+    """Parse every trajectory in a directory, skipping corrupt files and
+    runs whose pool has changed since."""
     records = []
-    pools: dict[str, tuple[Dataset, str]] = {}  # header digest -> (pool, its actual digest)
+    pools: dict[str, Dataset] = {}  # recorded pool digest -> the pool rebuilt from its header entry
     for path in sorted(results_dir.glob("*.jsonl")):
         try:
             header, steps = read_trajectory(path)
-            entry = header.get("dataset")
-            if entry is None:
-                raise ConfigError("no dataset entry in header")
             digest = header.get("dataset_digest", "")
             if digest not in pools:
-                pool = dataset_from_header_entry(entry)
-                pools[digest] = (pool, pool.digest())
-            pool, actual = pools[digest]
-            if actual != digest:
-                raise ConfigError(
-                    f"the rebuilt pool has digest {actual} but the run recorded {digest}; "
-                    "was the dataset edited after the run?"
-                )
-            trajectory = rebuild_trajectory(header, steps, pool)
-            records.append(analytics.RunRecord(trajectory=trajectory, pool=pool))
+                pools[digest] = dataset_from_header_entry(header.get("dataset"))
+            trajectory = rebuild_trajectory(header, steps, pools[digest])
+            records.append(analytics.RunRecord(trajectory=trajectory, pool=pools[digest]))
         except _UNREADABLE as exc:
             logger.warning("skipping %s: %s", path, exc)
     return records

@@ -64,18 +64,6 @@ def load_fixtures(path) -> list[FixtureRecord]:
     return records
 
 
-def save_fixtures(records: Sequence[FixtureRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {"request_digest": rec.request_digest, "response_text": rec.response_text},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-
-
 class ScriptedChatClient:
     """Replays recorded responses in order; fails loudly on exhaustion.
 
@@ -88,10 +76,6 @@ class ScriptedChatClient:
             r if isinstance(r, FixtureRecord) else FixtureRecord(response_text=r) for r in records
         ]
         self.position = 0
-
-    @classmethod
-    def from_file(cls, path) -> "ScriptedChatClient":
-        return cls(load_fixtures(path))
 
     def send(self, messages, temperature):
         if self.position >= len(self.records):

@@ -8,14 +8,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, CsvParseError, EmptyDatasetError, SchemaError
-from .types import Candidate, Dataset, Goal
+from .types import Candidate, Dataset, Goal, is_int
+
+
+def _without_nulls(d: dict) -> dict:
+    return {k: v for k, v in d.items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,36 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
+        """Read a `dataset` object or a stored spec, checking every value.
+
+        A null value means the key is absent. {"registry": NAME, ...} starts
+        from that registry entry, and the other keys override it. ConfigError
+        names an unknown or missing key or a value of the wrong type.
+        """
+        if not isinstance(d, dict):
+            raise ConfigError(f"a dataset must be an object, got {d!r}")
+        d = _without_nulls(d)
+        if "registry" in d:
+            d = {**_without_nulls(registry_by_name(d.pop("registry")).to_dict()), **d}
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(d) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown dataset keys {unknown}; known: {['registry', *known]}")
+        for key in ("name", "target_column", "goal"):
+            if key not in d:
+                raise ConfigError(f"'dataset.{key}' is required")
+        for key in ("name", "csv_path", "target_column", "context"):
+            if not isinstance(d.get(key, ""), str):
+                raise ConfigError(f"'dataset.{key}' must be a string, got {d[key]!r}")
+        goals = [g.value for g in Goal]
+        if d["goal"] not in goals:
+            raise ConfigError(f"'dataset.goal' must be one of {goals}, got {d['goal']!r}")
         cols = d.get("feature_columns")
+        if cols is not None and not (isinstance(cols, (list, tuple)) and all(isinstance(c, str) for c in cols)):
+            raise ConfigError(f"'dataset.feature_columns' must be a list of column names, got {cols!r}")
+        rows = d.get("expected_rows")
+        if rows is not None and not is_int(rows, 1):
+            raise ConfigError(f"'dataset.expected_rows' must be an integer >= 1, got {rows!r}")
         return cls(
             name=d["name"],
             csv_path=d.get("csv_path", ""),
@@ -51,7 +84,7 @@ class DatasetSpec:
             goal=Goal(d["goal"]),
             feature_columns=tuple(cols) if cols else None,
             context=d.get("context", ""),
-            expected_rows=d.get("expected_rows"),
+            expected_rows=rows,
         )
 
 
@@ -61,6 +94,8 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     Every feature and target cell must parse as a finite real; errors name
     the offending row and column.
     """
+    if not spec.csv_path:
+        raise ConfigError(f"dataset {spec.name!r} has no 'csv_path'")
     with open(spec.csv_path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -306,6 +341,8 @@ def dataset_header_entry(dataset: Dataset, source: str | DatasetSpec) -> dict:
 
 def dataset_from_header_entry(entry: dict) -> Dataset:
     """Rebuild the pool a trajectory ran on, from its header entry."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"cannot rebuild dataset from header entry {entry!r}")
     source = entry.get("source", "")
     if isinstance(source, str) and source.startswith("synthetic:"):
         return parse_synthetic_string(source)

@@ -123,13 +123,6 @@ def reached_optimum_at(steps: Sequence[StepRecord], optimum: float) -> Optional[
     return next((s.iteration for s in steps if s.observed_value == optimum), None)
 
 
-def check_stopping(trajectory: Trajectory, dataset: Dataset) -> bool:
-    """True iff some observed value equals the pool optimum, exactly."""
-    if not trajectory.steps:
-        raise ConfigError("check_stopping needs a non-empty trajectory")
-    return reached_optimum_at(trajectory.steps, dataset.optimum_value) is not None
-
-
 @dataclass
 class Suggestion:
     """What a proposer hands back for one iteration."""
@@ -283,20 +276,29 @@ def read_trajectory(path) -> tuple[dict, list[StepRecord]]:
     if not lines:
         raise ConfigError(f"trajectory file {path} is empty")
     header = json.loads(lines[0])
-    if "run_config" not in header:
+    if not isinstance(header, dict) or "run_config" not in header:
         raise ConfigError(f"trajectory file {path} has no header line")
     steps = [StepRecord.from_dict(json.loads(line)) for line in lines[1:]]
     return header, steps
 
 
 def rebuild_trajectory(header: dict, steps: list[StepRecord], dataset: Dataset) -> Trajectory:
-    """Reconstruct a Trajectory from a parsed file, against its pool."""
-    config = RunConfig.from_dict(header["run_config"])
+    """Reconstruct a Trajectory from a parsed file, against its pool.
+
+    ConfigError when `dataset` is not the pool the run recorded (an edited
+    CSV, for one) or the header's run config is malformed.
+    """
+    recorded, actual = header.get("dataset_digest", ""), dataset.digest()
+    if recorded != actual:
+        raise ConfigError(
+            f"the pool has digest {actual} but the run recorded {recorded}; "
+            "was the dataset edited after the run?"
+        )
     return Trajectory(
         run_config_digest=header.get("run_config_digest", ""),
         steps=steps,
         reached_optimum_at=reached_optimum_at(steps, dataset.optimum_value),
         data_fraction_used=len({s.candidate_id for s in steps}) / len(dataset),
-        config=config,
-        dataset_digest=header.get("dataset_digest", ""),
+        config=RunConfig.from_dict(header["run_config"]),
+        dataset_digest=recorded,
     )

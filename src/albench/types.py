@@ -19,6 +19,16 @@ import numpy as np
 from .errors import ConfigError, UnknownCandidateError
 
 
+def is_int(value, low: int) -> bool:
+    """An integer >= low; bool is an int subclass, and JSON true/false is no count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def is_real(value, low: float) -> bool:
+    """A finite number >= low; JSON true/false is no number either."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value >= low
+
+
 def as_matrix(X) -> np.ndarray:
     """2-D float view; a 1-D input is n samples of one feature."""
     X = np.asarray(X, dtype=float)
@@ -216,14 +226,39 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Read a config's `run` section, a sweep cell or a stored header's
+        run config. Values are checked, not coerced: ConfigError names an
+        unknown or missing key or a value of the wrong type."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"bad run config: not an object: {d!r}")
+        defaults = cls(ProposerKind.RANDOM_WALK).to_dict()
+        unknown = sorted(set(d) - set(defaults))
+        if unknown:
+            raise ConfigError(f"bad run config: unknown keys {unknown}; known: {sorted(defaults)}")
+        d = {**defaults, "proposer": None, **d}
+
+        def fail(key: str, want: str):
+            raise ConfigError(f"bad run config: '{key}' must be {want}, got {d[key]!r}")
+
+        for key, kind in (("proposer", ProposerKind), ("prompt_format", PromptFormat)):
+            names = [k.value for k in kind]
+            if d[key] not in names:
+                fail(key, f"one of {names}")
+        for key, low in (("seed", 0), ("repeat_index", 0), ("n_initial", 1)):
+            if not is_int(d[key], low):
+                fail(key, f"an integer >= {low}")
+        if d["max_iterations"] is not None and not is_int(d["max_iterations"], 1):
+            fail("max_iterations", "an integer >= 1 or null")
+        if not is_real(d["alpha"], 0):
+            fail("alpha", "a finite number >= 0")
         return cls(
             proposer=ProposerKind(d["proposer"]),
-            alpha=float(d.get("alpha", 2.0)),
-            seed=int(d.get("seed", 42)),
-            repeat_index=int(d.get("repeat_index", 0)),
-            n_initial=int(d.get("n_initial", 1)),
-            max_iterations=None if d.get("max_iterations") is None else int(d["max_iterations"]),
-            prompt_format=PromptFormat(d.get("prompt_format", "parameter")),
+            alpha=float(d["alpha"]),
+            seed=d["seed"],
+            repeat_index=d["repeat_index"],
+            n_initial=d["n_initial"],
+            max_iterations=d["max_iterations"],
+            prompt_format=PromptFormat(d["prompt_format"]),
         )
 
     def digest(self, dataset_digest: str) -> str:

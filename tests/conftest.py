@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,19 @@ def make_pool(targets, features=None, goal=Goal.MAXIMIZE, name="pool", context="
         goal=goal,
         context=context,
     )
+
+
+def save_fixtures(records, path) -> None:
+    """Write replay fixtures as JSON lines, the format `clients.load_fixtures` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(
+                json.dumps(
+                    {"request_digest": rec.request_digest, "response_text": rec.response_text},
+                    sort_keys=True,
+                )
+                + "\n"
+            )
 
 
 def optimum_id(dataset: Dataset) -> int:

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from albench.analytics import (
+    IDENTITY,
+    OUTCOME,
     RunRecord,
-    RunSummary,
     cumulative_l2,
     export_distance_curves,
     export_pca,
@@ -175,15 +176,16 @@ class TestPca:
 
 
 def summary(proposer="gpr", alpha=1.0, seed=38, its=5, repeat=0):
-    return RunSummary(
-        proposer=proposer,
-        alpha=alpha,
-        seed=seed,
-        repeat_index=repeat,
-        iterations_to_optimum=its,
-        data_fraction=0.1,
-        final_best=1.0,
-    )
+    """A `summarize_trajectory` row with the columns the variability table reads."""
+    return {
+        "proposer": proposer,
+        "alpha": alpha,
+        "seed": seed,
+        "repeat_index": repeat,
+        "iterations_to_optimum": its,
+        "data_fraction": 0.1,
+        "final_best": 1.0,
+    }
 
 
 class TestVariabilityStats:
@@ -228,8 +230,7 @@ class TestVariabilityStats:
 
     def test_unfinished_runs_excluded(self):
         finished = summary(its=3)
-        unfinished = summary()
-        unfinished.iterations_to_optimum = None
+        unfinished = summary(its=None)
         (group,) = variability_stats([finished, unfinished]).values()
         assert group["count"] == 1.0
         with pytest.raises(ConfigError):
@@ -261,6 +262,16 @@ class TestExports:
         export_similarity_scores(records, tmp_path / "ss.csv")
         for name in ("rb", "dc", "pc", "pe", "vr", "ss"):
             assert (tmp_path / f"{name}.csv").exists()
+
+    def test_one_set_of_run_columns(self, rng):
+        _, records = self._records(rng)
+        for rec in records:
+            row = summarize_trajectory(rec.trajectory)
+            assert list(row) == [*IDENTITY, *OUTCOME]
+            assert {k: row[k] for k in IDENTITY} == rec.identity
+            assert row["digest"] == rec.trajectory.run_config_digest[:16]
+            assert row["steps"] == len(rec.trajectory.steps)
+            assert row["iterations_to_optimum"] == rec.trajectory.reached_optimum_at
 
     def test_running_best_column_cross_check(self, tmp_path, rng):
         pool, records = self._records(rng)

@@ -7,9 +7,12 @@ import pytest
 
 from albench import cli
 from albench.cli import EXIT_CONFIG, EXIT_OK, expand_sweep, main
-from albench.clients import FixtureRecord, TokenBucket, save_fixtures
+from albench.clients import FixtureRecord, TokenBucket
 from albench.engine import read_trajectory
 from albench.errors import ConfigError
+from albench.types import RunConfig
+
+from conftest import save_fixtures
 
 
 def read_summary(path):
@@ -29,6 +32,15 @@ BAD_MODEL_OVERRIDES = [
 ]
 
 MOCK = "mock:```\nx: 0.5\n```"
+RUN_SECTION = {"proposer": "llm", "seed": 38, "max_iterations": 3}
+SPEC = {"name": "pool", "csv_path": "pool.csv", "target_column": "y", "goal": "maximize"}
+
+
+def bad_run_value(key, value, sweep=None):
+    """A bad `run` value for `albench run`, plus the same value where a sweep
+    reads it (by default the top-level key of the same name)."""
+    return {"run": {**RUN_SECTION, key: value}, **({key: value} if sweep is None else sweep)}
+
 
 # Malformed configs, each as a patch over a valid config (or a function of
 # it), and a text the error must name. `albench run` and `albench sweep` read
@@ -58,6 +70,26 @@ MALFORMED_CONFIGS = [
     pytest.param({"model_overrides": ["gbt"]}, "model_overrides", id="model-overrides-not-object"),
     pytest.param({"run": 5}, "'run'", id="run-not-object"),
     pytest.param({"run": ["llm"]}, "'run'", id="run-list"),
+    pytest.param(bad_run_value("seed", 1.5, {"seeds": [1.5]}), "seed", id="run-fractional-seed"),
+    pytest.param(bad_run_value("alpha", "2", {"alphas": ["2"]}), "alpha", id="run-string-alpha"),
+    pytest.param(bad_run_value("n_initial", True), "n_initial", id="run-boolean-n-initial"),
+    pytest.param(bad_run_value("n_initial", 1.5), "n_initial", id="run-fractional-n-initial"),
+    pytest.param(bad_run_value("max_iterations", 3.7), "max_iterations", id="run-fractional-max-iterations"),
+    pytest.param(bad_run_value("max_iterations", True), "max_iterations", id="run-boolean-max-iterations"),
+    pytest.param(bad_run_value("prompt_format", "prose", {"prompt_formats": ["prose"]}), "prose",
+                 id="run-unknown-prompt-format"),
+    pytest.param({"dataset": {k: v for k, v in SPEC.items() if k != "name"}}, "dataset.name",
+                 id="dataset-missing-name"),
+    pytest.param({"dataset": {**SPEC, "goal": "up"}}, "dataset.goal", id="dataset-unknown-goal"),
+    pytest.param({"dataset": {"registry": "membrane", "csv_path": "pool.csv", "goal": "up"}}, "dataset.goal",
+                 id="dataset-registry-unknown-goal"),
+    pytest.param({"dataset": {**SPEC, "expected_rows": "4"}}, "dataset.expected_rows",
+                 id="dataset-string-expected-rows"),
+    pytest.param({"dataset": {**SPEC, "feature_columns": "x"}}, "dataset.feature_columns",
+                 id="dataset-string-feature-columns"),
+    pytest.param({"dataset": {**SPEC, "colour": "red"}}, "colour", id="dataset-unknown-key"),
+    pytest.param({"dataset": {"registry": "membrane", "csv_path": "pool.csv", "colour": "red"}}, "colour",
+                 id="dataset-registry-unknown-key"),
     pytest.param(lambda cfg: [cfg], "JSON object", id="config-list"),
     pytest.param(lambda cfg: "llm", "JSON object", id="config-string"),
 ]
@@ -74,7 +106,7 @@ class TestMalformedConfig:
 
     RUN = {
         "dataset": "synthetic:linear1d:10:0",
-        "run": {"proposer": "llm", "seed": 38, "max_iterations": 3},
+        "run": RUN_SECTION,
         "llm": {"client": MOCK},
     }
     SWEEP = {
@@ -273,6 +305,35 @@ class TestRun:
         header, _ = read_trajectory(out)
         assert header["run_config"]["seed"] == 7
 
+    @pytest.mark.parametrize(
+        "run, named",
+        [({"proposer": "random_walk", "max_iteration": 3}, "max_iteration"), ({"seed": 1}, "proposer")],
+        ids=["unknown-key", "no-proposer"],
+    )
+    def test_bad_run_section_is_config_error(self, tmp_path, capsys, run, named):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"dataset": "synthetic:linear1d:12:3", "run": run}))
+        out = tmp_path / "t.jsonl"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not out.exists()
+
+    def test_registry_entry_takes_every_override(self, tmp_path):
+        """Keys given next to `registry` override the entry (expected_rows
+        too), and a null keeps the entry's value."""
+        csv_path = tmp_path / "pool.csv"
+        csv_path.write_text("a,b\n" + "".join(f"{i},{i % 3}\n" for i in range(4)))
+        dataset = {"registry": "membrane", "csv_path": str(csv_path), "target_column": "b",
+                   "expected_rows": 4, "goal": None}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"dataset": dataset, "run": {"proposer": "random_walk", "seed": 1}}))
+        out = tmp_path / "t.jsonl"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        header, _ = read_trajectory(out)
+        assert header["dataset"]["spec"]["expected_rows"] == 4
+        assert header["dataset"]["spec"]["goal"] == "maximize"
+
 
 class TestSweep:
     def sweep_config(self, tmp_path, **extra):
@@ -326,8 +387,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "seeds",
-        [["x"], [38, 1.5], [True], [None], 38, "38"],
-        ids=["string", "fraction", "boolean", "null", "not-a-list", "string-list"],
+        [["x"], [38, 1.5], [True], [None], 38, "38", [38, -1]],
+        ids=["string", "fraction", "boolean", "null", "not-a-list", "string-list", "negative"],
     )
     def test_non_integer_seed_rejected(self, seeds):
         with pytest.raises(ConfigError, match="integers"):
@@ -423,6 +484,32 @@ class TestSweep:
         assert first == second  # nothing re-executed
         rows = read_summary(out_dir / "summary.csv")
         assert all(r["status"] == "skipped" for r in rows)
+
+    def test_summary_columns(self, tmp_path):
+        path = self.sweep_config(tmp_path, proposers=["random_walk"], seeds=[38])
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        header = (out_dir / "summary.csv").read_text().splitlines()[0]
+        assert header == (
+            "digest,proposer,alpha,seed,repeat_index,prompt_format,pool_size,steps,"
+            "iterations_to_optimum,data_fraction,final_best,mean_match_score,status,error"
+        )
+
+    def test_resume_parses_each_stored_header_once(self, tmp_path, monkeypatch):
+        path, out_dir, runs = self.resumable_sweep(tmp_path, 1)
+        parse = RunConfig.from_dict.__func__
+        parsed = []
+
+        def counting(cls, d):
+            parsed.append(d)
+            return parse(cls, d)
+
+        monkeypatch.setattr(RunConfig, "from_dict", classmethod(counting))
+        monkeypatch.setattr(cli, "_export_reports", lambda *args: None)
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert [r["status"] for r in read_summary(out_dir / "summary.csv")] == ["skipped"] * len(runs)
+        # one parse per grid cell, and one per stored header
+        assert len(parsed) == 2 * len(runs)
 
     def test_totals_match_trajectory_files(self, tmp_path):
         path = self.sweep_config(tmp_path)

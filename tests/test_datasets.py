@@ -136,6 +136,10 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             registry_by_name("nope")
 
+    def test_entry_without_csv_path_is_config_error(self):
+        with pytest.raises(ConfigError, match="csv_path"):
+            load_csv(DatasetSpec.from_dict({"registry": "membrane"}))
+
 
 class TestSyntheticPools:
     def test_linear1d_optimum_is_largest_x(self):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from albench.data import synthetic_pool
 from albench.engine import (
     Suggestion,
-    check_stopping,
     reached_optimum_at,
     read_trajectory,
     rebuild_trajectory,
@@ -35,6 +34,11 @@ from albench.proposers import RandomWalkProposer, make_proposer
 from albench.types import Goal, ProposerKind, RunConfig, StepRecord
 
 from conftest import make_pool
+
+
+def check_stopping(trajectory, dataset) -> bool:
+    """True iff some observed value equals the pool optimum, exactly."""
+    return reached_optimum_at(trajectory.steps, dataset.optimum_value) is not None
 
 
 @dataclass
@@ -240,6 +244,48 @@ class TestStoppingMinimality:
         assert traj.steps[-1].iteration == traj.reached_optimum_at
 
 
+class TestRunConfigFromDict:
+    def test_round_trip_and_defaults(self):
+        cfg = RunConfig(ProposerKind.GPR, alpha=1.5, seed=3, repeat_index=2, n_initial=4, max_iterations=9)
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert RunConfig.from_dict({"proposer": "gpr"}) == RunConfig(ProposerKind.GPR)
+
+    def test_integer_alpha_is_stored_as_float(self):
+        alpha = RunConfig.from_dict({"proposer": "gpr", "alpha": 2}).alpha
+        assert alpha == 2.0 and isinstance(alpha, float)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("proposer", "nope"),
+            ("proposer", None),
+            ("alpha", "2"),
+            ("alpha", -1),
+            ("alpha", float("nan")),
+            ("alpha", True),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", "1"),
+            ("repeat_index", -1),
+            ("n_initial", True),
+            ("n_initial", 0),
+            ("n_initial", 1.0),
+            ("max_iterations", 3.7),
+            ("max_iterations", False),
+            ("prompt_format", "prose"),
+            ("colour", "red"),
+        ],
+    )
+    def test_bad_value_is_config_error_naming_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict({"proposer": "gpr", key: value})
+
+    @pytest.mark.parametrize("d", [[], "gpr", None])
+    def test_non_object_is_config_error(self, d):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(d)
+
+
 class TestTrajectoryIO:
     def test_round_trip(self, tmp_path, ramp_pool):
         cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=6, n_initial=2)
@@ -253,6 +299,21 @@ class TestTrajectoryIO:
         rebuilt = rebuild_trajectory(header, steps, ramp_pool)
         assert rebuilt.reached_optimum_at == traj.reached_optimum_at
         assert rebuilt.data_fraction_used == traj.data_fraction_used
+
+    def test_rebuild_against_another_pool_names_both_digests(self, tmp_path, ramp_pool):
+        cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=6, n_initial=2)
+        write_trajectory(run_active_learning(ramp_pool, cfg, RandomWalkProposer(6)), tmp_path / "t.jsonl")
+        header, steps = read_trajectory(tmp_path / "t.jsonl")
+        edited = make_pool([1.0, 5.0, 3.0, 2.0, 4.5])
+        with pytest.raises(ConfigError) as info:
+            rebuild_trajectory(header, steps, edited)
+        assert ramp_pool.digest() in str(info.value) and edited.digest() in str(info.value)
+
+    @pytest.mark.parametrize("header", ['"run_config"', '["run_config"]'])
+    def test_header_that_is_not_an_object_is_config_error(self, tmp_path, header):
+        (tmp_path / "t.jsonl").write_text(header + "\n")
+        with pytest.raises(ConfigError, match="no header"):
+            read_trajectory(tmp_path / "t.jsonl")
 
     def test_non_finite_value_is_refused(self, tmp_path, ramp_pool):
         cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=6, n_initial=2)

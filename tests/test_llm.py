@@ -13,7 +13,6 @@ from albench.clients import (
     ScriptedChatClient,
     load_fixtures,
     message_digest,
-    save_fixtures,
 )
 from albench import llm
 from albench.engine import run_active_learning, select_initial
@@ -35,7 +34,7 @@ from albench.llm import (
 )
 from albench.types import Goal, PromptFormat, ProposerKind, RunConfig
 
-from conftest import make_pool
+from conftest import make_pool, save_fixtures
 
 
 def two_feature_pool():
@@ -226,7 +225,7 @@ class TestScriptedClient:
         rec.send([{"role": "user", "text": "q"}], 0.0)
         path = tmp_path / "rec.jsonl"
         rec.dump(path)
-        replay = ScriptedChatClient.from_file(path)
+        replay = ScriptedChatClient(load_fixtures(path))
         assert replay.send([{"role": "user", "text": "q"}], 0.0) == "res"
 
 
@@ -524,7 +523,7 @@ class TestLLMProposer:
         fixture_path = tmp_path / "session.jsonl"
         recorder.dump(fixture_path)
         # replay: digests verify the rebuilt prompts byte-for-byte
-        replayer = ScriptedChatClient.from_file(fixture_path)
+        replayer = ScriptedChatClient(load_fixtures(fixture_path))
         traj = run_active_learning(pool, cfg, LLMProposer(replayer, seed=3))
         assert traj.reached_optimum_at is not None
 
