@@ -42,7 +42,7 @@ from .llm import (
     render_parameter_prompt,
     render_report_prompt,
 )
-from .proposers import RandomWalkProposer, SurrogateProposer, make_proposer
+from .proposers import ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer
 from .types import (
     Candidate,
     Dataset,
@@ -87,6 +87,7 @@ __all__ = [
     "PromptFormat",
     "Proposer",
     "ProposerKind",
+    "ProposerSettings",
     "RandomWalkProposer",
     "RunConfig",
     "StepRecord",

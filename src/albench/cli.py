@@ -10,16 +10,16 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import hashlib
 import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from . import analytics
-from .bnn import BNNConfig
 from .clients import (
     ConstantChatClient,
     LiveChatClient,
@@ -36,8 +36,7 @@ from .engine import (
     write_trajectory,
 )
 from .errors import AlbenchError, ConfigError, RunAborted
-from .forest_gbt import ForestConfig, GBTConfig
-from .proposers import FIT_PREDICT, make_proposer
+from .proposers import DEFAULT_SETTINGS, FIT_PREDICT, ProposerSettings, make_proposer
 from .types import Dataset, PromptFormat, ProposerKind, RunConfig, Trajectory, is_int, is_real
 
 logger = logging.getLogger(__name__)
@@ -81,21 +80,25 @@ def _section(cfg: dict, name: str, parent: str = "") -> dict:
 
 
 def _chat_client_factory(descriptor, rate_limiter):
-    """Parse 'mock:TEXT', 'replay:PATH' or 'live:ENDPOINT|MODEL' into a
-    function that builds a fresh client: a replay client's position
-    belongs to one run. Replay fixtures are read once, here."""
+    """Parse 'mock:TEXT', 'replay:PATH' or 'live:ENDPOINT|MODEL' (or None)
+    into (a function that builds a fresh client, the descriptor to record):
+    a replay client's position belongs to one run. Replay fixtures are read
+    once, here, and recorded by their digest, not their path."""
+    if descriptor is None:
+        return None, None
     kind, _, rest = descriptor.partition(":") if isinstance(descriptor, str) else (None, "", "")
     if kind == "mock":
-        return lambda: ConstantChatClient(rest)
+        return (lambda: ConstantChatClient(rest)), descriptor
     if kind == "replay":
         try:
             records = load_fixtures(rest)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad replay fixtures in {rest}: {exc!r}") from exc
-        return lambda: ScriptedChatClient(records)
+        fixtures = json.dumps([[r.response_text, r.request_digest] for r in records]).encode()
+        return (lambda: ScriptedChatClient(records)), f"replay:sha256:{hashlib.sha256(fixtures).hexdigest()}"
     endpoint, _, model = rest.partition("|")
     if kind == "live" and endpoint and model:
-        return lambda: LiveChatClient(endpoint=endpoint, model=model, rate_limiter=rate_limiter)
+        return (lambda: LiveChatClient(endpoint=endpoint, model=model, rate_limiter=rate_limiter)), descriptor
     raise ConfigError(f"'llm.client' must be mock:TEXT, replay:PATH or live:ENDPOINT|MODEL, got {descriptor!r}")
 
 
@@ -110,35 +113,47 @@ def _rerank_client(descriptor) -> Optional[LiveRerankClient]:
     return LiveRerankClient(endpoint=endpoint, model=model)
 
 
-def _model_configs(overrides: dict) -> dict:
-    """make_proposer's model keywords from a config's model_overrides.
+# model_overrides sections, each with the proposer kind whose settings it sets
+_SECTION_KINDS = {"forest": ProposerKind.RFR, "gbt": ProposerKind.GBT, "bnn": ProposerKind.BNN, "gpr": ProposerKind.GPR}
 
-    Raises ConfigError on an unknown section or key, or a value of the wrong type.
+
+def _checked_override(name: str, value, default):
+    """`value` if it has the type of its setting's `default` (a float as float), else ConfigError."""
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, float):
+        ok, want = is_real(value, 0), "a finite number >= 0"
+    else:  # an int, or None for ForestConfig.max_depth: no depth limit
+        ok, want = is_int(value, 0) or (value is None and default is None), "an integer >= 0"
+    if not ok:
+        raise ConfigError(f"'{name}' must be {want}, got {value!r}")
+    return float(value) if isinstance(default, float) else value
+
+
+def _model_configs(overrides: dict, **llm) -> ProposerSettings:
+    """The proposer settings: a config's model_overrides, plus the `llm` fields given.
+
+    A section may set the keys its proposer kind records. Raises ConfigError
+    on an unknown section or key, or a value of the wrong type or range.
     """
-    classes = {"forest": ForestConfig, "gbt": GBTConfig, "bnn": BNNConfig}
-    # forest and bnn fits take a fresh seed from the run's model stream every
-    # step, so a seed override would select nothing
-    known = {name: {f.name for f in fields(cls)} - {"seed"} for name, cls in classes.items()}
-    known["gpr"] = {"standardize_targets"}
     built = {}
     for section in overrides:
-        if section not in known:
-            raise ConfigError(f"unknown model_overrides section {section!r}; known: {sorted(known)}")
+        if section not in _SECTION_KINDS:
+            raise ConfigError(f"unknown model_overrides section {section!r}; known: {sorted(_SECTION_KINDS)}")
+        defaults = DEFAULT_SETTINGS.record(_SECTION_KINDS[section])
         values = _section(overrides, section, "model_overrides.")
-        unknown = sorted(set(values) - known[section])
+        unknown = sorted(set(values) - set(defaults))
         if unknown:
-            raise ConfigError(
-                f"unknown model_overrides.{section} keys {unknown}; known: {sorted(known[section])}"
-            )
-        if section in classes and values:
-            try:
-                built[f"{section}_config"] = classes[section](**values)
-            except TypeError as exc:
-                raise ConfigError(f"bad model_overrides.{section} value: {exc}") from exc
-    standardize = _section(overrides, "gpr").get("standardize_targets", False)
-    if not isinstance(standardize, bool):
-        raise ConfigError(f"'model_overrides.gpr.standardize_targets' must be true or false, got {standardize!r}")
-    return {**built, "gpr_standardize_targets": standardize}
+            raise ConfigError(f"unknown model_overrides.{section} keys {unknown}; known: {sorted(defaults)}")
+        values = {k: _checked_override(f"model_overrides.{section}.{k}", v, defaults[k]) for k, v in values.items()}
+        if section == "gpr":
+            built["gpr_standardize_targets"] = values.get("standardize_targets", False)
+            continue
+        try:
+            built[section] = replace(getattr(DEFAULT_SETTINGS, section), **values)
+        except ConfigError as exc:
+            raise ConfigError(f"bad model_overrides.{section} value: {exc}") from exc
+    return ProposerSettings(**built, **llm)
 
 
 def proposer_factory(cfg: dict, kinds, workers: int = 1):
@@ -147,9 +162,9 @@ def proposer_factory(cfg: dict, kinds, workers: int = 1):
     The one reader of the `llm` and `model_overrides` sections: ConfigError
     on a `run`, `llm` or `model_overrides` section that is not an object,
     an unknown key, a value of the wrong type, or LLM runs among `kinds`
-    without a chat client. It builds the model configs, the rerank client
-    and, with `llm.rate_limit` set, one TokenBucket with that budget split
-    between `workers` processes. Returns (new_proposer, workers):
+    without a chat client. It builds the settings, the rerank client and,
+    with `llm.rate_limit` set, one TokenBucket with that budget split
+    between `workers` processes. Returns (new_proposer, settings, workers):
     new_proposer(run_config) makes a fresh proposer, with a fresh chat
     client; workers drops to 1 when LLM runs have no rate limit, so that
     their calls are serialized.
@@ -168,39 +183,38 @@ def proposer_factory(cfg: dict, kinds, workers: int = 1):
     offline_reports = llm.get("offline_reports", False)
     if not isinstance(offline_reports, bool):
         raise ConfigError(f"'llm.offline_reports' must be true or false, got {offline_reports!r}")
-    keywords = {
-        "rerank_client": _rerank_client(llm.get("matcher")),
-        "offline_reports": offline_reports,
-        "backoff": float(backoff),
-        **_model_configs(_section(cfg, "model_overrides")),
-    }
+    rerank_client = _rerank_client(llm.get("matcher"))
     llm_runs = ProposerKind.LLM in kinds
     if llm_runs and rate_limit is None:
         workers = 1
     limiter = TokenBucket(max(1, rate_limit // workers)) if rate_limit is not None else None
-    new_chat_client = None if llm.get("client") is None else _chat_client_factory(llm["client"], limiter)
+    new_chat_client, client = _chat_client_factory(llm.get("client"), limiter)
     if llm_runs and new_chat_client is None:
         raise ConfigError("LLM runs need a chat client (flag --client or config llm.client)")
+    matcher = llm.get("matcher") or "offline"  # a checked descriptor, or None or "" for the default
+    overrides = _section(cfg, "model_overrides")
+    settings = _model_configs(overrides, matcher=matcher, offline_reports=offline_reports, client=client)
 
     def new_proposer(config: RunConfig):
         chat_client = new_chat_client() if new_chat_client and config.proposer is ProposerKind.LLM else None
-        return make_proposer(config, chat_client=chat_client, **keywords)
+        return make_proposer(config, settings, chat_client=chat_client, rerank_client=rerank_client, backoff=backoff)
 
-    return new_proposer, workers
+    return new_proposer, settings, workers
 
 
-def execute_run(dataset: Dataset, header_entry: dict, config: RunConfig, out_path, new_proposer=make_proposer) -> dict:
-    """Run one configuration with the proposer `new_proposer(config)` and
-    persist its trajectory (partial on abort)."""
+def execute_run(dataset: Dataset, header_entry: dict, config: RunConfig, out_path, new_proposer, settings) -> dict:
+    """Run one configuration with the proposer `new_proposer(config)`, built
+    with `settings`, and persist its trajectory (partial on abort)."""
     proposer = new_proposer(config)
+    record = settings.record(config.proposer)
     try:
         trajectory = run_active_learning(dataset, config, proposer)
     except RunAborted as exc:
         if exc.partial is not None and out_path is not None:
-            write_trajectory(exc.partial, out_path, header_entry)
+            write_trajectory(exc.partial, out_path, header_entry, record)
         raise
     if out_path is not None:
-        write_trajectory(trajectory, out_path, header_entry)
+        write_trajectory(trajectory, out_path, header_entry, record)
     return summary_row(config, dataset, "ok", trajectory)
 
 
@@ -253,14 +267,14 @@ def cmd_run(args) -> int:
     if "proposer" not in run_cfg_dict:
         raise ConfigError("no proposer given (flag --proposer or config run.proposer)")
     config = RunConfig.from_dict(run_cfg_dict)
-    new_proposer, _ = proposer_factory(cfg, {config.proposer})
+    new_proposer, settings, _ = proposer_factory(cfg, {config.proposer})
     dataset_like = args.dataset or cfg.get("dataset")
     if dataset_like is None:
         raise ConfigError("no dataset given (flag --dataset or config dataset)")
     dataset, header_entry = build_dataset(dataset_like)
     config.validate(len(dataset))
     out_path = args.out or f"run_{config.digest(dataset.digest())[:16]}.jsonl"
-    summary = execute_run(dataset, header_entry, config, out_path, new_proposer)
+    summary = execute_run(dataset, header_entry, config, out_path, new_proposer, settings)
     frac = summary["data_fraction"]
     print(
         f"{config.proposer.value} on {dataset.name}: "
@@ -329,16 +343,21 @@ def expand_sweep(cfg: dict) -> list[dict]:
     return tasks
 
 
-def _read_complete(path, dataset: Dataset) -> Optional[Trajectory]:
+def _read_complete(path, dataset: Dataset, settings: ProposerSettings) -> Optional[Trajectory]:
     """The stored run at `path`, rebuilt, if it is complete, else None.
 
     A run is complete if it hit the optimum or its iteration cap. A file
-    that cannot be read, is torn, has a malformed header or ran on another
-    pool counts as incomplete, so its cell runs again.
+    that cannot be read, is torn, has a malformed header, ran on another
+    pool, or records no settings or other ones (compared as JSON) counts
+    as incomplete, so its cell runs again.
     """
     try:
-        trajectory = rebuild_trajectory(*read_trajectory(path), dataset)
+        header, steps = read_trajectory(path)
+        trajectory = rebuild_trajectory(header, steps, dataset)
     except _UNREADABLE:
+        return None
+    recorded = json.dumps(header.get("settings"), sort_keys=True)
+    if recorded != json.dumps(settings.record(trajectory.config.proposer), sort_keys=True):
         return None
     cap = trajectory.config.resolved_max_iterations(len(dataset))
     if trajectory.steps and (trajectory.reached_optimum_at is not None or len(trajectory.steps) >= cap):
@@ -346,15 +365,15 @@ def _read_complete(path, dataset: Dataset) -> Optional[Trajectory]:
     return None
 
 
-def _run_cell(dataset: Dataset, header_entry: dict, new_proposer, config: RunConfig, out_path) -> dict:
+def _run_cell(dataset: Dataset, header_entry: dict, new_proposer, settings, config: RunConfig, out_path) -> dict:
     """Execute one sweep cell on an already-built pool; errors become a failed row."""
     try:
-        return execute_run(dataset, header_entry, config, out_path, new_proposer)
+        return execute_run(dataset, header_entry, config, out_path, new_proposer, settings)
     except AlbenchError as exc:
         return summary_row(config, dataset, "failed", error=str(exc))
 
 
-# (pool, header entry, new_proposer) of a sweep worker process; set by _init_sweep_worker
+# (pool, header entry, new_proposer, settings) of a sweep worker process; set by _init_sweep_worker
 _worker: Optional[tuple] = None
 
 
@@ -362,7 +381,7 @@ def _init_sweep_worker(dataset_entry: dict, cfg: dict, kinds, workers: int) -> N
     """Process-pool initializer: build the sweep's pool and proposer factory
     once per worker."""
     global _worker
-    _worker = (*build_dataset(dataset_entry), proposer_factory(cfg, kinds, workers)[0])
+    _worker = (*build_dataset(dataset_entry), *proposer_factory(cfg, kinds, workers)[:2])
 
 
 def _sweep_worker(task: tuple[RunConfig, Path]) -> dict:
@@ -386,7 +405,7 @@ def cmd_sweep(args) -> int:
     if not is_int(parallelism, 0):
         raise ConfigError(f"'parallelism' must be an integer >= 0 (0: one worker per core), got {parallelism!r}")
     kinds = {config.proposer for config in configs}
-    new_proposer, workers = proposer_factory(cfg, kinds, parallelism or os.cpu_count() or 1)
+    new_proposer, settings, workers = proposer_factory(cfg, kinds, parallelism or os.cpu_count() or 1)
     dataset, header_entry = build_dataset(cfg["dataset"])
     for config in configs:
         config.validate(len(dataset))
@@ -397,7 +416,7 @@ def cmd_sweep(args) -> int:
     tasks, skipped = [], []
     for config in configs:
         out_path = runs_dir / f"{config.digest(dataset.digest())[:16]}.jsonl"
-        stored = _read_complete(out_path, dataset) if out_path.exists() else None
+        stored = _read_complete(out_path, dataset, settings) if out_path.exists() else None
         if stored is not None:
             skipped.append(summary_row(stored.config, dataset, "skipped", stored))
         else:
@@ -412,7 +431,7 @@ def cmd_sweep(args) -> int:
         ) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
-        results = [_run_cell(dataset, header_entry, new_proposer, *task) for task in tasks]
+        results = [_run_cell(dataset, header_entry, new_proposer, settings, *task) for task in tasks]
 
     results += skipped
     results.sort(key=lambda r: (r["proposer"], r["prompt_format"], r["alpha"], r["seed"], r["repeat_index"]))

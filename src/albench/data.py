@@ -103,6 +103,9 @@ def load_csv(spec: DatasetSpec) -> Dataset:
         except StopIteration:
             raise EmptyDatasetError(f"{spec.csv_path}: file is empty") from None
         header = [h.strip() for h in header]
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise SchemaError(f"{spec.csv_path}: header repeats columns {repeated}")
         if spec.target_column not in header:
             raise SchemaError(f"{spec.csv_path}: target column {spec.target_column!r} not in header {header}")
         if spec.feature_columns is not None:
@@ -114,7 +117,7 @@ def load_csv(spec: DatasetSpec) -> Dataset:
             feature_cols = list(spec.feature_columns)
         else:
             feature_cols = [c for c in header if c != spec.target_column]
-        col_index = {c: header.index(c) for c in header}
+        col_index = {c: i for i, c in enumerate(header)}
 
         def cell(row, row_no, column) -> float:
             raw = row[col_index[column]]

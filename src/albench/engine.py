@@ -231,34 +231,38 @@ def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer)
 # --- trajectory persistence (JSON lines) ------------------------------------
 #
 # Line 1 is a header object carrying the full RunConfig, the dataset digest,
-# and enough dataset metadata to rebuild the pool for analytics. Every later
-# line is one StepRecord.
+# enough dataset metadata to rebuild the pool for analytics, and the
+# settings besides the RunConfig that selected the candidates (the proposer
+# kind's `ProposerSettings.record`; null when the writer gave none). Every
+# later line is one StepRecord.
 
 
-def trajectory_header(trajectory: Trajectory, dataset_spec: Optional[dict] = None) -> dict:
-    return {
+def trajectory_to_jsonl(
+    trajectory: Trajectory, dataset_spec: Optional[dict] = None, settings: Optional[dict] = None
+) -> str:
+    """Header line plus one line per step; NaN or infinity raises NumericalError."""
+    header = {
         "run_config": trajectory.config.to_dict(),
         "run_config_digest": trajectory.run_config_digest,
         "dataset_digest": trajectory.dataset_digest,
         "dataset": dataset_spec,
+        "settings": settings,
     }
-
-
-def trajectory_to_jsonl(trajectory: Trajectory, dataset_spec: Optional[dict] = None) -> str:
-    """Header line plus one line per step; NaN or infinity raises NumericalError."""
     try:
-        lines = [json.dumps(trajectory_header(trajectory, dataset_spec), sort_keys=True, allow_nan=False)]
+        lines = [json.dumps(header, sort_keys=True, allow_nan=False)]
         lines.extend(json.dumps(s.to_dict(), sort_keys=True, allow_nan=False) for s in trajectory.steps)
     except ValueError as exc:
         raise NumericalError(f"trajectory holds a non-finite number: {exc}") from exc
     return "\n".join(lines) + "\n"
 
 
-def write_trajectory(trajectory: Trajectory, path, dataset_spec: Optional[dict] = None) -> None:
+def write_trajectory(
+    trajectory: Trajectory, path, dataset_spec: Optional[dict] = None, settings: Optional[dict] = None
+) -> None:
     """Write the JSONL file atomically: through a temp file in the same
     directory and os.replace, so a reader or a resumed sweep sees the old
     file or the new one, never a torn one."""
-    text = trajectory_to_jsonl(trajectory, dataset_spec)
+    text = trajectory_to_jsonl(trajectory, dataset_spec, settings)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -13,15 +13,18 @@ class ShapeError(AlbenchError):
     """Array dimensions do not line up."""
 
 
-class SchemaError(AlbenchError):
-    """A CSV file is missing required columns."""
+# A pool that fails to load is a configuration error: no run has started.
 
 
-class CsvParseError(AlbenchError):
+class SchemaError(ConfigError):
+    """A CSV file lacks or repeats a column, or has other rows than expected."""
+
+
+class CsvParseError(ConfigError):
     """A CSV cell failed to parse as a finite real."""
 
 
-class EmptyDatasetError(AlbenchError):
+class EmptyDatasetError(ConfigError):
     """A CSV file contained a header but no data rows."""
 
 

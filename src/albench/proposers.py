@@ -8,7 +8,7 @@ run's model substream each iteration, so runs are repeatable end to end.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -19,6 +19,34 @@ from .acquisition import random_walk_select, ucb_select
 from .engine import STREAM_MODEL, STREAM_WALK, Suggestion, standardize_features, substream, unlabeled_pool_ids
 from .errors import ConfigError
 from .types import Dataset, ProposerKind, RunConfig
+
+
+@dataclass(frozen=True)
+class ProposerSettings:
+    """What selects a run's candidates besides its RunConfig. `client` and
+    `matcher` are the LLM's descriptors; a model config's `seed` is never
+    read, as fits draw theirs from the run's model substream."""
+
+    forest: forest_gbt.ForestConfig = forest_gbt.ForestConfig()
+    gbt: forest_gbt.GBTConfig = forest_gbt.GBTConfig()
+    bnn: bnn_mod.BNNConfig = bnn_mod.BNNConfig()
+    gpr_standardize_targets: bool = False
+    matcher: str = "offline"
+    offline_reports: bool = False
+    client: Optional[str] = None
+
+    def record(self, kind: ProposerKind) -> dict:
+        """The JSON fields that a `kind` proposer reads; rate limits, backoff
+        and credentials select nothing, so they are never here."""
+        if kind is ProposerKind.GPR:
+            return {"standardize_targets": self.gpr_standardize_targets}
+        if kind is ProposerKind.LLM:
+            return {"client": self.client, "matcher": self.matcher, "offline_reports": self.offline_reports}
+        model = {ProposerKind.RFR: self.forest, ProposerKind.GBT: self.gbt, ProposerKind.BNN: self.bnn}.get(kind)
+        return {} if model is None else {k: v for k, v in asdict(model).items() if k != "seed"}
+
+
+DEFAULT_SETTINGS = ProposerSettings()
 
 
 class RandomWalkProposer:
@@ -38,7 +66,7 @@ def _fit_predict_gpr(proposer, Z_train, y, Z_pool, model_seed):
     from . import gpr  # loads scipy, which no other proposer needs
 
     shift, scale = 0.0, 1.0
-    if proposer.gpr_standardize_targets:
+    if proposer.settings.gpr_standardize_targets:
         shift = float(y.mean())
         scale = float(y.std()) or 1.0
     y_fit = (y - shift) / scale
@@ -49,19 +77,19 @@ def _fit_predict_gpr(proposer, Z_train, y, Z_pool, model_seed):
 
 
 def _fit_predict_rfr(proposer, Z_train, y, Z_pool, model_seed):
-    model = forest_gbt.fit_forest(Z_train, y, replace(proposer.forest_config, seed=model_seed))
+    model = forest_gbt.fit_forest(Z_train, y, replace(proposer.settings.forest, seed=model_seed))
     mean, std = forest_gbt.predict_forest(model, Z_pool)
     return mean, std, None
 
 
 def _fit_predict_gbt(proposer, Z_train, y, Z_pool, model_seed):
-    model = forest_gbt.fit_gbt(Z_train, y, proposer.gbt_config)
+    model = forest_gbt.fit_gbt(Z_train, y, proposer.settings.gbt)
     mean, std = forest_gbt.predict_gbt(model, Z_pool)
     return mean, std, None
 
 
 def _fit_predict_bnn(proposer, Z_train, y, Z_pool, model_seed):
-    config = replace(proposer.bnn_config, seed=model_seed)
+    config = replace(proposer.settings.bnn, seed=model_seed)
     network = bnn_mod.train_bnn(Z_train, y, config)
     predict_rng = np.random.default_rng(np.random.SeedSequence(entropy=model_seed, spawn_key=(1,)))
     mean, std = bnn_mod.predict_bnn(network, Z_pool, config.mc_samples, predict_rng)
@@ -83,24 +111,12 @@ FIT_PREDICT = {
 class SurrogateProposer:
     """GPR / RFR / GBT / BNN behind the UCB acquisition rule."""
 
-    def __init__(
-        self,
-        kind: ProposerKind,
-        alpha: float,
-        seed: int,
-        forest_config: Optional[forest_gbt.ForestConfig] = None,
-        gbt_config: Optional[forest_gbt.GBTConfig] = None,
-        bnn_config: Optional[bnn_mod.BNNConfig] = None,
-        gpr_standardize_targets: bool = False,
-    ):
+    def __init__(self, kind: ProposerKind, alpha: float, seed: int, settings: ProposerSettings = DEFAULT_SETTINGS):
         if kind not in FIT_PREDICT:
             raise ConfigError(f"{kind} is not a surrogate proposer")
         self.kind = kind
         self.alpha = alpha
-        self.forest_config = forest_config or forest_gbt.ForestConfig()
-        self.gbt_config = gbt_config or forest_gbt.GBTConfig()
-        self.bnn_config = bnn_config or bnn_mod.BNNConfig()
-        self.gpr_standardize_targets = gpr_standardize_targets
+        self.settings = settings
         self._model_rng = substream(seed, STREAM_MODEL)
 
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:
@@ -118,14 +134,10 @@ class SurrogateProposer:
 
 def make_proposer(
     config: RunConfig,
+    settings: ProposerSettings = DEFAULT_SETTINGS,
     *,
     chat_client=None,
     rerank_client=None,
-    offline_reports: bool = False,
-    forest_config: Optional[forest_gbt.ForestConfig] = None,
-    gbt_config: Optional[forest_gbt.GBTConfig] = None,
-    bnn_config: Optional[bnn_mod.BNNConfig] = None,
-    gpr_standardize_targets: bool = False,
     backoff: float = 1.0,
 ):
     """Build a fresh proposer instance for one run."""
@@ -142,15 +154,7 @@ def make_proposer(
             seed=config.seed,
             prompt_format=config.prompt_format,
             rerank_client=rerank_client,
-            offline_reports=offline_reports,
+            offline_reports=settings.offline_reports,
             backoff=backoff,
         )
-    return SurrogateProposer(
-        kind,
-        alpha=config.alpha,
-        seed=config.seed,
-        forest_config=forest_config,
-        gbt_config=gbt_config,
-        bnn_config=bnn_config,
-        gpr_standardize_targets=gpr_standardize_targets,
-    )
+    return SurrogateProposer(kind, alpha=config.alpha, seed=config.seed, settings=settings)

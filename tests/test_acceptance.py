@@ -22,7 +22,7 @@ from albench.engine import run_active_learning, standardize_features, trajectory
 from albench.forest_gbt import ForestConfig, GBTConfig
 from albench.gpr import KernelParams, kernel_matrix, log_marginal_likelihood, predict_gpr
 from albench.llm import LLMProposer
-from albench.proposers import RandomWalkProposer, SurrogateProposer, make_proposer
+from albench.proposers import ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer
 from albench.types import Goal, PromptFormat, ProposerKind, RunConfig
 
 from conftest import elbo_loss_and_grads, make_pool, optimum_id
@@ -203,7 +203,9 @@ def test_criterion_6_distance_ordering():
         gpr_run = run_active_learning(
             pool,
             cfg_gpr,
-            SurrogateProposer(ProposerKind.GPR, alpha=alpha, seed=seed, gpr_standardize_targets=True),
+            SurrogateProposer(
+                ProposerKind.GPR, alpha=alpha, seed=seed, settings=ProposerSettings(gpr_standardize_targets=True)
+            ),
         )
         cap = max(len(gpr_run.steps), 2)  # the comparison only needs the common prefix
         cfg_rfr = RunConfig(ProposerKind.RFR, alpha=alpha, seed=seed, max_iterations=cap)
@@ -211,7 +213,7 @@ def test_criterion_6_distance_ordering():
             pool,
             cfg_rfr,
             SurrogateProposer(
-                ProposerKind.RFR, alpha=alpha, seed=seed, forest_config=ForestConfig(n_trees=100)
+                ProposerKind.RFR, alpha=alpha, seed=seed, settings=ProposerSettings(forest=ForestConfig(n_trees=100))
             ),
         )
         cfg_gbt = RunConfig(ProposerKind.GBT, alpha=alpha, seed=seed, max_iterations=cap)
@@ -222,7 +224,7 @@ def test_criterion_6_distance_ordering():
                 ProposerKind.GBT,
                 alpha=alpha,
                 seed=seed,
-                gbt_config=GBTConfig(n_rounds=100, max_depth=3),
+                settings=ProposerSettings(gbt=GBTConfig(n_rounds=100, max_depth=3)),
             ),
         )
         runs = {"random_walk": walk, "gpr": gpr_run, "rfr": rfr_run, "gbt": gbt_run}
@@ -279,8 +281,9 @@ def _real_data_check(csv_env, registry_name):
                     kind,
                     alpha=alpha,
                     seed=seed,
-                    forest_config=ForestConfig(n_trees=100),
-                    gbt_config=GBTConfig(n_rounds=100, max_depth=3),
+                    settings=ProposerSettings(
+                        forest=ForestConfig(n_trees=100), gbt=GBTConfig(n_rounds=100, max_depth=3)
+                    ),
                 )
                 traj = run_active_learning(pool, cfg, proposer)
                 per_seed.append(traj.data_fraction_used)

@@ -29,11 +29,28 @@ BAD_MODEL_OVERRIDES = [
     pytest.param({"gbt": {"n_rounds": "5"}}, "gbt", id="wrong-type"),
     pytest.param({"forest": {"seed": 1}}, "seed", id="forest-seed"),
     pytest.param({"bnn": {"seed": 1}}, "seed", id="bnn-seed"),
+    pytest.param({"forest": {"n_trees": 2.5}}, "n_trees", id="forest-fractional-n-trees"),
+    pytest.param({"gbt": {"n_rounds": 3.5}}, "n_rounds", id="gbt-fractional-n-rounds"),
+    pytest.param({"bnn": {"epochs": 2.5}}, "epochs", id="bnn-fractional-epochs"),
+    pytest.param({"forest": {"n_trees": True}}, "n_trees", id="forest-boolean-n-trees"),
+    pytest.param({"forest": {"n_trees": 0}}, "n_trees", id="forest-zero-n-trees"),
+    pytest.param({"forest": {"bootstrap": "no"}}, "bootstrap", id="forest-string-bootstrap"),
+    pytest.param({"gbt": {"max_depth": 2.5}}, "max_depth", id="gbt-fractional-max-depth"),
+    pytest.param({"forest": {"max_depth": 1.5}}, "max_depth", id="forest-fractional-max-depth"),
+    pytest.param({"gbt": {"learning_rate": float("nan")}}, "learning_rate", id="gbt-nan-learning-rate"),
 ]
 
 MOCK = "mock:```\nx: 0.5\n```"
 RUN_SECTION = {"proposer": "llm", "seed": 38, "max_iterations": 3}
 SPEC = {"name": "pool", "csv_path": "pool.csv", "target_column": "y", "goal": "maximize"}
+# pools that fail to load, written to the working directory of TestMalformedConfig
+BAD_POOLS = {
+    "four_rows.csv": "x,y\n0,1\n1,2\n2,3\n3,4\n",
+    "text_cell.csv": "x,y\n0,1\nabc,2\n1,3\n",
+    "no_target.csv": "x,z\n0,1\n1,2\n",
+    "header_only.csv": "x,y\n",
+    "repeated_column.csv": "x,x,y\n0,1,2\n1,2,3\n",
+}
 
 
 def bad_run_value(key, value, sweep=None):
@@ -57,6 +74,7 @@ MALFORMED_CONFIGS = [
     pytest.param({"llm": {"client": "live:http://127.0.0.1:1/v1"}}, "live:", id="llm-live-client-without-model"),
     pytest.param({"llm": {"client": MOCK, "matcher": "nearest"}}, "nearest", id="llm-unknown-matcher"),
     pytest.param({"llm": {"client": MOCK, "matcher": 5}}, "llm.matcher", id="llm-number-matcher"),
+    pytest.param({"llm": {"client": MOCK, "matcher": False}}, "llm.matcher", id="llm-boolean-matcher"),
     pytest.param({"llm": {"client": MOCK, "offline_reports": "yes"}}, "offline_reports", id="llm-string-offline-reports"),
     pytest.param({"llm": {"client": MOCK, "retries": 3}}, "retries", id="llm-unknown-key"),
     pytest.param({"llm": {"matcher": "offline"}}, "chat client", id="llm-no-client"),
@@ -90,6 +108,13 @@ MALFORMED_CONFIGS = [
     pytest.param({"dataset": {**SPEC, "colour": "red"}}, "colour", id="dataset-unknown-key"),
     pytest.param({"dataset": {"registry": "membrane", "csv_path": "pool.csv", "colour": "red"}}, "colour",
                  id="dataset-registry-unknown-key"),
+    pytest.param({"dataset": {**SPEC, "csv_path": "four_rows.csv", "expected_rows": 5}}, "expected 5 rows, found 4",
+                 id="pool-too-few-rows"),
+    pytest.param({"dataset": {**SPEC, "csv_path": "text_cell.csv"}}, "'abc' is not numeric", id="pool-text-cell"),
+    pytest.param({"dataset": {**SPEC, "csv_path": "no_target.csv"}}, "target column 'y'", id="pool-no-target-column"),
+    pytest.param({"dataset": {**SPEC, "csv_path": "header_only.csv"}}, "no data rows", id="pool-header-only"),
+    pytest.param({"dataset": {**SPEC, "csv_path": "repeated_column.csv"}}, "repeats columns ['x']",
+                 id="pool-repeated-column"),
     pytest.param(lambda cfg: [cfg], "JSON object", id="config-list"),
     pytest.param(lambda cfg: "llm", "JSON object", id="config-string"),
 ]
@@ -136,7 +161,10 @@ class TestMalformedConfig:
 
     @pytest.mark.parametrize("patch, named", MALFORMED_CONFIGS)
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_is_config_error_before_any_write(self, tmp_path, capsys, command, patch, named):
+    def test_is_config_error_before_any_write(self, tmp_path, capsys, monkeypatch, command, patch, named):
+        monkeypatch.chdir(tmp_path)
+        for name, text in BAD_POOLS.items():
+            (tmp_path / name).write_text(text)
         code, out = getattr(self, command)(tmp_path, patch)
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
@@ -613,17 +641,100 @@ class TestSweep:
         self.rerun_touches_only(path, out_dir, runs, torn)
 
     @pytest.mark.parametrize(
-        "run_config", [{"proposer": "nope"}, {}], ids=["unknown-proposer", "empty-run-config"]
+        "edit",
+        [
+            lambda h: {**h, "run_config": {"proposer": "nope"}},
+            lambda h: {**h, "run_config": {}},
+            lambda h: {k: v for k, v in h.items() if k != "settings"},  # a file from before settings were recorded
+            lambda h: {**h, "settings": {"n_trees": 5}},
+        ],
+        ids=["unknown-proposer", "empty-run-config", "no-settings", "other-settings"],
     )
-    def test_malformed_stored_header_reruns_the_cell(self, tmp_path, run_config):
+    def test_malformed_stored_header_reruns_the_cell(self, tmp_path, edit):
         path, out_dir, runs = self.resumable_sweep(tmp_path, 1)
         damaged = sorted(runs)[0]
         lines = runs[damaged].decode().splitlines(keepends=True)
-        header = json.loads(lines[0])
-        header["run_config"] = run_config
-        lines[0] = json.dumps(header, sort_keys=True) + "\n"
+        lines[0] = json.dumps(edit(json.loads(lines[0])), sort_keys=True) + "\n"
         (out_dir / "runs" / damaged).write_text("".join(lines))
         self.rerun_touches_only(path, out_dir, runs, damaged)
+
+    def forest_sweep(self, tmp_path, out_dir, forest):
+        """The rfr cell (alpha 2, seed 3, cap 8) on synthetic:quadratic2d:40:1 with
+        these forest overrides: its (summary status, trajectory header, selected ids)."""
+        path = self.sweep_config(
+            tmp_path, dataset="synthetic:quadratic2d:40:1", proposers=["rfr"], alphas=[2], seeds=[3],
+            max_iterations=8, model_overrides={"forest": forest},
+        )
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        [row] = read_summary(out_dir / "summary.csv")
+        header, steps = read_trajectory(out_dir / "runs" / f"{row['digest']}.jsonl")
+        return row["status"], header, [s.candidate_id for s in steps]
+
+    def test_resume_reruns_a_cell_stored_with_other_model_settings(self, tmp_path):
+        out_dir = tmp_path / "results"
+        status, _, stumps = self.forest_sweep(tmp_path, out_dir, {"n_trees": 5, "max_depth": 1})
+        assert status == "ok" and stumps == [32, 0, 21, 22, 28, 16, 3, 8]
+        status, header, ids = self.forest_sweep(tmp_path, out_dir, {"n_trees": 50})
+        assert status == "ok"
+        assert header["settings"]["n_trees"] == 50 and header["settings"]["max_depth"] is None
+        _, _, fresh = self.forest_sweep(tmp_path, tmp_path / "fresh", {"n_trees": 50})
+        assert ids == fresh == [32, 0, 21, 28, 3, 5, 33, 11]
+
+    def test_gpr_header_records_only_gpr_settings(self, tmp_path):
+        path = self.sweep_config(tmp_path, proposers=["gpr"], alphas=[1], seeds=[38], max_iterations=4,
+                                 model_overrides={"forest": {"n_trees": 7}, "gpr": {"standardize_targets": True}})
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        [run] = (out_dir / "runs").glob("*.jsonl")
+        header, _ = read_trajectory(run)
+        assert header["settings"] == {"standardize_targets": True}
+
+    def llm_sweep(self, tmp_path, fixtures, parallelism=1, **llm):
+        """A replay LLM and random-walk sweep in the shape of the benchmark's sweep-report workload."""
+        return self.sweep_config(
+            tmp_path, dataset="synthetic:linear1d:10:0", proposers=["random_walk", "llm"], alphas=[0],
+            seeds=[38, 39], repeats_at_seed={"39": 2}, prompt_formats=["parameter", "report"], max_iterations=4,
+            parallelism=parallelism,
+            llm={"client": f"replay:{fixtures}", "matcher": "offline", "offline_reports": True, **llm},
+        )
+
+    def sweep_statuses(self, path, out_dir):
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        return {(r["proposer"], r["digest"]): r["status"] for r in read_summary(out_dir / "summary.csv")}
+
+    REPLIES = [FixtureRecord(response_text=f"```\nx: {x}\n```") for x in (0.2, 0.4, 0.6, 0.8)]
+
+    def test_parallel_replay_sweep_resumes_every_cell(self, tmp_path):
+        save_fixtures(self.REPLIES, tmp_path / "fx.jsonl")
+        path = self.llm_sweep(tmp_path, tmp_path / "fx.jsonl", 2, rate_limit=1_000_000, backoff=0)
+        out_dir = tmp_path / "results"
+        first = self.sweep_statuses(path, out_dir)
+        assert len(first) == 8 and set(first.values()) == {"ok"}
+        assert self.sweep_statuses(path, out_dir) == dict.fromkeys(first, "skipped")
+
+    @pytest.mark.parametrize("llm", [{"rate_limit": 600}, {"backoff": 0.25}], ids=["rate-limit", "backoff"])
+    def test_timing_settings_keep_every_cell(self, tmp_path, llm):
+        save_fixtures(self.REPLIES, tmp_path / "fx.jsonl")
+        out_dir = tmp_path / "results"
+        first = self.sweep_statuses(self.llm_sweep(tmp_path, tmp_path / "fx.jsonl"), out_dir)
+        again = self.sweep_statuses(self.llm_sweep(tmp_path, tmp_path / "fx.jsonl", **llm), out_dir)
+        assert again == dict.fromkeys(first, "skipped")
+
+    def test_replay_fixtures_are_recorded_by_content(self, tmp_path):
+        save_fixtures(self.REPLIES, tmp_path / "fx.jsonl")
+        out_dir = tmp_path / "results"
+        first = self.sweep_statuses(self.llm_sweep(tmp_path, tmp_path / "fx.jsonl"), out_dir)
+        run = next(d for kind, d in first if kind == "llm")
+        header, _ = read_trajectory(out_dir / "runs" / f"{run}.jsonl")
+        assert "fx.jsonl" not in json.dumps(header["settings"])
+        (tmp_path / "moved").mkdir()
+        save_fixtures(self.REPLIES, tmp_path / "moved" / "copy.jsonl")
+        moved = self.llm_sweep(tmp_path, tmp_path / "moved" / "copy.jsonl")
+        assert self.sweep_statuses(moved, out_dir) == dict.fromkeys(first, "skipped")
+        edited = [*self.REPLIES[:-1], FixtureRecord(response_text="```\nx: 0.9\n```")]
+        save_fixtures(edited, tmp_path / "moved" / "copy.jsonl")
+        again = self.sweep_statuses(moved, out_dir)
+        assert again == {(kind, d): "ok" if kind == "llm" else "skipped" for kind, d in first}
 
     def test_reports_emitted(self, tmp_path):
         path = self.sweep_config(tmp_path)

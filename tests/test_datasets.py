@@ -41,6 +41,14 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv(DatasetSpec(name="d", csv_path=p, target_column="y", goal=Goal.MAXIMIZE))
 
+    @pytest.mark.parametrize("header, target", [("a,a,y", "y"), ("a,y,y", "y"), (" a,a ,y", "y")],
+                             ids=["feature", "target", "after-strip"])
+    def test_repeated_column_is_schema_error(self, tmp_path, header, target):
+        # the parent read the first 'a' for both features and lost column 2
+        p = write_csv(tmp_path / "d.csv", f"{header}\n1,10,5\n2,20,6\n")
+        with pytest.raises(SchemaError, match="repeats columns"):
+            load_csv(DatasetSpec(name="d", csv_path=p, target_column=target, goal=Goal.MAXIMIZE))
+
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "a,y\n1,2\nfoo,3\n")
         with pytest.raises(CsvParseError) as err:

@@ -1,7 +1,7 @@
 """Engine contracts: initialization, standardization, stopping, the loop."""
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,9 @@ from albench.errors import (
     RunAborted,
     ShapeError,
 )
-from albench.proposers import RandomWalkProposer, make_proposer
+from albench.bnn import BNNConfig
+from albench.forest_gbt import ForestConfig, GBTConfig
+from albench.proposers import DEFAULT_SETTINGS, ProposerSettings, RandomWalkProposer, make_proposer
 from albench.types import Goal, ProposerKind, RunConfig, StepRecord
 
 from conftest import make_pool
@@ -351,6 +353,13 @@ class TestTrajectoryIO:
         write_trajectory(second, path)
         assert path.read_text() == trajectory_to_jsonl(second) != before
 
+    def test_header_records_the_settings_given(self, tmp_path, ramp_pool):
+        traj = run_active_learning(ramp_pool, RunConfig(ProposerKind.RANDOM_WALK, seed=6), RandomWalkProposer(6))
+        write_trajectory(traj, tmp_path / "bare.jsonl")
+        write_trajectory(traj, tmp_path / "rfr.jsonl", None, DEFAULT_SETTINGS.record(ProposerKind.RFR))
+        assert read_trajectory(tmp_path / "bare.jsonl")[0]["settings"] is None
+        assert read_trajectory(tmp_path / "rfr.jsonl")[0]["settings"]["n_trees"] == 400
+
     def test_header_reconstructs_exact_config(self, tmp_path, ramp_pool):
         cfg = RunConfig(
             ProposerKind.RANDOM_WALK,
@@ -365,3 +374,38 @@ class TestTrajectoryIO:
         write_trajectory(traj, path)
         header, _ = read_trajectory(path)
         assert RunConfig.from_dict(header["run_config"]) == cfg
+
+
+class TestSettingsRecord:
+    MODELS = {ProposerKind.RFR: ForestConfig, ProposerKind.GBT: GBTConfig, ProposerKind.BNN: BNNConfig}
+
+    @pytest.mark.parametrize("kind", list(MODELS), ids=lambda k: k.value)
+    def test_model_record_is_every_config_field_but_seed(self, kind):
+        names = {f.name for f in fields(self.MODELS[kind])} - {"seed"}
+        assert set(DEFAULT_SETTINGS.record(kind)) == names
+
+    def test_records_hold_only_what_their_kind_reads(self):
+        changed = ProposerSettings(
+            forest=ForestConfig(n_trees=3, max_depth=2, seed=9),
+            gpr_standardize_targets=True,
+            matcher="rerank:http://127.0.0.1:1|m",
+            offline_reports=True,
+            client="mock:x",
+        )
+        assert changed.record(ProposerKind.RFR) == {
+            "n_trees": 3, "bootstrap": True, "max_depth": 2, "min_samples_split": 2, "min_samples_leaf": 1,
+        }
+        assert changed.record(ProposerKind.GBT) == DEFAULT_SETTINGS.record(ProposerKind.GBT)
+        assert changed.record(ProposerKind.GPR) == {"standardize_targets": True}
+        assert changed.record(ProposerKind.LLM) == {
+            "client": "mock:x", "matcher": "rerank:http://127.0.0.1:1|m", "offline_reports": True,
+        }
+        assert changed.record(ProposerKind.RANDOM_WALK) == {}
+
+    def test_make_proposer_defaults_select_the_ids_they_always_did(self):
+        # recorded when make_proposer still took one keyword per model config
+        pool = synthetic_pool("quadratic2d", 30, seed=2)
+        cfg = RunConfig(ProposerKind.RFR, alpha=1.0, seed=3, max_iterations=6)
+        proposer = make_proposer(cfg)
+        assert proposer.settings == DEFAULT_SETTINGS == ProposerSettings()
+        assert run_active_learning(pool, cfg, proposer).selected_ids() == [24, 0, 1, 12, 6, 14]

@@ -13,7 +13,7 @@ from albench.acquisition import random_walk_select
 from albench.engine import STREAM_WALK, run_active_learning, substream, trajectory_to_jsonl
 from albench.errors import ConfigError
 from albench.forest_gbt import ForestConfig, GBTConfig
-from albench.proposers import FIT_PREDICT, RandomWalkProposer, SurrogateProposer, make_proposer
+from albench.proposers import FIT_PREDICT, ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer
 from albench.types import ProposerKind, RunConfig
 
 from conftest import make_pool
@@ -40,7 +40,8 @@ class TestUnlabeledIds:
             cid = walk.propose(pool, observed, values).candidate_id
             assert type(cid) is int
             assert cid == random_walk_select(sorted(set(range(len(pool))) - set(observed)), reference_rng)
-        gbt = SurrogateProposer(ProposerKind.GBT, alpha=1.0, seed=4, gbt_config=GBTConfig(n_rounds=5))
+        small = ProposerSettings(gbt=GBTConfig(n_rounds=5))
+        gbt = SurrogateProposer(ProposerKind.GBT, alpha=1.0, seed=4, settings=small)
         llm = make_proposer(RunConfig(ProposerKind.LLM, seed=0), chat_client=ConstantChatClient("x1: 0.1\nx2: 0.2"))
         for proposer in (gbt, llm):
             cid = proposer.propose(pool, observed, values).candidate_id
@@ -61,11 +62,11 @@ class TestSurrogateProposers:
     def test_rfr_and_gbt_runs_complete(self):
         pool = synthetic_pool("quadratic2d", 16, seed=2)
         for kind, kwargs in (
-            (ProposerKind.RFR, {"forest_config": ForestConfig(n_trees=20)}),
-            (ProposerKind.GBT, {"gbt_config": GBTConfig(n_rounds=20, max_depth=3)}),
+            (ProposerKind.RFR, {"forest": ForestConfig(n_trees=20)}),
+            (ProposerKind.GBT, {"gbt": GBTConfig(n_rounds=20, max_depth=3)}),
         ):
             cfg = RunConfig(kind, alpha=1.0, seed=4, max_iterations=6)
-            proposer = SurrogateProposer(kind, alpha=1.0, seed=4, **kwargs)
+            proposer = SurrogateProposer(kind, alpha=1.0, seed=4, settings=ProposerSettings(**kwargs))
             traj = run_active_learning(pool, cfg, proposer)
             assert len(traj.steps) >= 2
             ids = traj.selected_ids()
@@ -78,7 +79,7 @@ class TestSurrogateProposers:
             ProposerKind.BNN,
             alpha=1.0,
             seed=5,
-            bnn_config=BNNConfig(hidden_layers=1, width=6, epochs=40, mc_samples=32),
+            settings=ProposerSettings(bnn=BNNConfig(hidden_layers=1, width=6, epochs=40, mc_samples=32)),
         )
         traj = run_active_learning(pool, cfg, proposer)
         proposed = [s for s in traj.steps if s.surrogate_diag is not None]
@@ -94,7 +95,7 @@ class TestSurrogateProposers:
                 ProposerKind.BNN,
                 alpha=0.5,
                 seed=6,
-                bnn_config=BNNConfig(hidden_layers=1, width=4, epochs=30, mc_samples=16),
+                settings=ProposerSettings(bnn=BNNConfig(hidden_layers=1, width=4, epochs=30, mc_samples=16)),
             )
             return trajectory_to_jsonl(run_active_learning(pool, cfg, proposer))
 
@@ -109,7 +110,7 @@ class TestSurrogateProposers:
         picks = []
         for pool in (pool_a, pool_b):
             proposer = SurrogateProposer(
-                ProposerKind.GPR, alpha=1.0, seed=7, gpr_standardize_targets=True
+                ProposerKind.GPR, alpha=1.0, seed=7, settings=ProposerSettings(gpr_standardize_targets=True)
             )
             suggestion = proposer.propose(pool, [0, 3, 6], [pool.candidates[i].target for i in (0, 3, 6)])
             picks.append(suggestion.candidate_id)
@@ -122,11 +123,11 @@ class TestSurrogateProposers:
         ProposerKind.GBT: (forest_gbt, "fit_gbt", "predict_gbt"),
         ProposerKind.BNN: (bnn, "train_bnn", "predict_bnn"),
     }
-    SMALL = {
-        "forest_config": ForestConfig(n_trees=5),
-        "gbt_config": GBTConfig(n_rounds=4, max_depth=2),
-        "bnn_config": BNNConfig(hidden_layers=1, width=4, epochs=5, mc_samples=8),
-    }
+    SMALL = ProposerSettings(
+        forest=ForestConfig(n_trees=5),
+        gbt=GBTConfig(n_rounds=4, max_depth=2),
+        bnn=BNNConfig(hidden_layers=1, width=4, epochs=5, mc_samples=8),
+    )
 
     @pytest.mark.parametrize("kind", list(MODEL_FUNCTIONS), ids=lambda k: k.value)
     def test_predict_returns_float64_arrays_over_the_pool(self, kind, monkeypatch):
@@ -146,7 +147,7 @@ class TestSurrogateProposers:
         monkeypatch.setattr(module, predict_name, recording(getattr(module, predict_name)))
         gen = np.random.default_rng(0)
         Z_train, y, Z_pool = gen.normal(size=(6, 2)), gen.normal(size=6), gen.normal(size=(9, 2))
-        proposer = SurrogateProposer(kind, alpha=1.0, seed=0, **self.SMALL)
+        proposer = SurrogateProposer(kind, alpha=1.0, seed=0, settings=self.SMALL)
         mean, std, _ = FIT_PREDICT[kind](proposer, Z_train, y, Z_pool, 3)
         assert len(results) == 2  # one fit, one predict
         for arrays in (results[1], (mean, std)):
