@@ -42,7 +42,7 @@ from .llm import (
     render_parameter_prompt,
     render_report_prompt,
 )
-from .proposers import ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer
+from .proposers import GPRConfig, ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer
 from .types import (
     Candidate,
     Dataset,
@@ -81,6 +81,7 @@ __all__ = [
     "DatasetSpec",
     "ForestConfig",
     "GBTConfig",
+    "GPRConfig",
     "Goal",
     "KernelParams",
     "LLMProposer",

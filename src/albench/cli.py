@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -36,8 +36,10 @@ from .engine import (
     write_trajectory,
 )
 from .errors import AlbenchError, ConfigError, RunAborted
-from .proposers import DEFAULT_SETTINGS, FIT_PREDICT, ProposerSettings, make_proposer
-from .types import Dataset, PromptFormat, ProposerKind, RunConfig, Trajectory, is_int, is_real
+from .proposers import DEFAULT_SETTINGS, FIT_PREDICT, MODEL_SECTIONS, ProposerSettings, make_proposer
+from .types import (
+    Dataset, PromptFormat, ProposerKind, RunConfig, Trajectory, check_keys, is_int, is_real, read_config,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -60,23 +62,34 @@ def build_dataset(spec_like) -> tuple[Dataset, dict]:
         if spec_like.startswith("synthetic:"):
             return parse_synthetic_string(spec_like), {"source": spec_like}
         raise ConfigError(f"unrecognized dataset string {spec_like!r}")
-    if not isinstance(spec_like, dict):
-        raise ConfigError(f"dataset must be a string or object, got {type(spec_like).__name__}")
-    if "source" in spec_like:  # header entry round-trip
+    if isinstance(spec_like, dict) and "source" in spec_like:  # header entry round-trip
         return dataset_from_header_entry(spec_like), dict(spec_like)
     spec = DatasetSpec.from_dict(spec_like)
     dataset = load_csv(spec)
     return dataset, dataset_header_entry(dataset, spec)
 
 
-def _section(cfg: dict, name: str, parent: str = "") -> dict:
-    """cfg[name] as an object ({} when absent or null); `parent` prefixes its name in errors."""
-    value = cfg.get(name)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{parent}{name}' must be an object, got {value!r}")
-    return value
+# The top-level keys that each command reads; any other key is a ConfigError.
+RUN_KEYS = ("dataset", "run", "llm", "model_overrides")
+SWEEP_KEYS = ("dataset", "proposers", "alphas", "seeds", "repeats_at_seed", "prompt_formats", "parallelism",
+              "n_initial", "max_iterations", "out_dir", "llm", "model_overrides")
+
+
+@dataclass(frozen=True)
+class LLMConfig:
+    """A config's `llm` section (README); a `matcher` of None or "" is offline."""
+
+    client: Optional[str] = None
+    matcher: Optional[str] = None
+    offline_reports: bool = False
+    backoff: float = 1.0
+    rate_limit: Optional[int] = None
+
+    def __post_init__(self):
+        if self.backoff < 0:
+            raise ConfigError(f"backoff must be >= 0 (seconds), got {self.backoff}")
+        if self.rate_limit is not None and self.rate_limit < 1:
+            raise ConfigError(f"rate_limit must be >= 1 (requests/minute), got {self.rate_limit}")
 
 
 def _chat_client_factory(descriptor, rate_limiter):
@@ -86,7 +99,7 @@ def _chat_client_factory(descriptor, rate_limiter):
     once, here, and recorded by their digest, not their path."""
     if descriptor is None:
         return None, None
-    kind, _, rest = descriptor.partition(":") if isinstance(descriptor, str) else (None, "", "")
+    kind, _, rest = descriptor.partition(":")
     if kind == "mock":
         return (lambda: ConstantChatClient(rest)), descriptor
     if kind == "replay":
@@ -106,98 +119,50 @@ def _rerank_client(descriptor) -> Optional[LiveRerankClient]:
     """None for 'offline' (the default); a client for 'rerank:ENDPOINT[|MODEL]'."""
     if descriptor in (None, "", "offline"):
         return None
-    kind, _, rest = descriptor.partition(":") if isinstance(descriptor, str) else (None, "", "")
+    kind, _, rest = descriptor.partition(":")
     endpoint, _, model = rest.partition("|")
     if kind != "rerank" or not endpoint:
         raise ConfigError(f"'llm.matcher' must be offline or rerank:ENDPOINT[|MODEL], got {descriptor!r}")
     return LiveRerankClient(endpoint=endpoint, model=model)
 
 
-# model_overrides sections, each with the proposer kind whose settings it sets
-_SECTION_KINDS = {"forest": ProposerKind.RFR, "gbt": ProposerKind.GBT, "bnn": ProposerKind.BNN, "gpr": ProposerKind.GPR}
-
-
-def _checked_override(name: str, value, default):
-    """`value` if it has the type of its setting's `default` (a float as float), else ConfigError."""
-    if isinstance(default, bool):
-        ok, want = isinstance(value, bool), "true or false"
-    elif isinstance(default, float):
-        ok, want = is_real(value, 0), "a finite number >= 0"
-    else:  # an int, or None for ForestConfig.max_depth: no depth limit
-        ok, want = is_int(value, 0) or (value is None and default is None), "an integer >= 0"
-    if not ok:
-        raise ConfigError(f"'{name}' must be {want}, got {value!r}")
-    return float(value) if isinstance(default, float) else value
-
-
-def _model_configs(overrides: dict, **llm) -> ProposerSettings:
-    """The proposer settings: a config's model_overrides, plus the `llm` fields given.
-
-    A section may set the keys its proposer kind records. Raises ConfigError
-    on an unknown section or key, or a value of the wrong type or range.
-    """
-    built = {}
-    for section in overrides:
-        if section not in _SECTION_KINDS:
-            raise ConfigError(f"unknown model_overrides section {section!r}; known: {sorted(_SECTION_KINDS)}")
-        defaults = DEFAULT_SETTINGS.record(_SECTION_KINDS[section])
-        values = _section(overrides, section, "model_overrides.")
-        unknown = sorted(set(values) - set(defaults))
-        if unknown:
-            raise ConfigError(f"unknown model_overrides.{section} keys {unknown}; known: {sorted(defaults)}")
-        values = {k: _checked_override(f"model_overrides.{section}.{k}", v, defaults[k]) for k, v in values.items()}
-        if section == "gpr":
-            built["gpr_standardize_targets"] = values.get("standardize_targets", False)
-            continue
-        try:
-            built[section] = replace(getattr(DEFAULT_SETTINGS, section), **values)
-        except ConfigError as exc:
-            raise ConfigError(f"bad model_overrides.{section} value: {exc}") from exc
-    return ProposerSettings(**built, **llm)
-
-
-def proposer_factory(cfg: dict, kinds, workers: int = 1):
+def proposer_factory(cfg: dict, kinds, workers: int = 1, **flags):
     """Check a config and build, once, what the proposers of its runs share.
 
-    The one reader of the `llm` and `model_overrides` sections: ConfigError
-    on a `run`, `llm` or `model_overrides` section that is not an object,
-    an unknown key, a value of the wrong type, or LLM runs among `kinds`
-    without a chat client. It builds the settings, the rerank client and,
-    with `llm.rate_limit` set, one TokenBucket with that budget split
+    The one reader of the `llm` and `model_overrides` sections, with
+    `read_config`; `flags` are `llm` fields that override the section's. A
+    model_overrides section may set the keys that its proposer kind records
+    (so no `seed`). ConfigError on a malformed section, or LLM runs among
+    `kinds` without a chat client. It builds the settings, the rerank client
+    and, with `llm.rate_limit` set, one TokenBucket with that budget split
     between `workers` processes. Returns (new_proposer, settings, workers):
     new_proposer(run_config) makes a fresh proposer, with a fresh chat
     client; workers drops to 1 when LLM runs have no rate limit, so that
     their calls are serialized.
     """
-    _section(cfg, "run")
-    llm = _section(cfg, "llm")
-    known = ["backoff", "client", "matcher", "offline_reports", "rate_limit"]
-    unknown = sorted(set(llm) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown llm keys {unknown}; known: {known}")
-    rate_limit, backoff = llm.get("rate_limit"), llm.get("backoff", 1.0)
-    if rate_limit is not None and not is_int(rate_limit, 1):
-        raise ConfigError(f"'llm.rate_limit' must be an integer >= 1 (requests/minute), got {rate_limit!r}")
-    if not is_real(backoff, 0):
-        raise ConfigError(f"'llm.backoff' must be a finite number >= 0 (seconds), got {backoff!r}")
-    offline_reports = llm.get("offline_reports", False)
-    if not isinstance(offline_reports, bool):
-        raise ConfigError(f"'llm.offline_reports' must be true or false, got {offline_reports!r}")
-    rerank_client = _rerank_client(llm.get("matcher"))
+    llm = replace(read_config(LLMConfig, cfg.get("llm"), "llm"), **flags)
+    rerank_client = _rerank_client(llm.matcher)
     llm_runs = ProposerKind.LLM in kinds
-    if llm_runs and rate_limit is None:
+    if llm_runs and llm.rate_limit is None:
         workers = 1
-    limiter = TokenBucket(max(1, rate_limit // workers)) if rate_limit is not None else None
-    new_chat_client, client = _chat_client_factory(llm.get("client"), limiter)
+    limiter = TokenBucket(max(1, llm.rate_limit // workers)) if llm.rate_limit is not None else None
+    new_chat_client, client = _chat_client_factory(llm.client, limiter)
     if llm_runs and new_chat_client is None:
         raise ConfigError("LLM runs need a chat client (flag --client or config llm.client)")
-    matcher = llm.get("matcher") or "offline"  # a checked descriptor, or None or "" for the default
-    overrides = _section(cfg, "model_overrides")
-    settings = _model_configs(overrides, matcher=matcher, offline_reports=offline_reports, client=client)
+    section_kinds = {section: kind for kind, section in MODEL_SECTIONS.items()}
+    models = {}
+    for section, values in check_keys(cfg.get("model_overrides"), "model_overrides", section_kinds).items():
+        model = type(getattr(DEFAULT_SETTINGS, section))
+        known = DEFAULT_SETTINGS.record(section_kinds[section])
+        models[section] = read_config(model, values, f"model_overrides.{section}", known)
+    matcher = llm.matcher or "offline"
+    settings = ProposerSettings(**models, matcher=matcher, offline_reports=llm.offline_reports, client=client)
 
     def new_proposer(config: RunConfig):
         chat_client = new_chat_client() if new_chat_client and config.proposer is ProposerKind.LLM else None
-        return make_proposer(config, settings, chat_client=chat_client, rerank_client=rerank_client, backoff=backoff)
+        return make_proposer(
+            config, settings, chat_client=chat_client, rerank_client=rerank_client, backoff=llm.backoff
+        )
 
     return new_proposer, settings, workers
 
@@ -242,32 +207,19 @@ def summary_row(
 # --- run command -------------------------------------------------------------
 
 
-def _read_config(path) -> dict:
+def _read_config(path, known) -> dict:
+    """The JSON object in the file at `path`; ConfigError on a key outside `known`."""
     with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"a config must be a JSON object, got {type(cfg).__name__} in {path}")
-    return cfg
+        return check_keys(json.load(fh), str(path), known)
 
 
 def cmd_run(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
-    flags = {"client": args.client, "matcher": args.matcher, "offline_reports": args.offline_reports}
-    cfg["llm"] = {**_section(cfg, "llm"), **{k: v for k, v in flags.items() if v}}
-    overrides = {
-        "proposer": args.proposer,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "repeat_index": args.repeat,
-        "n_initial": args.n_initial,
-        "max_iterations": args.max_iterations,
-        "prompt_format": args.prompt_format,
-    }
-    run_cfg_dict = {**_section(cfg, "run"), **{k: v for k, v in overrides.items() if v is not None}}
-    if "proposer" not in run_cfg_dict:
-        raise ConfigError("no proposer given (flag --proposer or config run.proposer)")
-    config = RunConfig.from_dict(run_cfg_dict)
-    new_proposer, settings, _ = proposer_factory(cfg, {config.proposer})
+    cfg = _read_config(args.config, RUN_KEYS) if args.config else {}
+    run_flags = {field.name: getattr(args, field.name) for field in fields(RunConfig)}
+    run_section = check_keys(cfg.get("run"), "run", run_flags)
+    config = RunConfig.from_dict({**run_section, **{k: v for k, v in run_flags.items() if v is not None}})
+    llm_flags = {"client": args.client, "matcher": args.matcher, "offline_reports": args.offline_reports}
+    new_proposer, settings, _ = proposer_factory(cfg, {config.proposer}, **{k: v for k, v in llm_flags.items() if v})
     dataset_like = args.dataset or cfg.get("dataset")
     if dataset_like is None:
         raise ConfigError("no dataset given (flag --dataset or config dataset)")
@@ -314,10 +266,7 @@ def expand_sweep(cfg: dict) -> list[dict]:
         repeats_at_seed = None
     if repeats_at_seed is None or not all(is_int(v, 1) for v in repeats_at_seed.values()):
         raise ConfigError(f"'repeats_at_seed' must map integer seeds to integers >= 1, got {repeats!r}")
-    base = {
-        "n_initial": cfg.get("n_initial", 1),
-        "max_iterations": cfg.get("max_iterations"),
-    }
+    base = {key: cfg[key] for key in ("n_initial", "max_iterations") if key in cfg}
     tasks = []
     for name in proposers:
         kind = ProposerKind(name)
@@ -397,7 +346,7 @@ def cmd_sweep(args) -> int:
     This relies on Dataset being immutable, since each caches its digest
     and z-scores.
     """
-    cfg = _read_config(args.config)
+    cfg = _read_config(args.config, SWEEP_KEYS)
     if "dataset" not in cfg:
         raise ConfigError("sweep config needs a 'dataset' entry")
     configs = [RunConfig.from_dict(cell) for cell in expand_sweep(cfg)]
@@ -409,7 +358,10 @@ def cmd_sweep(args) -> int:
     dataset, header_entry = build_dataset(cfg["dataset"])
     for config in configs:
         config.validate(len(dataset))
-    out_dir = Path(args.out_dir or cfg.get("out_dir") or "sweep_results")
+    out_dir = cfg.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"'out_dir' must be a string, got {out_dir!r}")
+    out_dir = Path(args.out_dir or out_dir or "sweep_results")
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
@@ -518,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--proposer", choices=[k.value for k in ProposerKind])
     p_run.add_argument("--alpha", type=float)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--repeat", type=int)
+    p_run.add_argument("--repeat", type=int, dest="repeat_index")
     p_run.add_argument("--n-initial", type=int, dest="n_initial")
     p_run.add_argument("--max-iterations", type=int, dest="max_iterations")
     p_run.add_argument("--prompt-format", choices=[f.value for f in PromptFormat], dest="prompt_format")

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, CsvParseError, EmptyDatasetError, SchemaError
-from .types import Candidate, Dataset, Goal, is_int
+from .types import Candidate, Dataset, Goal, read_config
 
 
 def _without_nulls(d: dict) -> dict:
@@ -45,47 +45,24 @@ class DatasetSpec:
             "expected_rows": self.expected_rows,
         }
 
+    def __post_init__(self):
+        if self.expected_rows is not None and self.expected_rows < 1:
+            raise ConfigError(f"expected_rows must be >= 1, got {self.expected_rows}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
-        """Read a `dataset` object or a stored spec, checking every value.
+        """Read a `dataset` object or a stored spec with `read_config`.
 
-        A null value means the key is absent. {"registry": NAME, ...} starts
-        from that registry entry, and the other keys override it. ConfigError
-        names an unknown or missing key or a value of the wrong type.
+        A null value means the key is absent, and `csv_path` defaults to "".
+        {"registry": NAME, ...} starts from that registry entry, and the
+        other keys override it.
         """
         if not isinstance(d, dict):
-            raise ConfigError(f"a dataset must be an object, got {d!r}")
+            raise ConfigError(f"'dataset' must be a JSON object, got {d!r}")
         d = _without_nulls(d)
         if "registry" in d:
             d = {**_without_nulls(registry_by_name(d.pop("registry")).to_dict()), **d}
-        known = [f.name for f in fields(cls)]
-        unknown = sorted(set(d) - set(known))
-        if unknown:
-            raise ConfigError(f"unknown dataset keys {unknown}; known: {['registry', *known]}")
-        for key in ("name", "target_column", "goal"):
-            if key not in d:
-                raise ConfigError(f"'dataset.{key}' is required")
-        for key in ("name", "csv_path", "target_column", "context"):
-            if not isinstance(d.get(key, ""), str):
-                raise ConfigError(f"'dataset.{key}' must be a string, got {d[key]!r}")
-        goals = [g.value for g in Goal]
-        if d["goal"] not in goals:
-            raise ConfigError(f"'dataset.goal' must be one of {goals}, got {d['goal']!r}")
-        cols = d.get("feature_columns")
-        if cols is not None and not (isinstance(cols, (list, tuple)) and all(isinstance(c, str) for c in cols)):
-            raise ConfigError(f"'dataset.feature_columns' must be a list of column names, got {cols!r}")
-        rows = d.get("expected_rows")
-        if rows is not None and not is_int(rows, 1):
-            raise ConfigError(f"'dataset.expected_rows' must be an integer >= 1, got {rows!r}")
-        return cls(
-            name=d["name"],
-            csv_path=d.get("csv_path", ""),
-            target_column=d["target_column"],
-            goal=Goal(d["goal"]),
-            feature_columns=tuple(cols) if cols else None,
-            context=d.get("context", ""),
-            expected_rows=rows,
-        )
+        return read_config(cls, {"csv_path": "", **d}, "dataset")
 
 
 def load_csv(spec: DatasetSpec) -> Dataset:
@@ -108,7 +85,7 @@ def load_csv(spec: DatasetSpec) -> Dataset:
             raise SchemaError(f"{spec.csv_path}: header repeats columns {repeated}")
         if spec.target_column not in header:
             raise SchemaError(f"{spec.csv_path}: target column {spec.target_column!r} not in header {header}")
-        if spec.feature_columns is not None:
+        if spec.feature_columns:
             missing = [c for c in spec.feature_columns if c not in header]
             if missing:
                 raise SchemaError(f"{spec.csv_path}: feature columns {missing} not in header")

@@ -16,6 +16,7 @@ fixed seed differ only through client nondeterminism (live LLMs).
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,7 +211,12 @@ def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer)
             raise RunAborted(
                 f"proposer failed at iteration {len(steps)}: {exc}", partial=build()
             ) from exc
-        cid = int(suggestion.candidate_id)
+        try:
+            cid = operator.index(suggestion.candidate_id)
+        except TypeError:
+            raise ProtocolViolationError(
+                f"proposer returned non-integer candidate id {suggestion.candidate_id!r} at iteration {len(steps)}"
+            ) from None
         if cid in observed:
             raise ProtocolViolationError(
                 f"proposer returned already-observed candidate id {cid} at iteration {len(steps)}"
@@ -273,16 +279,24 @@ def write_trajectory(
         tmp.unlink(missing_ok=True)
 
 
+def _reject_constant(token: str):
+    raise NumericalError(f"trajectory holds a non-finite number: {token}")
+
+
+_LINE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def read_trajectory(path) -> tuple[dict, list[StepRecord]]:
-    """Load (header, steps) from a JSONL trajectory file."""
+    """Load (header, steps) from a JSONL trajectory file. As on writing,
+    NaN or infinity raises NumericalError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
         raise ConfigError(f"trajectory file {path} is empty")
-    header = json.loads(lines[0])
+    header = _LINE_DECODER.decode(lines[0])
     if not isinstance(header, dict) or "run_config" not in header:
         raise ConfigError(f"trajectory file {path} has no header line")
-    steps = [StepRecord.from_dict(json.loads(line)) for line in lines[1:]]
+    steps = [StepRecord.from_dict(_LINE_DECODER.decode(line)) for line in lines[1:]]
     return header, steps
 
 

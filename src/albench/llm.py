@@ -70,7 +70,6 @@ def _instruction_block(dataset: Dataset, strict: bool = False) -> str:
 def render_parameter_prompt(
     dataset: Dataset,
     observed: Sequence[tuple[Candidate, float]],
-    goal: Goal,
     cache: Optional[dict[int, str]] = None,
 ) -> str:
     """Concise feature=value prompt; byte-identical for identical inputs.
@@ -138,7 +137,6 @@ def generate_report(
 def render_report_prompt(
     dataset: Dataset,
     observed: Sequence[tuple[Candidate, float]],
-    goal: Goal,
     client: Optional[ChatClient],
     cache: dict[int, str],
 ) -> str:
@@ -311,8 +309,8 @@ class LLMProposer:
             self._cache_pool = dataset
         if self.prompt_format is PromptFormat.REPORT:
             report_client = None if self.offline_reports else self.client
-            return render_report_prompt(dataset, observed, dataset.goal, report_client, self.report_cache)
-        return render_parameter_prompt(dataset, observed, dataset.goal, self.line_cache)
+            return render_report_prompt(dataset, observed, report_client, self.report_cache)
+        return render_parameter_prompt(dataset, observed, self.line_cache)
 
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:
         observed = [

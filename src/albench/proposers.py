@@ -21,6 +21,16 @@ from .errors import ConfigError
 from .types import Dataset, ProposerKind, RunConfig
 
 
+#: The surrogate kinds, each with the ProposerSettings field (and the
+#: config's model_overrides section) that holds its model config.
+MODEL_SECTIONS = {ProposerKind.RFR: "forest", ProposerKind.GBT: "gbt", ProposerKind.BNN: "bnn", ProposerKind.GPR: "gpr"}
+
+
+@dataclass(frozen=True)
+class GPRConfig:
+    standardize_targets: bool = False
+
+
 @dataclass(frozen=True)
 class ProposerSettings:
     """What selects a run's candidates besides its RunConfig. `client` and
@@ -30,7 +40,7 @@ class ProposerSettings:
     forest: forest_gbt.ForestConfig = forest_gbt.ForestConfig()
     gbt: forest_gbt.GBTConfig = forest_gbt.GBTConfig()
     bnn: bnn_mod.BNNConfig = bnn_mod.BNNConfig()
-    gpr_standardize_targets: bool = False
+    gpr: GPRConfig = GPRConfig()
     matcher: str = "offline"
     offline_reports: bool = False
     client: Optional[str] = None
@@ -38,12 +48,11 @@ class ProposerSettings:
     def record(self, kind: ProposerKind) -> dict:
         """The JSON fields that a `kind` proposer reads; rate limits, backoff
         and credentials select nothing, so they are never here."""
-        if kind is ProposerKind.GPR:
-            return {"standardize_targets": self.gpr_standardize_targets}
         if kind is ProposerKind.LLM:
             return {"client": self.client, "matcher": self.matcher, "offline_reports": self.offline_reports}
-        model = {ProposerKind.RFR: self.forest, ProposerKind.GBT: self.gbt, ProposerKind.BNN: self.bnn}.get(kind)
-        return {} if model is None else {k: v for k, v in asdict(model).items() if k != "seed"}
+        if kind not in MODEL_SECTIONS:
+            return {}
+        return {k: v for k, v in asdict(getattr(self, MODEL_SECTIONS[kind])).items() if k != "seed"}
 
 
 DEFAULT_SETTINGS = ProposerSettings()
@@ -66,7 +75,7 @@ def _fit_predict_gpr(proposer, Z_train, y, Z_pool, model_seed):
     from . import gpr  # loads scipy, which no other proposer needs
 
     shift, scale = 0.0, 1.0
-    if proposer.settings.gpr_standardize_targets:
+    if proposer.settings.gpr.standardize_targets:
         shift = float(y.mean())
         scale = float(y.std()) or 1.0
     y_fit = (y - shift) / scale

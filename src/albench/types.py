@@ -7,10 +7,13 @@ exact equality on stored values.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -25,8 +28,77 @@ def is_int(value, low: int) -> bool:
 
 
 def is_real(value, low: float) -> bool:
-    """A finite number >= low; JSON true/false is no number either."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value >= low
+    """A number >= low that is finite as a float (so no 400-digit integer);
+    JSON true/false is no number either."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max and value >= low
+
+
+def check_keys(d, name: str, known) -> dict:
+    """`d` if it is a JSON object whose keys are all in `known` (null reads
+    as {}), else ConfigError naming `name` and any unknown keys."""
+    if d is None:
+        return {}
+    if not isinstance(d, dict):
+        raise ConfigError(f"'{name}' must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in '{name}'; known: {sorted(known)}")
+    return d
+
+
+@functools.cache
+def _field_types(cls) -> tuple[dict, list]:
+    """({field: declared type}, [fields without a default]), once per class."""
+    return typing.get_type_hints(cls), [f.name for f in fields(cls) if f.default is MISSING]
+
+
+def _checked(value, tp, name: str):
+    """`value` as a value of the field type `tp`, else ConfigError naming `name`."""
+    if typing.get_origin(tp) is typing.Union:  # Optional[X]
+        if value is None:
+            return None
+        tp = typing.get_args(tp)[0]
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...], from a JSON list
+        if not isinstance(value, list):
+            raise ConfigError(f"'{name}' must be a list, got {value!r}")
+        return tuple(_checked(v, typing.get_args(tp)[0], name) for v in value)
+    if tp is bool:
+        ok, want = isinstance(value, bool), "true or false"
+    elif tp is int:
+        ok, want = is_int(value, -math.inf), "an integer"
+    elif tp is float:
+        ok, want = is_real(value, -math.inf), "a finite number"
+    elif tp is str:
+        ok, want = isinstance(value, str), "a string"
+    else:  # an Enum
+        names = [m.value for m in tp]
+        ok, want = value in names, f"one of {names}"
+    if not ok:
+        raise ConfigError(f"'{name}' must be {want}, got {value!r}")
+    return tp(value)
+
+
+def read_config(cls, d, name: str, known=None):
+    """Build the dataclass `cls` from the JSON object `d`, named `name` in errors.
+
+    The one reader of config values. ConfigError names the key for a `d`
+    that `check_keys` refuses (`known` defaults to the fields), a
+    missing required field, or a value without its field's declared type:
+    bool, int (not bool), float (finite, stored as float), str, an Enum
+    value, Optional of one of these, or tuple[X, ...] from a list. Then
+    `cls.__post_init__` checks ranges.
+    """
+    types, required = _field_types(cls)
+    d = check_keys(d, name, types if known is None else known)
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"'{name}.{key}' is required")
+    values = {key: _checked(value, types[key], f"{name}.{key}") for key, value in d.items()}
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"bad '{name}': {exc}") from exc
 
 
 def as_matrix(X) -> np.ndarray:
@@ -195,20 +267,19 @@ class RunConfig:
     max_iterations: Optional[int] = None
     prompt_format: PromptFormat = PromptFormat.PARAMETER
 
-    def validate(self, pool_size: int) -> None:
+    def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not 1 <= self.n_initial < pool_size:
-            raise ConfigError(
-                f"n_initial must satisfy 1 <= n_initial < pool size "
-                f"({pool_size}), got {self.n_initial}"
-            )
+        for key, low in (("seed", 0), ("repeat_index", 0), ("n_initial", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.max_iterations is not None and self.max_iterations < self.n_initial:
-            raise ConfigError(
-                f"max_iterations ({self.max_iterations}) is below n_initial ({self.n_initial})"
-            )
-        if self.repeat_index < 0:
-            raise ConfigError(f"repeat_index must be >= 0, got {self.repeat_index}")
+            raise ConfigError(f"max_iterations ({self.max_iterations}) is below n_initial ({self.n_initial})")
+
+    def validate(self, pool_size: int) -> None:
+        """ConfigError unless the run leaves a candidate unlabeled after its initial draw."""
+        if self.n_initial >= pool_size:
+            raise ConfigError(f"n_initial must be below the pool size ({pool_size}), got {self.n_initial}")
 
     def resolved_max_iterations(self, pool_size: int) -> int:
         return pool_size if self.max_iterations is None else min(self.max_iterations, pool_size)
@@ -227,39 +298,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         """Read a config's `run` section, a sweep cell or a stored header's
-        run config. Values are checked, not coerced: ConfigError names an
-        unknown or missing key or a value of the wrong type."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"bad run config: not an object: {d!r}")
-        defaults = cls(ProposerKind.RANDOM_WALK).to_dict()
-        unknown = sorted(set(d) - set(defaults))
-        if unknown:
-            raise ConfigError(f"bad run config: unknown keys {unknown}; known: {sorted(defaults)}")
-        d = {**defaults, "proposer": None, **d}
-
-        def fail(key: str, want: str):
-            raise ConfigError(f"bad run config: '{key}' must be {want}, got {d[key]!r}")
-
-        for key, kind in (("proposer", ProposerKind), ("prompt_format", PromptFormat)):
-            names = [k.value for k in kind]
-            if d[key] not in names:
-                fail(key, f"one of {names}")
-        for key, low in (("seed", 0), ("repeat_index", 0), ("n_initial", 1)):
-            if not is_int(d[key], low):
-                fail(key, f"an integer >= {low}")
-        if d["max_iterations"] is not None and not is_int(d["max_iterations"], 1):
-            fail("max_iterations", "an integer >= 1 or null")
-        if not is_real(d["alpha"], 0):
-            fail("alpha", "a finite number >= 0")
-        return cls(
-            proposer=ProposerKind(d["proposer"]),
-            alpha=float(d["alpha"]),
-            seed=d["seed"],
-            repeat_index=d["repeat_index"],
-            n_initial=d["n_initial"],
-            max_iterations=d["max_iterations"],
-            prompt_format=PromptFormat(d["prompt_format"]),
-        )
+        run config with `read_config`."""
+        return read_config(cls, d, "run")
 
     def digest(self, dataset_digest: str) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True) + dataset_digest
@@ -291,9 +331,16 @@ class StepRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":
+        """Read a stored step: ConfigError unless its iteration and id are integers
+        >= 0 and its values finite (plain checks: this runs once per stored step)."""
+        if not (
+            is_int(d["iteration"], 0) and is_int(d["candidate_id"], 0)
+            and is_real(d["observed_value"], -math.inf) and is_real(d["running_best"], -math.inf)
+        ):
+            raise ConfigError(f"malformed stored step: {d!r}")
         return cls(
-            iteration=int(d["iteration"]),
-            candidate_id=int(d["candidate_id"]),
+            iteration=d["iteration"],
+            candidate_id=d["candidate_id"],
             observed_value=float(d["observed_value"]),
             running_best=float(d["running_best"]),
             proposal_text=d.get("proposal_text"),

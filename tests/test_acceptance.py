@@ -22,7 +22,7 @@ from albench.engine import run_active_learning, standardize_features, trajectory
 from albench.forest_gbt import ForestConfig, GBTConfig
 from albench.gpr import KernelParams, kernel_matrix, log_marginal_likelihood, predict_gpr
 from albench.llm import LLMProposer
-from albench.proposers import ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer
+from albench.proposers import GPRConfig, ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer
 from albench.types import Goal, PromptFormat, ProposerKind, RunConfig
 
 from conftest import elbo_loss_and_grads, make_pool, optimum_id
@@ -204,7 +204,8 @@ def test_criterion_6_distance_ordering():
             pool,
             cfg_gpr,
             SurrogateProposer(
-                ProposerKind.GPR, alpha=alpha, seed=seed, settings=ProposerSettings(gpr_standardize_targets=True)
+                ProposerKind.GPR, alpha=alpha, seed=seed,
+                settings=ProposerSettings(gpr=GPRConfig(standardize_targets=True)),
             ),
         )
         cap = max(len(gpr_run.steps), 2)  # the comparison only needs the common prefix

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -54,9 +56,16 @@ BAD_POOLS = {
 
 
 def bad_run_value(key, value, sweep=None):
-    """A bad `run` value for `albench run`, plus the same value where a sweep
-    reads it (by default the top-level key of the same name)."""
-    return {"run": {**RUN_SECTION, key: value}, **({key: value} if sweep is None else sweep)}
+    """A patch that puts a bad `run` value where each command reads it: in
+    the `run` section for `albench run`, and for `albench sweep` at `sweep`
+    (by default the top-level key of the same name)."""
+
+    def patch(cfg):
+        if "run" in cfg:
+            return {**cfg, "run": {**cfg["run"], key: value}}
+        return {**cfg, **({key: value} if sweep is None else sweep)}
+
+    return patch
 
 
 # Malformed configs, each as a patch over a valid config (or a function of
@@ -115,6 +124,9 @@ MALFORMED_CONFIGS = [
     pytest.param({"dataset": {**SPEC, "csv_path": "header_only.csv"}}, "no data rows", id="pool-header-only"),
     pytest.param({"dataset": {**SPEC, "csv_path": "repeated_column.csv"}}, "repeats columns ['x']",
                  id="pool-repeated-column"),
+    pytest.param({"seed": [3]}, "['seed']", id="unknown-top-level-seed"),
+    pytest.param({"model_override": {"forest": {"n_trees": 5}}}, "['model_override']",
+                 id="unknown-top-level-model-override"),
     pytest.param(lambda cfg: [cfg], "JSON object", id="config-list"),
     pytest.param(lambda cfg: "llm", "JSON object", id="config-string"),
 ]
@@ -334,13 +346,19 @@ class TestRun:
         assert header["run_config"]["seed"] == 7
 
     @pytest.mark.parametrize(
-        "run, named",
-        [({"proposer": "random_walk", "max_iteration": 3}, "max_iteration"), ({"seed": 1}, "proposer")],
-        ids=["unknown-key", "no-proposer"],
+        "cfg, named",
+        [
+            ({"run": {"proposer": "random_walk", "max_iteration": 3}}, "max_iteration"),
+            ({"run": {"seed": 1}}, "proposer"),
+            ({"run": {"proposer": "random_walk"}, "proposers": ["gpr"]}, "['proposers']"),
+            ({"run": {"proposer": "random_walk"}, "out_dir": "results"}, "['out_dir']"),
+        ],
+        ids=["unknown-key", "no-proposer", "sweep-key", "sweep-out-dir"],
     )
-    def test_bad_run_section_is_config_error(self, tmp_path, capsys, run, named):
+    def test_bad_run_section_is_config_error(self, tmp_path, capsys, cfg, named):
+        """A bad `run` section, or a top-level key that only `albench sweep` reads."""
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"dataset": "synthetic:linear1d:12:3", "run": run}))
+        cfg_path.write_text(json.dumps({"dataset": "synthetic:linear1d:12:3", **cfg}))
         out = tmp_path / "t.jsonl"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -406,6 +424,7 @@ class TestSweep:
             pytest.param([0, True], id="boolean"),
             pytest.param([0, [1]], id="list"),
             pytest.param(2, id="not-a-list"),
+            pytest.param([0, 10**400], id="huge-integer"),
         ],
     )
     def test_non_finite_alpha_rejected(self, alphas):
@@ -435,7 +454,10 @@ class TestSweep:
             ({"parallelism": "x"}, "parallelism"),
             ({"llm": {"rate_limit": "x"}}, "rate_limit"),
             ({"prompt_formats": "parameter"}, "prompt_formats"),
-            ({"n_initial": "x"}, "bad run config"),
+            ({"n_initial": "x"}, "n_initial"),
+            ({"run": {"proposer": "gpr"}}, "['run']"),
+            ({"seed": [3]}, "['seed']"),
+            ({"out_dir": 5}, "out_dir"),
         ],
         ids=[
             "string-alpha",
@@ -448,6 +470,9 @@ class TestSweep:
             "string-rate-limit",
             "string-prompt-formats",
             "string-n-initial",
+            "run-section",
+            "seed-for-seeds",
+            "number-out-dir",
         ],
     )
     def test_malformed_grid_exits_before_any_cell(self, tmp_path, capsys, extra, named):
@@ -658,6 +683,35 @@ class TestSweep:
         (out_dir / "runs" / damaged).write_text("".join(lines))
         self.rerun_touches_only(path, out_dir, runs, damaged)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("candidate_id", 7.7), ("observed_value", float("nan")), ("running_best", float("inf"))],
+        ids=["fractional-id", "nan-value", "infinite-best"],
+    )
+    def test_malformed_stored_step_reruns_the_cell(self, tmp_path, key, value):
+        path, out_dir, runs = self.resumable_sweep(tmp_path, 1)
+        damaged = sorted(runs)[0]
+        lines = runs[damaged].decode().splitlines(keepends=True)
+        # the first step: an edited last step could also move the optimum hit
+        lines[1] = json.dumps({**json.loads(lines[1]), key: value}, sort_keys=True) + "\n"
+        (out_dir / "runs" / damaged).write_text("".join(lines))
+        self.rerun_touches_only(path, out_dir, runs, damaged)
+        assert "nan" not in (out_dir / "reports" / "running_best.csv").read_text()
+
+    def test_sweep_stored_by_an_earlier_version_resumes_every_cell(self, tmp_path):
+        """Run files, digests and settings records keep their bytes: a sweep
+        directory written before config values went through `read_config`
+        (every proposer, integer learning_rate included) resumes in full."""
+        stored = Path(__file__).parent / "data" / "stored_sweep"
+        out_dir = tmp_path / "results"
+        shutil.copytree(stored / "runs", out_dir / "runs")
+        assert main(["sweep", "--config", str(stored / "sweep.json"), "--out-dir", str(out_dir)]) == EXIT_OK
+        rows = read_summary(out_dir / "summary.csv")
+        expected = [{**r, "status": "skipped"} for r in read_summary(stored / "summary.csv")]
+        assert rows == expected and len(rows) == 7
+        for p in (stored / "runs").glob("*.jsonl"):
+            assert (out_dir / "runs" / p.name).read_bytes() == p.read_bytes()
+
     def forest_sweep(self, tmp_path, out_dir, forest):
         """The rfr cell (alpha 2, seed 3, cap 8) on synthetic:quadratic2d:40:1 with
         these forest overrides: its (summary status, trajectory header, selected ids)."""
@@ -841,6 +895,23 @@ class TestReport:
             code = main(["report", "--results", str(tmp_path), "--out-dir", str(tmp_path / "reports")])
         assert code == EXIT_OK
         assert any("skipping" in r.message and "bad.jsonl" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        "key, value", [("candidate_id", 7.7), ("observed_value", float("nan"))], ids=["fractional-id", "nan-value"]
+    )
+    def test_file_with_a_malformed_step_skipped_with_warning(self, tmp_path, caplog, key, value):
+        good = tmp_path / "good.jsonl"
+        args = ["--dataset", "synthetic:linear1d:10:1", "--proposer", "random_walk", "--seed", "39"]
+        assert main(["run", *args, "--out", str(good)]) == EXIT_OK
+        lines = good.read_text().splitlines()
+        lines[-1] = json.dumps({**json.loads(lines[-1]), key: value})
+        (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        with caplog.at_level("WARNING"):
+            code = main(["report", "--results", str(tmp_path), "--out-dir", str(tmp_path / "reports")])
+        assert code == EXIT_OK
+        assert any("skipping" in r.message and "bad.jsonl" in r.message for r in caplog.records)
+        running_best = read_summary(tmp_path / "reports" / "running_best.csv")
+        assert running_best and "nan" not in (tmp_path / "reports" / "running_best.csv").read_text()
 
     def test_run_on_edited_csv_skipped_with_both_digests(self, tmp_path, caplog):
         csv_path = tmp_path / "pool.csv"

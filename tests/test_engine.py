@@ -1,5 +1,6 @@
 """Engine contracts: initialization, standardization, stopping, the loop."""
 
+import json
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -32,7 +33,7 @@ from albench.errors import (
 )
 from albench.bnn import BNNConfig
 from albench.forest_gbt import ForestConfig, GBTConfig
-from albench.proposers import DEFAULT_SETTINGS, ProposerSettings, RandomWalkProposer, make_proposer
+from albench.proposers import DEFAULT_SETTINGS, GPRConfig, ProposerSettings, RandomWalkProposer, make_proposer
 from albench.types import Goal, ProposerKind, RunConfig, StepRecord
 
 from conftest import make_pool
@@ -198,6 +199,20 @@ class TestRunLoop:
         with pytest.raises(ProtocolViolationError):
             run_active_learning(ramp_pool, cfg, ScriptedProposer(ids=[init[0]]))
 
+    @pytest.mark.parametrize("bad_id", [3.7, 3.0, "3"])
+    def test_non_integer_id_is_protocol_violation(self, ramp_pool, bad_id):
+        """A proposer's id is never truncated: 3.7 does not observe candidate 3."""
+        cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=3, n_initial=1)
+        with pytest.raises(ProtocolViolationError, match="non-integer"):
+            run_active_learning(ramp_pool, cfg, ScriptedProposer(ids=[bad_id]))
+
+    def test_numpy_integer_id_is_accepted(self, ramp_pool):
+        cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=3, n_initial=1, max_iterations=2)
+        init = select_initial(ramp_pool, 3, 1)
+        cid = np.int64(next(i for i in range(len(ramp_pool)) if i not in init))
+        traj = run_active_learning(ramp_pool, cfg, ScriptedProposer(ids=[cid]))
+        assert traj.selected_ids()[-1] == cid
+
     def test_proposer_failure_aborts_with_partial(self, ramp_pool):
         class Failing:
             def propose(self, dataset, observed_ids, observed_values):
@@ -223,6 +238,15 @@ class TestRunLoop:
     def test_non_finite_alpha_rejected(self, ramp_pool, alpha):
         with pytest.raises(ConfigError, match="finite"):
             RunConfig(ProposerKind.RFR, alpha=alpha).validate(len(ramp_pool))
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"alpha": -1.0}, {"seed": -1}, {"repeat_index": -1}, {"n_initial": 0}, {"n_initial": 3, "max_iterations": 2}],
+        ids=["alpha", "seed", "repeat-index", "n-initial", "max-iterations"],
+    )
+    def test_out_of_range_value_raises_at_construction(self, values):
+        with pytest.raises(ConfigError, match=next(iter(values))):
+            RunConfig(ProposerKind.GPR, **values)
 
     def test_max_iterations_below_n_initial(self, ramp_pool):
         with pytest.raises(ConfigError):
@@ -265,6 +289,7 @@ class TestRunConfigFromDict:
             ("alpha", -1),
             ("alpha", float("nan")),
             ("alpha", True),
+            ("alpha", 10**400),
             ("seed", 1.5),
             ("seed", -1),
             ("seed", "1"),
@@ -332,6 +357,30 @@ class TestTrajectoryIO:
             assert path.read_text() == before
         assert os.listdir(tmp_path) == ["t.jsonl"]
 
+    @pytest.mark.parametrize(
+        "key, value, error",
+        [
+            ("candidate_id", 7.7, ConfigError),
+            ("candidate_id", True, ConfigError),
+            ("iteration", "1", ConfigError),
+            ("observed_value", "NaN", ConfigError),
+            ("running_best", None, ConfigError),
+            ("observed_value", float("nan"), NumericalError),
+            ("running_best", float("inf"), NumericalError),
+            ("match_score", float("-inf"), NumericalError),
+        ],
+    )
+    def test_malformed_stored_step_is_refused(self, tmp_path, ramp_pool, key, value, error):
+        """Reading mirrors writing: no truncated id, no NaN or infinity."""
+        cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=6, n_initial=2)
+        path = tmp_path / "t.jsonl"
+        write_trajectory(run_active_learning(ramp_pool, cfg, RandomWalkProposer(6)), path)
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), key: value})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error):
+            read_trajectory(path)
+
     def test_failed_write_keeps_previous_file(self, tmp_path, ramp_pool, monkeypatch):
         path = tmp_path / "t.jsonl"
         first = run_active_learning(ramp_pool, RunConfig(ProposerKind.RANDOM_WALK, seed=6, n_initial=2), RandomWalkProposer(6))
@@ -387,7 +436,7 @@ class TestSettingsRecord:
     def test_records_hold_only_what_their_kind_reads(self):
         changed = ProposerSettings(
             forest=ForestConfig(n_trees=3, max_depth=2, seed=9),
-            gpr_standardize_targets=True,
+            gpr=GPRConfig(standardize_targets=True),
             matcher="rerank:http://127.0.0.1:1|m",
             offline_reports=True,
             client="mock:x",

@@ -86,7 +86,7 @@ class TestParameterPrompt:
     def test_observation_block_contents(self):
         pool = two_feature_pool()
         observed = [(pool.candidates[0], 3.0)]
-        text = render_parameter_prompt(pool, observed, pool.goal)
+        text = render_parameter_prompt(pool, observed)
         block = text[text.index("Observed experiments:") : text.index("Propose the")]
         assert block.count("x1=1") == 1
         assert block.count("x2=2") == 1
@@ -94,27 +94,25 @@ class TestParameterPrompt:
 
     def test_contains_context_objective_and_instruction(self):
         pool = two_feature_pool()
-        text = render_parameter_prompt(pool, [(pool.candidates[1], 10.0)], pool.goal)
+        text = render_parameter_prompt(pool, [(pool.candidates[1], 10.0)])
         assert pool.context in text
         assert "maximize y" in text
         assert "x1, x2" in text
 
     def test_zero_context_still_renders(self):
         pool = make_pool([1.0, 2.0], features=[(0.0,), (1.0,)])
-        text = render_parameter_prompt(pool, [(pool.candidates[0], 1.0)], pool.goal)
+        text = render_parameter_prompt(pool, [(pool.candidates[0], 1.0)])
         assert text.startswith("The objective is to maximize")
 
     def test_minimize_objective_wording(self):
         pool = make_pool([1.0, 2.0], goal=Goal.MINIMIZE)
-        text = render_parameter_prompt(pool, [(pool.candidates[0], 1.0)], pool.goal)
+        text = render_parameter_prompt(pool, [(pool.candidates[0], 1.0)])
         assert "minimize y" in text
 
     def test_byte_identical_rendering(self):
         pool = two_feature_pool()
         observed = [(pool.candidates[0], 3.0), (pool.candidates[2], 7.0)]
-        assert render_parameter_prompt(pool, observed, pool.goal) == render_parameter_prompt(
-            pool, observed, pool.goal
-        )
+        assert render_parameter_prompt(pool, observed) == render_parameter_prompt(pool, observed)
 
 
 class TestReportPrompt:
@@ -123,11 +121,11 @@ class TestReportPrompt:
         client = ConstantChatClient("R")
         cache = {}
         observed = [(pool.candidates[0], 3.0), (pool.candidates[1], 10.0)]
-        text = render_report_prompt(pool, observed, pool.goal, client, cache)
+        text = render_report_prompt(pool, observed, client, cache)
         assert text.count("- R Result:") == 2
         assert client.calls == 2
         # re-render: cache prevents any further calls
-        render_report_prompt(pool, observed, pool.goal, client, cache)
+        render_report_prompt(pool, observed, client, cache)
         assert client.calls == 2
 
     def test_offline_template(self):
@@ -136,7 +134,7 @@ class TestReportPrompt:
         assert "x1" in report
         assert "1" in report
         cache = {}
-        text = render_report_prompt(pool, [(pool.candidates[0], 5.0)], pool.goal, None, cache)
+        text = render_report_prompt(pool, [(pool.candidates[0], 5.0)], None, cache)
         assert report in text
 
     def test_precomputed_report_text_wins(self):
@@ -147,7 +145,7 @@ class TestReportPrompt:
             name="d", candidates=[cand], feature_names=["x1"], target_name="y", goal=Goal.MAXIMIZE
         )
         cache = {}
-        text = render_report_prompt(pool, [(cand, 2.0)], pool.goal, ConstantChatClient("X"), cache)
+        text = render_report_prompt(pool, [(cand, 2.0)], ConstantChatClient("X"), cache)
         assert "archived report" in text
 
 
@@ -540,10 +538,10 @@ class TestPromptLineCache:
         original = llm.render_parameter_prompt
         rendered = []
 
-        def render_and_compare(dataset, observed, goal, cache=None):
+        def render_and_compare(dataset, observed, cache=None):
             assert cache is not None
-            prompt = original(dataset, observed, goal, cache)
-            assert prompt == original(dataset, observed, goal)
+            prompt = original(dataset, observed, cache)
+            assert prompt == original(dataset, observed)
             rendered.append(len(observed))
             return prompt
 
@@ -567,8 +565,8 @@ class TestPromptLineCache:
         def fresh_render(pool):
             observed = [(pool.candidates[0], 3.0)]
             if prompt_format is PromptFormat.REPORT:
-                return render_report_prompt(pool, observed, pool.goal, None, {})
-            return render_parameter_prompt(pool, observed, pool.goal)
+                return render_report_prompt(pool, observed, None, {})
+            return render_parameter_prompt(pool, observed)
 
         first = two_feature_pool()
         second = make_pool(targets=[3.0, 1.0, 2.0], features=[(9.0, 8.0), (7.0, 6.0), (5.0, 4.0)])

@@ -13,7 +13,9 @@ from albench.acquisition import random_walk_select
 from albench.engine import STREAM_WALK, run_active_learning, substream, trajectory_to_jsonl
 from albench.errors import ConfigError
 from albench.forest_gbt import ForestConfig, GBTConfig
-from albench.proposers import FIT_PREDICT, ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer
+from albench.proposers import (
+    FIT_PREDICT, GPRConfig, ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer,
+)
 from albench.types import ProposerKind, RunConfig
 
 from conftest import make_pool
@@ -110,7 +112,7 @@ class TestSurrogateProposers:
         picks = []
         for pool in (pool_a, pool_b):
             proposer = SurrogateProposer(
-                ProposerKind.GPR, alpha=1.0, seed=7, settings=ProposerSettings(gpr_standardize_targets=True)
+                ProposerKind.GPR, alpha=1.0, seed=7, settings=ProposerSettings(gpr=GPRConfig(standardize_targets=True))
             )
             suggestion = proposer.propose(pool, [0, 3, 6], [pool.candidates[i].target for i in (0, 3, 6)])
             picks.append(suggestion.candidate_id)
