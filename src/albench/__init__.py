@@ -15,8 +15,8 @@ from .analytics import (
     summarize_trajectory,
     variability_stats,
 )
-from .bnn import BNNConfig, elbo_loss, kl_layer, predict_bnn, sample_forward, train_bnn
-from .data import DatasetSpec, load_csv, registry, save_csv, synthetic_pool
+from .bnn import BNNConfig, kl_layer, predict_bnn, train_bnn
+from .data import DatasetSpec, load_csv, registry, synthetic_pool
 from .engine import (
     Proposer,
     Suggestion,
@@ -44,7 +44,6 @@ from .llm import (
 )
 from .proposers import GPRConfig, ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer
 from .types import (
-    Candidate,
     Dataset,
     Goal,
     PromptFormat,
@@ -76,7 +75,6 @@ def __dir__():
 
 __all__ = [
     "BNNConfig",
-    "Candidate",
     "Dataset",
     "DatasetSpec",
     "ForestConfig",
@@ -96,7 +94,6 @@ __all__ = [
     "SurrogateProposer",
     "Trajectory",
     "cumulative_l2",
-    "elbo_loss",
     "fit_forest",
     "fit_gbt",
     "fit_gpr",
@@ -120,8 +117,6 @@ __all__ = [
     "render_report_prompt",
     "run_active_learning",
     "running_best",
-    "sample_forward",
-    "save_csv",
     "select_initial",
     "standardize_features",
     "summarize_trajectory",

@@ -197,8 +197,8 @@ def export_pca(records: Sequence[RunRecord], coords_path, edges_path) -> None:
     k = min(2, pool.feature_matrix.shape[1])
     _, projected, explained = pca_project(pool, k=k)
     coord_rows = []
-    for cand, point in zip(pool.candidates, projected):
-        row = {"candidate_id": cand.id, "target": cand.target}
+    for cid, (target, point) in enumerate(zip(pool.targets.tolist(), projected)):
+        row = {"candidate_id": cid, "target": target}
         for j in range(k):
             row[f"pc{j + 1}"] = float(point[j])
         if k == 1:

@@ -68,8 +68,9 @@ class BNNetwork:
 
     Every posterior parameter lives in one flat vector, `params`: all mu
     values, then all log_sigma values, each half laid out layer by layer,
-    weights (row-major) before bias, the order `draw_noise` draws in. The
-    layers' arrays are views into it, so change them in place
+    weights (row-major) before bias. Training and prediction draw their
+    noise in this layout, one standard normal per parameter. The layers'
+    arrays are views into it, so change them in place
     (``layer.mu_w[...] = ...``), never by rebinding the attribute.
     """
 
@@ -88,10 +89,6 @@ class BNNetwork:
         mu, log_sigma = self.halves()
         for l, (mu_w, mu_b), (ls_w, ls_b) in zip(self.layers, self.split(mu), self.split(log_sigma)):
             l.mu_w, l.mu_b, l.log_sigma_w, l.log_sigma_b = mu_w, mu_b, ls_w, ls_b
-
-    @property
-    def n_inputs(self) -> int:
-        return self.layers[0].mu_w.shape[1]
 
     def halves(self) -> tuple[np.ndarray, np.ndarray]:
         """Views of every mu and every log_sigma."""
@@ -115,21 +112,6 @@ def init_network(n_inputs: int, config: BNNConfig, rng: np.random.Generator) -> 
         BayesianLinearLayer.initialize(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)
     ]
     return BNNetwork(layers=layers)
-
-
-NoiseDraw = list[tuple[np.ndarray, np.ndarray]]  # per layer: (eps_w, eps_b)
-
-
-def draw_noise(network: BNNetwork, rng: np.random.Generator) -> NoiseDraw:
-    return [
-        (rng.standard_normal(l.mu_w.shape), rng.standard_normal(l.mu_b.shape))
-        for l in network.layers
-    ]
-
-
-def _flat_noise(noise: NoiseDraw) -> np.ndarray:
-    """A NoiseDraw laid out like one half of `BNNetwork.params`."""
-    return np.concatenate([np.ravel(e) for pair in noise for e in pair])
 
 
 def kl_layer(layer: BayesianLinearLayer) -> float:
@@ -163,32 +145,6 @@ def _forward(X: np.ndarray, weights):
         caches.append((A, Z))
         A = Z if i == last else np.maximum(Z, 0.0)
     return A[:, 0], caches
-
-
-def _forward_batch(network: BNNetwork, X: np.ndarray, noise: NoiseDraw):
-    eps = _flat_noise(noise)
-    sigma = np.exp(network.halves()[1])
-    return _forward(X, _sample(network, sigma, eps, np.empty_like(eps)))[0]
-
-
-def sample_forward(network: BNNetwork, x, noise: NoiseDraw) -> float:
-    """One sampled forward pass for a single input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != network.n_inputs:
-        raise ShapeError(f"input must be a vector of length {network.n_inputs}")
-    for layer, (eps_w, eps_b) in zip(network.layers, noise):
-        if eps_w.shape != layer.mu_w.shape or eps_b.shape != layer.mu_b.shape:
-            raise ShapeError("noise shape does not match parameter shape")
-    return float(_forward_batch(network, x[None, :], noise)[0])
-
-
-def elbo_loss(network: BNNetwork, X, y, noise: NoiseDraw) -> float:
-    """Negative ELBO: half mean squared error plus the total KL term."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    yhat = _forward_batch(network, X, noise)
-    mse = float(np.mean((y - yhat) ** 2))
-    return 0.5 * mse + sum(kl_layer(l) for l in network.layers)
 
 
 def _loss_and_grads(network: BNNetwork, X, y, sigma, eps, work, grads) -> float:
@@ -265,8 +221,8 @@ def train_bnn(X, y, config: BNNConfig) -> BNNetwork:
 
     Initialization and the per-step noise come from two independent
     substreams of config.seed, so training is exactly repeatable. Each
-    step's noise is one fill of a buffer laid out like `draw_noise`'s
-    draws, so it is the same stream.
+    step's noise is one fill of a buffer laid out like one half of
+    `BNNetwork.params`, one standard normal per parameter.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -301,8 +257,8 @@ def predict_bnn(
     """Empirical mean and population std over MC sampled forward passes,
     each of shape (n,).
 
-    Each pass draws its noise in `draw_noise` order, so the stream is the
-    same as drawing a NoiseDraw per pass.
+    Each pass draws one standard normal per parameter, laid out like one
+    half of `BNNetwork.params`.
     """
     if mc_samples < 2:
         raise ConfigError(f"mc_samples must be >= 2, got {mc_samples}")

@@ -105,8 +105,8 @@ def _chat_client_factory(descriptor, rate_limiter):
     if kind == "replay":
         try:
             records = load_fixtures(rest)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad replay fixtures in {rest}: {exc!r}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"bad replay fixtures in {rest}: {exc}") from exc
         fixtures = json.dumps([[r.response_text, r.request_digest] for r in records]).encode()
         return (lambda: ScriptedChatClient(records)), f"replay:sha256:{hashlib.sha256(fixtures).hexdigest()}"
     endpoint, _, model = rest.partition("|")

@@ -49,18 +49,24 @@ class FixtureRecord:
 
 
 def load_fixtures(path) -> list[FixtureRecord]:
+    """Read a fixture file; ValueError names the first line that is not a
+    JSON object with a string `response_text` and a string or null
+    `request_digest`."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             obj = json.loads(line)
-            records.append(
-                FixtureRecord(
-                    response_text=obj["response_text"],
-                    request_digest=obj.get("request_digest"),
+            if not (
+                isinstance(obj, dict) and isinstance(obj.get("response_text"), str)
+                and isinstance(obj.get("request_digest"), (str, type(None)))
+            ):
+                raise ValueError(
+                    f"line {line_no} is not an object with a string 'response_text' "
+                    f"and a string or null 'request_digest': {obj!r}"
                 )
-            )
+            records.append(FixtureRecord(obj["response_text"], obj.get("request_digest")))
     return records
 
 

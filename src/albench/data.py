@@ -1,7 +1,7 @@
 """Pool loading: CSV files, the four-benchmark registry, synthetic pools.
 
 CSV dialect is fixed: comma-separated, one header row, '.' decimal point,
-numerics unquoted. Candidate ids are assigned 0..n-1 in file order.
+numerics unquoted. Candidate i is the i-th data row in file order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, CsvParseError, EmptyDatasetError, SchemaError
-from .types import Candidate, Dataset, Goal, read_config
+from .types import Dataset, Goal, read_config
 
 
 def _without_nulls(d: dict) -> dict:
@@ -108,7 +108,7 @@ def load_csv(spec: DatasetSpec) -> Dataset:
                 raise CsvParseError(f"{spec.csv_path}: row {row_no}, column {column!r}: non-finite value")
             return value
 
-        candidates = []
+        features, targets = [], []
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -116,33 +116,24 @@ def load_csv(spec: DatasetSpec) -> Dataset:
                 raise CsvParseError(
                     f"{spec.csv_path}: row {row_no} has {len(row)} cells, header has {len(header)}"
                 )
-            features = tuple(cell(row, row_no, c) for c in feature_cols)
-            target = cell(row, row_no, spec.target_column)
-            candidates.append(Candidate(id=len(candidates), features=features, target=target))
+            features.append([cell(row, row_no, c) for c in feature_cols])
+            targets.append(cell(row, row_no, spec.target_column))
 
-    if not candidates:
+    if not targets:
         raise EmptyDatasetError(f"{spec.csv_path}: no data rows")
-    if spec.expected_rows is not None and len(candidates) != spec.expected_rows:
+    if spec.expected_rows is not None and len(targets) != spec.expected_rows:
         raise SchemaError(
-            f"{spec.csv_path}: expected {spec.expected_rows} rows, found {len(candidates)}"
+            f"{spec.csv_path}: expected {spec.expected_rows} rows, found {len(targets)}"
         )
     return Dataset(
         name=spec.name,
-        candidates=candidates,
+        feature_matrix=features,
+        targets=targets,
         feature_names=feature_cols,
         target_name=spec.target_column,
         goal=spec.goal,
         context=spec.context,
     )
-
-
-def save_csv(dataset: Dataset, path) -> None:
-    """Write a pool back out; float cells use repr so reloads round-trip."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [dataset.target_name])
-        for cand in dataset.candidates:
-            writer.writerow([repr(v) for v in cand.features] + [repr(cand.target)])
 
 
 def registry() -> list[DatasetSpec]:
@@ -236,14 +227,10 @@ def synthetic_pool(kind: SyntheticKind | str, n: int, seed: int) -> Dataset:
         xx, yy = np.meshgrid(lattice, lattice, indexing="ij")
         points = np.column_stack([xx.ravel(), yy.ravel()])[:n]
         points = points + rng.uniform(-0.3 * spacing, 0.3 * spacing, size=points.shape)
-        targets = -(points[:, 0] ** 2 + points[:, 1] ** 2)
-        candidates = [
-            Candidate(id=i, features=(float(p[0]), float(p[1])), target=float(t))
-            for i, (p, t) in enumerate(zip(points, targets))
-        ]
         return Dataset(
             name=f"quadratic2d_n{n}_s{seed}",
-            candidates=candidates,
+            feature_matrix=points,
+            targets=-(points[:, 0] ** 2 + points[:, 1] ** 2),
             feature_names=["x1", "x2"],
             target_name="y",
             goal=Goal.MAXIMIZE,
@@ -254,12 +241,10 @@ def synthetic_pool(kind: SyntheticKind | str, n: int, seed: int) -> Dataset:
         base = np.linspace(0.0, 1.0, n)
         gap = base[1] - base[0]
         x = base + rng.uniform(-0.4 * gap, 0.4 * gap, size=n)
-        candidates = [
-            Candidate(id=i, features=(float(v),), target=float(v)) for i, v in enumerate(x)
-        ]
         return Dataset(
             name=f"linear1d_n{n}_s{seed}",
-            candidates=candidates,
+            feature_matrix=x[:, None],
+            targets=x,
             feature_names=["x"],
             target_name="y",
             goal=Goal.MAXIMIZE,
@@ -277,13 +262,10 @@ def synthetic_pool(kind: SyntheticKind | str, n: int, seed: int) -> Dataset:
     if not np.any(targets == 1.0):  # tiny n can miss both intervals; pin two rows
         targets[0] = 1.0
         targets[-1] = 1.0
-    candidates = [
-        Candidate(id=i, features=(float(v),), target=float(t))
-        for i, (v, t) in enumerate(zip(x, targets))
-    ]
     return Dataset(
         name=f"plateau_mix_n{n}_s{seed}",
-        candidates=candidates,
+        feature_matrix=x[:, None],
+        targets=targets,
         feature_names=["x"],
         target_name="y",
         goal=Goal.MAXIMIZE,

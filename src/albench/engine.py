@@ -38,7 +38,7 @@ def substream(seed: int, stream: int) -> np.random.Generator:
 
 
 def select_initial(dataset: Dataset, seed: int, n_initial: int) -> list[int]:
-    """Draw the initial observation ids, without replacement.
+    """Draw the initial observation ids (pool positions), without replacement.
 
     Deterministic in (pool size, seed, n_initial): the draw is
     ``default_rng(seed).choice(pool_size, n_initial, replace=False)``.
@@ -49,8 +49,7 @@ def select_initial(dataset: Dataset, seed: int, n_initial: int) -> list[int]:
             f"n_initial must satisfy 1 <= n_initial < pool size ({pool_size}), got {n_initial}"
         )
     rng = np.random.default_rng(seed)
-    ids = rng.choice(pool_size, size=n_initial, replace=False)
-    return [int(dataset.candidates[i].id) for i in ids]
+    return rng.choice(pool_size, size=n_initial, replace=False).tolist()
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer)
 
     def observe(candidate_id: int, *, proposal_text=None, match_score=None, diag=None) -> None:
         nonlocal best, reached_at
-        value = dataset.by_id(candidate_id).target
+        value = float(dataset.targets[candidate_id])
         if best is None or dataset.goal.is_improvement(value, best):
             best = value
         iteration = len(steps)
@@ -204,7 +203,7 @@ def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer)
 
     observed_order = [s.candidate_id for s in steps]
     while reached_at is None and len(steps) < max_iterations and len(observed) < pool_size:
-        values = [dataset.by_id(i).target for i in observed_order]
+        values = dataset.targets[observed_order].tolist()
         try:
             suggestion = proposer.propose(dataset, list(observed_order), values)
         except ProposerError as exc:

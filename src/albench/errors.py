@@ -28,10 +28,6 @@ class EmptyDatasetError(ConfigError):
     """A CSV file contained a header but no data rows."""
 
 
-class UnknownCandidateError(AlbenchError, IndexError):
-    """A candidate id is not a position in the pool."""
-
-
 class FitError(AlbenchError):
     """Model fitting failed (empty training set, diverged training, ...)."""
 

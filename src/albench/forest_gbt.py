@@ -88,16 +88,6 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def to_dict(self, node: int = 0) -> dict:
-        if self.feature[node] < 0:
-            return {"leaf": float(self.value[node])}
-        return {
-            "feature": int(self.feature[node]),
-            "threshold": float(self.threshold[node]),
-            "left": self.to_dict(int(self.left[node])),
-            "right": self.to_dict(int(self.right[node])),
-        }
-
 
 # Working-memory budgets, in array elements. A forest batch takes as many
 # trees as fit (sample row, feature) entries in _GROW_BUDGET; a scoring
@@ -363,9 +353,6 @@ class ForestModel:
     config: ForestConfig
     n_features: int
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "forest", "trees": [t.to_dict() for t in self.trees]}
-
 
 @dataclass
 class GBTModel:
@@ -373,13 +360,6 @@ class GBTModel:
     trees: list[Tree]
     config: GBTConfig
     n_features: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "gbt",
-            "base_score": self.base_score,
-            "trees": [t.to_dict() for t in self.trees],
-        }
 
 
 def _check_xy(X, y):

@@ -22,7 +22,7 @@ from .clients import ChatClient, RerankClient
 from .engine import STREAM_LLM, Suggestion, pool_zscores, substream, unlabeled_pool_ids
 from .engine import standardize_features  # noqa: F401 -- bench/spans.py traces calls under this name
 from .errors import ProposalParseError, ProposerError, TransportError
-from .types import Candidate, Dataset, Goal, PromptFormat, ProposerKind
+from .types import Dataset, Goal, PromptFormat, ProposerKind
 
 logger = logging.getLogger(__name__)
 
@@ -33,18 +33,10 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-def format_candidate_parameters(candidate: Candidate, dataset: Dataset) -> str:
-    """Raw parameter string, e.g. 'a=1, b=2'."""
-    return ", ".join(
-        f"{name}={_fmt(v)}" for name, v in zip(dataset.feature_names, candidate.features)
-    )
-
-
-def candidate_document(candidate: Candidate, dataset: Dataset) -> str:
-    """Text rendering used as a rerank document."""
-    if candidate.report_text:
-        return candidate.report_text
-    return format_candidate_parameters(candidate, dataset)
+def format_candidate_parameters(candidate_id: int, dataset: Dataset) -> str:
+    """Raw parameter string, e.g. 'a=1, b=2'; also the candidate's rerank document."""
+    row = dataset.feature_matrix[candidate_id].tolist()
+    return ", ".join(f"{name}={_fmt(v)}" for name, v in zip(dataset.feature_names, row))
 
 
 def _objective_sentence(dataset: Dataset) -> str:
@@ -67,12 +59,23 @@ def _instruction_block(dataset: Dataset, strict: bool = False) -> str:
     return "\n".join(lines)
 
 
+def _prompt(dataset: Dataset, observation_lines) -> str:
+    """The prompt body both formats share: context, objective, one line per
+    observation, then the instruction."""
+    parts = [dataset.context] if dataset.context else []
+    parts.append(_objective_sentence(dataset))
+    parts.append("\n".join(["Observed experiments:", *observation_lines]))
+    parts.append(_instruction_block(dataset))
+    return "\n\n".join(parts)
+
+
 def render_parameter_prompt(
     dataset: Dataset,
-    observed: Sequence[tuple[Candidate, float]],
+    observed: Sequence[tuple[int, float]],
     cache: Optional[dict[int, str]] = None,
 ) -> str:
-    """Concise feature=value prompt; byte-identical for identical inputs.
+    """Concise feature=value prompt over (candidate id, observed value)
+    pairs; byte-identical for identical inputs.
 
     `cache` maps a candidate id to its rendered observation line, so a run
     that passes one dict to every step formats each line once. Its lines
@@ -81,27 +84,20 @@ def render_parameter_prompt(
     """
     if cache is None:
         cache = {}
-    parts = []
-    if dataset.context:
-        parts.append(dataset.context)
-    parts.append(_objective_sentence(dataset))
-    obs_lines = ["Observed experiments:"]
-    for cand, value in observed:
-        line = cache.get(cand.id)
+    lines = []
+    for cid, value in observed:
+        line = cache.get(cid)
         if line is None:
-            line = f"- {format_candidate_parameters(cand, dataset)} -> {dataset.target_name}={_fmt(value)}"
-            cache[cand.id] = line
-        obs_lines.append(line)
-    parts.append("\n".join(obs_lines))
-    parts.append(_instruction_block(dataset))
-    return "\n\n".join(parts)
+            line = f"- {format_candidate_parameters(cid, dataset)} -> {dataset.target_name}={_fmt(value)}"
+            cache[cid] = line
+        lines.append(line)
+    return _prompt(dataset, lines)
 
 
-def offline_report(candidate: Candidate, dataset: Dataset) -> str:
+def offline_report(candidate_id: int, dataset: Dataset) -> str:
     """Deterministic sentence template standing in for an LLM-written report."""
-    clauses = ", ".join(
-        f"{name} set to {_fmt(v)}" for name, v in zip(dataset.feature_names, candidate.features)
-    )
+    row = dataset.feature_matrix[candidate_id].tolist()
+    clauses = ", ".join(f"{name} set to {_fmt(v)}" for name, v in zip(dataset.feature_names, row))
     return f"An experiment was prepared with {clauses}."
 
 
@@ -113,48 +109,38 @@ REPORT_WRITER_INSTRUCTION = (
 
 
 def generate_report(
-    candidate: Candidate,
+    candidate_id: int,
     dataset: Dataset,
     client: Optional[ChatClient],
     cache: dict[int, str],
 ) -> str:
     """Report text for one candidate, generated at most once per run."""
-    if candidate.id in cache:
-        return cache[candidate.id]
-    if candidate.report_text:
-        text = candidate.report_text
-    elif client is None:
-        text = offline_report(candidate, dataset)
+    if candidate_id in cache:
+        return cache[candidate_id]
+    if client is None:
+        text = offline_report(candidate_id, dataset)
     else:
-        prompt = REPORT_WRITER_INSTRUCTION.format(
-            params=format_candidate_parameters(candidate, dataset)
-        )
+        prompt = REPORT_WRITER_INSTRUCTION.format(params=format_candidate_parameters(candidate_id, dataset))
         text = propose_next(prompt, client)
-    cache[candidate.id] = text
+    cache[candidate_id] = text
     return text
 
 
 def render_report_prompt(
     dataset: Dataset,
-    observed: Sequence[tuple[Candidate, float]],
+    observed: Sequence[tuple[int, float]],
     client: Optional[ChatClient],
     cache: dict[int, str],
 ) -> str:
-    """Narrative prompt: each observation expanded into a short report.
+    """Narrative prompt over (candidate id, observed value) pairs: each
+    observation expanded into a short report.
 
     With client=None the offline template is used and no calls are made.
     """
-    parts = []
-    if dataset.context:
-        parts.append(dataset.context)
-    parts.append(_objective_sentence(dataset))
-    obs_lines = ["Observed experiments:"]
-    for cand, value in observed:
-        report = generate_report(cand, dataset, client, cache)
-        obs_lines.append(f"- {report} Result: {dataset.target_name}={_fmt(value)}.")
-    parts.append("\n".join(obs_lines))
-    parts.append(_instruction_block(dataset))
-    return "\n\n".join(parts)
+    return _prompt(dataset, [
+        f"- {generate_report(cid, dataset, client, cache)} Result: {dataset.target_name}={_fmt(value)}."
+        for cid, value in observed
+    ])
 
 
 def propose_next(
@@ -181,14 +167,15 @@ def propose_next(
 
 
 def parse_proposal(
-    text: str, dataset: Dataset, observed: Sequence[tuple[Candidate, float]] = ()
+    text: str, dataset: Dataset, observed: Sequence[tuple[int, float]] = ()
 ) -> dict[str, float]:
     """Extract the last fenced key:value block as a feature map.
 
     Keys match feature names case-insensitively; features the reply omits
-    are filled with the mean of the observed values for that feature (and
-    the fill is logged). No block, a block with zero parsable pairs, or a
-    non-finite value (nan, inf) raises ProposalParseError.
+    are filled with the mean of that feature over the observed (candidate
+    id, value) pairs (and the fill is logged). No block, a block with zero
+    parsable pairs, or a non-finite value (nan, inf) raises
+    ProposalParseError.
     """
     blocks = FENCE_RE.findall(text or "")
     if not blocks:
@@ -218,9 +205,9 @@ def parse_proposal(
     missing = [n for n in dataset.feature_names if n not in parsed]
     if missing:
         if observed:
-            col = {name: i for i, name in enumerate(dataset.feature_names)}
+            ids = [cid for cid, _ in observed]
             for name in missing:
-                fill = float(np.mean([cand.features[col[name]] for cand, _ in observed]))
+                fill = float(np.mean(dataset.feature_matrix[ids, dataset.feature_names.index(name)]))
                 parsed[name] = fill
                 logger.info("proposal missing feature %r; filled with observed mean %g", name, fill)
         else:
@@ -258,7 +245,7 @@ def match_to_pool(
     if unlabeled_ids.size == 0:
         raise ProposerError("no unlabeled candidates left to match against")
     if rerank_client is not None:
-        documents = [candidate_document(dataset.by_id(i), dataset) for i in unlabeled_ids.tolist()]
+        documents = [format_candidate_parameters(i, dataset) for i in unlabeled_ids.tolist()]
         try:
             ranked = rerank_client.rerank(raw_text, documents, top_n=1)
             index, score = ranked[0]
@@ -313,9 +300,7 @@ class LLMProposer:
         return render_parameter_prompt(dataset, observed, self.line_cache)
 
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:
-        observed = [
-            (dataset.by_id(i), v) for i, v in zip(observed_ids, observed_values)
-        ]
+        observed = list(zip(observed_ids, observed_values))
         unlabeled = unlabeled_pool_ids(len(dataset), observed_ids)
         prompt = self._render(dataset, observed)
         raw = propose_next(prompt, self.client, backoff=self.backoff, sleep=self.sleep)

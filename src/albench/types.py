@@ -1,4 +1,4 @@
-"""Core domain types: candidates, datasets, run configs, run records.
+"""Core domain types: datasets, run configs, run records.
 
 A Dataset is an immutable, fully labeled pool. "Running an experiment"
 means looking up a candidate's stored target value, so stopping tests use
@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, UnknownCandidateError
+from .errors import ConfigError
 
 
 def is_int(value, low: int) -> bool:
@@ -139,111 +139,77 @@ class PromptFormat(str, Enum):
     REPORT = "report"
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One row of the pool: raw features plus the held-out target value.
-
-    Features stay in dataset units; standardization happens per iteration
-    against the labeled pool, never at load time.
-    """
-
-    id: int
-    features: tuple[float, ...]
-    target: float
-    report_text: Optional[str] = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.target):
-            raise ConfigError(f"candidate {self.id}: target {self.target!r} is not finite")
-        if any(not math.isfinite(v) for v in self.features):
-            raise ConfigError(f"candidate {self.id}: non-finite feature value")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A fixed labeled pool plus the metadata prompts and analytics need.
 
-    Candidate ids are positions: candidate i sits at `candidates[i]`, so
-    `by_id(i)` and row i of `feature_matrix` are the same candidate; any
-    other numbering is rejected with ConfigError.
+    Candidate i is row i of `feature_matrix` (raw features, in dataset
+    units) and entry i of `targets`. Both are read-only float64 copies of
+    what the caller passed; the pool needs a row, one column per feature
+    name, and finite values, else ConfigError. Two pools are equal when
+    their digests and contexts are.
 
     A Dataset is immutable once built: its fields cannot be reassigned, and
-    callers must not mutate `candidates` or `feature_names` in place. Values
-    that depend only on the pool (the digest, the full-pool z-scores of
+    callers must not mutate `feature_names` in place. Values that depend
+    only on the pool (the digest, the full-pool z-scores of
     `engine.pool_zscores`) are computed on first use and cached on the
-    instance, so a mutated pool would keep stale ones. Derive a changed pool
-    with `dataclasses.replace`, which starts from empty caches.
+    instance. Derive a changed pool with `dataclasses.replace`, which starts
+    from empty caches.
     """
 
     name: str
-    candidates: list[Candidate]
+    feature_matrix: np.ndarray
+    targets: np.ndarray
     feature_names: list[str]
     target_name: str
     goal: Goal
     context: str = ""
 
-    _feature_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    _targets: np.ndarray = field(init=False, repr=False, compare=False)
-    _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
-    _pool_z: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _digest: Optional[str] = field(default=None, init=False, repr=False)
+    _pool_z: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not self.candidates:
+        matrix = np.array(self.feature_matrix, dtype=np.float64)
+        targets = np.array(self.targets, dtype=np.float64)
+        if targets.size == 0:
             raise ConfigError(f"dataset {self.name!r} has no candidates")
         n_features = len(self.feature_names)
-        for position, cand in enumerate(self.candidates):
-            if cand.id != position:
-                raise ConfigError(
-                    f"dataset {self.name!r}: candidate at position {position} has id {cand.id}; "
-                    "ids must be positions 0..n-1"
-                )
-            if len(cand.features) != n_features:
-                raise ConfigError(
-                    f"dataset {self.name!r}: candidate {cand.id} has "
-                    f"{len(cand.features)} features, expected {n_features}"
-                )
-        matrix = np.array([c.features for c in self.candidates], dtype=float)
-        targets = np.array([c.target for c in self.candidates], dtype=float)
-        matrix.flags.writeable = False
-        targets.flags.writeable = False
-        object.__setattr__(self, "_feature_matrix", matrix)
-        object.__setattr__(self, "_targets", targets)
+        if targets.ndim != 1 or matrix.shape != (targets.size, n_features):
+            raise ConfigError(
+                f"dataset {self.name!r}: {targets.size} targets need a ({targets.size}, {n_features}) "
+                f"feature matrix, got shape {matrix.shape}"
+            )
+        for what, finite in (("target", np.isfinite(targets)), ("feature", np.isfinite(matrix).all(axis=1))):
+            if not finite.all():
+                raise ConfigError(f"dataset {self.name!r}: candidate {int(np.argmin(finite))} has a non-finite {what}")
+        for key, arr in (("feature_matrix", matrix), ("targets", targets)):
+            arr.flags.writeable = False
+            object.__setattr__(self, key, arr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.digest(), self.context) == (other.digest(), other.context)
 
     def __len__(self) -> int:
-        return len(self.candidates)
-
-    @property
-    def feature_matrix(self) -> np.ndarray:
-        """(n_candidates, n_features) array of raw features, read-only."""
-        return self._feature_matrix
-
-    @property
-    def targets(self) -> np.ndarray:
-        return self._targets
+        return len(self.targets)
 
     @property
     def optimum_value(self) -> float:
         """Pool-wide best target under the dataset's goal."""
-        return self.goal.best(self._targets)
-
-    def by_id(self, candidate_id: int) -> Candidate:
-        """The candidate with this id, which is its position in the pool."""
-        if not 0 <= candidate_id < len(self.candidates):
-            raise UnknownCandidateError(
-                f"dataset {self.name!r} has no candidate id {candidate_id} (ids are 0..{len(self.candidates) - 1})"
-            )
-        return self.candidates[candidate_id]
+        return self.goal.best(self.targets)
 
     def digest(self) -> str:
         """Content hash used to tie trajectory files to the pool they ran on,
         computed on the first call."""
         if self._digest is None:
+            rows = zip(self.feature_matrix.tolist(), self.targets.tolist())
             payload = {
                 "name": self.name,
                 "feature_names": list(self.feature_names),
                 "target_name": self.target_name,
                 "goal": self.goal.value,
-                "rows": [[c.id, [repr(v) for v in c.features], repr(c.target)] for c in self.candidates],
+                "rows": [[i, [repr(v) for v in row], repr(t)] for i, (row, t) in enumerate(rows)],
             }
             digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
             object.__setattr__(self, "_digest", digest)
@@ -332,10 +298,15 @@ class StepRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":
         """Read a stored step: ConfigError unless its iteration and id are integers
-        >= 0 and its values finite (plain checks: this runs once per stored step)."""
+        >= 0, its values finite, its match score a finite number or null, its
+        proposal text a string or null and its diagnostics an object or null
+        (plain checks: this runs once per stored step)."""
         if not (
-            is_int(d["iteration"], 0) and is_int(d["candidate_id"], 0)
-            and is_real(d["observed_value"], -math.inf) and is_real(d["running_best"], -math.inf)
+            isinstance(d, dict) and is_int(d.get("iteration"), 0) and is_int(d.get("candidate_id"), 0)
+            and is_real(d.get("observed_value"), -math.inf) and is_real(d.get("running_best"), -math.inf)
+            and (d.get("match_score") is None or is_real(d["match_score"], -math.inf))
+            and isinstance(d.get("proposal_text"), (str, type(None)))
+            and isinstance(d.get("surrogate_diag"), (dict, type(None)))
         ):
             raise ConfigError(f"malformed stored step: {d!r}")
         return cls(

@@ -1,10 +1,15 @@
+"""Shared test helpers: tiny pools, replay fixture files, and reference code
+that only tests need (per-layer BNN noise, CSV writing, tree serialization)."""
+
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from albench import bnn
-from albench.types import Candidate, Dataset, Goal
+from albench.errors import ShapeError
+from albench.types import Dataset, Goal
 
 
 def make_pool(targets, features=None, goal=Goal.MAXIMIZE, name="pool", context=""):
@@ -12,19 +17,24 @@ def make_pool(targets, features=None, goal=Goal.MAXIMIZE, name="pool", context="
     n = len(targets)
     if features is None:
         features = [(float(i),) for i in range(n)]
-    candidates = [
-        Candidate(id=i, features=tuple(float(v) for v in f), target=float(t))
-        for i, (f, t) in enumerate(zip(features, targets))
-    ]
-    n_features = len(candidates[0].features)
     return Dataset(
         name=name,
-        candidates=candidates,
-        feature_names=[f"x{j + 1}" for j in range(n_features)],
+        feature_matrix=features,
+        targets=targets,
+        feature_names=[f"x{j + 1}" for j in range(len(features[0]))],
         target_name="y",
         goal=goal,
         context=context,
     )
+
+
+def save_csv(dataset: Dataset, path) -> None:
+    """Write a pool out as CSV; float cells use repr so reloads round-trip."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(dataset.feature_names) + [dataset.target_name])
+        for row, target in zip(dataset.feature_matrix.tolist(), dataset.targets.tolist()):
+            writer.writerow([repr(v) for v in row] + [repr(target)])
 
 
 def save_fixtures(records, path) -> None:
@@ -45,7 +55,50 @@ def optimum_id(dataset: Dataset) -> int:
     return int(np.flatnonzero(dataset.targets == dataset.optimum_value)[0])
 
 
-def elbo_loss_and_grads(network: bnn.BNNetwork, X, y, noise: bnn.NoiseDraw):
+NoiseDraw = list[tuple[np.ndarray, np.ndarray]]  # per layer: (eps_w, eps_b)
+
+
+def draw_noise(network: bnn.BNNetwork, rng: np.random.Generator) -> NoiseDraw:
+    """Per-layer standard normals, drawn in the order training and
+    prediction fill their flat noise buffers."""
+    return [
+        (rng.standard_normal(l.mu_w.shape), rng.standard_normal(l.mu_b.shape))
+        for l in network.layers
+    ]
+
+
+def flat_noise(noise: NoiseDraw) -> np.ndarray:
+    """A NoiseDraw laid out like one half of `BNNetwork.params`."""
+    return np.concatenate([np.ravel(e) for pair in noise for e in pair])
+
+
+def forward_batch(network: bnn.BNNetwork, X: np.ndarray, noise: NoiseDraw) -> np.ndarray:
+    eps = flat_noise(noise)
+    sigma = np.exp(network.halves()[1])
+    return bnn._forward(X, bnn._sample(network, sigma, eps, np.empty_like(eps)))[0]
+
+
+def sample_forward(network: bnn.BNNetwork, x, noise: NoiseDraw) -> float:
+    """One sampled forward pass for a single input vector."""
+    x = np.asarray(x, dtype=float)
+    n_inputs = network.layers[0].mu_w.shape[1]
+    if x.ndim != 1 or x.shape[0] != n_inputs:
+        raise ShapeError(f"input must be a vector of length {n_inputs}")
+    for layer, (eps_w, eps_b) in zip(network.layers, noise):
+        if eps_w.shape != layer.mu_w.shape or eps_b.shape != layer.mu_b.shape:
+            raise ShapeError("noise shape does not match parameter shape")
+    return float(forward_batch(network, x[None, :], noise)[0])
+
+
+def elbo_loss(network: bnn.BNNetwork, X, y, noise: NoiseDraw) -> float:
+    """Negative ELBO: half mean squared error plus the total KL term."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    mse = float(np.mean((y - forward_batch(network, X, noise)) ** 2))
+    return 0.5 * mse + sum(bnn.kl_layer(l) for l in network.layers)
+
+
+def elbo_loss_and_grads(network: bnn.BNNetwork, X, y, noise: NoiseDraw):
     """Loss plus the hand-derived gradients that training steps on.
 
     Returns (loss, grads) where grads mirrors the layer list as tuples
@@ -53,13 +106,33 @@ def elbo_loss_and_grads(network: bnn.BNNetwork, X, y, noise: bnn.NoiseDraw):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    eps = bnn._flat_noise(noise)
+    eps = flat_noise(noise)
     grads = np.empty_like(network.params)
     sigma = np.exp(network.halves()[1])
     loss = bnn._loss_and_grads(network, X, y, sigma, eps, np.empty_like(eps), grads)
     half = eps.size
     d_mu, d_log_sigma = network.split(grads[:half]), network.split(grads[half:])
     return loss, [(mw, sw, mb, sb) for (mw, mb), (sw, sb) in zip(d_mu, d_log_sigma)]
+
+
+def tree_dict(tree, node: int = 0) -> dict:
+    """A fitted `forest_gbt.Tree` as nested dicts, from `node` down."""
+    if tree.feature[node] < 0:
+        return {"leaf": float(tree.value[node])}
+    return {
+        "feature": int(tree.feature[node]),
+        "threshold": float(tree.threshold[node]),
+        "left": tree_dict(tree, int(tree.left[node])),
+        "right": tree_dict(tree, int(tree.right[node])),
+    }
+
+
+def model_dict(model) -> dict:
+    """A fitted forest or booster as JSON-ready dicts, every tree in full."""
+    trees = [tree_dict(t) for t in model.trees]
+    if hasattr(model, "base_score"):
+        return {"kind": "gbt", "base_score": model.base_score, "trees": trees}
+    return {"kind": "forest", "trees": trees}
 
 
 @pytest.fixture

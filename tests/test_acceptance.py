@@ -15,7 +15,7 @@ import pytest
 
 from albench.acquisition import ucb_select
 from albench.analytics import cumulative_l2, pca_project, running_best
-from albench.bnn import BNNConfig, draw_noise, elbo_loss, init_network, kl_layer
+from albench.bnn import BNNConfig, init_network, kl_layer
 from albench.clients import ScriptedChatClient
 from albench.data import load_csv, registry_by_name, synthetic_pool
 from albench.engine import run_active_learning, standardize_features, trajectory_to_jsonl
@@ -25,7 +25,7 @@ from albench.llm import LLMProposer
 from albench.proposers import GPRConfig, ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer
 from albench.types import Goal, PromptFormat, ProposerKind, RunConfig
 
-from conftest import elbo_loss_and_grads, make_pool, optimum_id
+from conftest import draw_noise, elbo_loss, elbo_loss_and_grads, make_pool, optimum_id
 
 
 def criterion(number, name, budget_seconds):
@@ -242,13 +242,14 @@ def test_criterion_6_distance_ordering():
 @criterion(7, "deterministic LLM-AL replay", budget_seconds=5)
 def test_criterion_7_llm_replay():
     pool = synthetic_pool("quadratic2d", 30, seed=3)
-    best = pool.candidates[optimum_id(pool)]
+    rows = pool.feature_matrix.tolist()
+    best = rows[optimum_id(pool)]
     # a scripted proposal walk that closes in on the optimum
-    by_dist = sorted(pool.candidates, key=lambda c: -(c.features[0] ** 2 + c.features[1] ** 2))
+    by_dist = sorted(rows, key=lambda r: -(r[0] ** 2 + r[1] ** 2))
     waypoints = [by_dist[len(by_dist) // 2], by_dist[-3], best]
 
-    def fenced(cand):
-        return f"```\nx1: {cand.features[0]!r}\nx2: {cand.features[1]!r}\n```"
+    def fenced(row):
+        return f"```\nx1: {row[0]!r}\nx2: {row[1]!r}\n```"
 
     fixtures = [fenced(c) for c in waypoints] + [fenced(best)] * 30
 

@@ -57,7 +57,7 @@ def trajectory_over(pool, ids):
 
     steps, best = [], None
     for t, cid in enumerate(ids):
-        value = pool.by_id(cid).target
+        value = float(pool.targets[cid])
         best = value if best is None or pool.goal.is_improvement(value, best) else best
         steps.append(StepRecord(iteration=t, candidate_id=cid, observed_value=value, running_best=best))
     cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=0)

@@ -11,17 +11,14 @@ from albench.bnn import (
     BayesianLinearLayer,
     BNNConfig,
     BNNetwork,
-    draw_noise,
-    elbo_loss,
     init_network,
     kl_layer,
     predict_bnn,
-    sample_forward,
     train_bnn,
 )
 from albench.errors import ConfigError, FitError, ShapeError
 
-from conftest import elbo_loss_and_grads
+from conftest import draw_noise, elbo_loss, elbo_loss_and_grads, sample_forward
 
 
 def zero_noise(network):

@@ -45,13 +45,17 @@ BAD_MODEL_OVERRIDES = [
 MOCK = "mock:```\nx: 0.5\n```"
 RUN_SECTION = {"proposer": "llm", "seed": 38, "max_iterations": 3}
 SPEC = {"name": "pool", "csv_path": "pool.csv", "target_column": "y", "goal": "maximize"}
-# pools that fail to load, written to the working directory of TestMalformedConfig
-BAD_POOLS = {
+# pools and replay fixtures that fail to load, written to the working
+# directory of TestMalformedConfig
+BAD_FILES = {
     "four_rows.csv": "x,y\n0,1\n1,2\n2,3\n3,4\n",
     "text_cell.csv": "x,y\n0,1\nabc,2\n1,3\n",
     "no_target.csv": "x,z\n0,1\n1,2\n",
     "header_only.csv": "x,y\n",
     "repeated_column.csv": "x,x,y\n0,1,2\n1,2,3\n",
+    "list_line.jsonl": '{"response_text": "x"}\n["x"]\n',
+    "number_response.jsonl": '{"response_text": 5}\n',
+    "number_digest.jsonl": '{"response_text": "x", "request_digest": 7}\n',
 }
 
 
@@ -88,6 +92,9 @@ MALFORMED_CONFIGS = [
     pytest.param({"llm": {"client": MOCK, "retries": 3}}, "retries", id="llm-unknown-key"),
     pytest.param({"llm": {"matcher": "offline"}}, "chat client", id="llm-no-client"),
     pytest.param({"llm": MOCK}, "'llm'", id="llm-not-object"),
+    pytest.param({"llm": {"client": "replay:list_line.jsonl"}}, "line 2", id="llm-replay-line-not-object"),
+    pytest.param({"llm": {"client": "replay:number_response.jsonl"}}, "response_text", id="llm-replay-number-response"),
+    pytest.param({"llm": {"client": "replay:number_digest.jsonl"}}, "request_digest", id="llm-replay-number-digest"),
     *(
         pytest.param({"model_overrides": p.values[0]}, p.values[1], id=f"model-overrides-{p.id}")
         for p in BAD_MODEL_OVERRIDES
@@ -175,7 +182,7 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_is_config_error_before_any_write(self, tmp_path, capsys, monkeypatch, command, patch, named):
         monkeypatch.chdir(tmp_path)
-        for name, text in BAD_POOLS.items():
+        for name, text in BAD_FILES.items():
             (tmp_path / name).write_text(text)
         code, out = getattr(self, command)(tmp_path, patch)
         err = capsys.readouterr().err
@@ -685,8 +692,14 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("candidate_id", 7.7), ("observed_value", float("nan")), ("running_best", float("inf"))],
-        ids=["fractional-id", "nan-value", "infinite-best"],
+        [
+            ("candidate_id", 7.7), ("observed_value", float("nan")), ("running_best", float("inf")),
+            ("match_score", "0.5"), ("match_score", True), ("proposal_text", 5), ("surrogate_diag", [1.0]),
+        ],
+        ids=[
+            "fractional-id", "nan-value", "infinite-best",
+            "string-score", "boolean-score", "number-text", "list-diag",
+        ],
     )
     def test_malformed_stored_step_reruns_the_cell(self, tmp_path, key, value):
         path, out_dir, runs = self.resumable_sweep(tmp_path, 1)

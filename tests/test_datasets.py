@@ -11,14 +11,13 @@ from albench.data import (
     parse_synthetic_string,
     registry,
     registry_by_name,
-    save_csv,
     synthetic_pool,
 )
 from albench.engine import pool_zscores, standardize_features
-from albench.errors import ConfigError, CsvParseError, EmptyDatasetError, SchemaError, UnknownCandidateError
-from albench.types import Candidate, Dataset, Goal
+from albench.errors import ConfigError, CsvParseError, EmptyDatasetError, SchemaError
+from albench.types import Dataset, Goal
 
-from conftest import make_pool, optimum_id
+from conftest import make_pool, optimum_id, save_csv
 
 
 def write_csv(path, text):
@@ -32,9 +31,8 @@ class TestLoadCsv:
         ds = load_csv(DatasetSpec(name="d", csv_path=p, target_column="y", goal=Goal.MAXIMIZE))
         assert len(ds) == 3
         assert ds.feature_names == ["a", "b"]
-        assert ds.candidates[1].features == (4.0, 5.0)
-        assert ds.candidates[2].target == 9.0
-        assert [c.id for c in ds.candidates] == [0, 1, 2]
+        assert ds.feature_matrix.tolist() == [[1.0, 2.0], [4.0, 5.0], [7.0, 8.0]]
+        assert ds.targets.tolist() == [3.0, 6.0, 9.0]
 
     def test_missing_target_column(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "a,b\n1,2\n")
@@ -73,7 +71,7 @@ class TestLoadCsv:
         )
         ds = load_csv(spec)
         assert ds.feature_names == ["c", "a"]
-        assert ds.candidates[0].features == (3.0, 1.0)
+        assert ds.feature_matrix[0].tolist() == [3.0, 1.0]
 
     def test_perovskite_shaped_file(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -109,9 +107,8 @@ class TestLoadCsv:
         ds2 = load_csv(
             DatasetSpec(name="d", csv_path=str(out), target_column="y", goal=Goal.MAXIMIZE)
         )
-        for c1, c2 in zip(ds.candidates, ds2.candidates):
-            assert c1.features == c2.features
-            assert c1.target == c2.target
+        assert ds2.feature_matrix.tolist() == ds.feature_matrix.tolist()
+        assert ds2.targets.tolist() == ds.targets.tolist()
 
 
 class TestRegistry:
@@ -152,14 +149,14 @@ class TestRegistry:
 class TestSyntheticPools:
     def test_linear1d_optimum_is_largest_x(self):
         ds = synthetic_pool("linear1d", 10, seed=3)
-        xs = [c.features[0] for c in ds.candidates]
+        xs = ds.feature_matrix[:, 0].tolist()
         best = max(range(10), key=lambda i: xs[i])
         assert optimum_id(ds) == best
         assert ds.optimum_value == xs[best]
 
     def test_quadratic2d_optimum_nearest_center(self):
         ds = synthetic_pool("quadratic2d", 50, seed=5)
-        dists = [c.features[0] ** 2 + c.features[1] ** 2 for c in ds.candidates]
+        dists = (ds.feature_matrix**2).sum(axis=1)
         assert optimum_id(ds) == int(np.argmin(dists))
 
     def test_quadratic_formula_at_origin(self):
@@ -284,39 +281,56 @@ class TestPoolCaches:
         assert np.all(z[:, 1] == 0.0)
 
 
-class TestPositionalIds:
-    """Candidate ids are positions, so by_id and feature_matrix rows agree."""
+def dataset(features, targets, feature_names=("x",)):
+    return Dataset(
+        name="d", feature_matrix=features, targets=targets, feature_names=list(feature_names),
+        target_name="y", goal=Goal.MAXIMIZE,
+    )
 
-    @staticmethod
-    def candidates(ids):
-        return [Candidate(id=i, features=(float(k),), target=float(k)) for k, i in enumerate(ids)]
 
-    def dataset(self, ids):
-        return Dataset(
-            name="d", candidates=self.candidates(ids), feature_names=["x"], target_name="y", goal=Goal.MAXIMIZE
-        )
+class TestDatasetArrays:
+    """Candidate i is row i of two read-only float64 arrays."""
 
-    def test_permuted_ids_rejected(self):
-        # by_id(0) would be the last row while feature_matrix[0] is the first
-        with pytest.raises(ConfigError, match="position 0 has id 2"):
-            self.dataset([2, 0, 1])
+    @pytest.mark.parametrize(
+        "features, targets, message",
+        [
+            ([[0.0], [1.0], [2.0]], [1.0, float("nan"), 2.0], "candidate 1 has a non-finite target"),
+            ([[0.0], [1.0], [float("inf")]], [1.0, 2.0, 3.0], "candidate 2 has a non-finite feature"),
+            ([[0.0, 1.0], [1.0, 2.0]], [1.0, 2.0], r"need a \(2, 1\) feature matrix, got shape \(2, 2\)"),
+            ([[0.0], [1.0]], [1.0, 2.0, 3.0], r"need a \(3, 1\) feature matrix"),
+            (np.empty((0, 1)), [], "has no candidates"),
+        ],
+        ids=["nan-target", "infinite-feature", "wrong-width", "too-few-rows", "no-rows"],
+    )
+    def test_construction_errors(self, features, targets, message):
+        with pytest.raises(ConfigError, match=message):
+            dataset(features, targets)
 
-    def test_ids_offset_from_zero_rejected(self):
-        with pytest.raises(ConfigError, match="position 0 has id 1"):
-            self.dataset([1, 2, 3])
+    def test_arrays_are_read_only_copies(self):
+        features, targets = np.array([[0.0], [1.0], [2.0]]), np.array([5.0, 6.0, 7.0])
+        ds = dataset(features, targets)
+        digest = ds.digest()
+        features[0, 0], targets[0] = 9.0, 9.0
+        assert ds.feature_matrix.tolist() == [[0.0], [1.0], [2.0]] and ds.targets.tolist() == [5.0, 6.0, 7.0]
+        assert dataset(ds.feature_matrix, ds.targets).digest() == digest
+        for arr in (ds.feature_matrix, ds.targets):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
-    def test_duplicate_id_rejected(self):
-        with pytest.raises(ConfigError):
-            self.dataset([0, 1, 1])
+    # recorded before pools became two arrays; run files name their pool by digest
+    @pytest.mark.parametrize(
+        "kind, n, seed, digest",
+        [
+            ("quadratic2d", 24, 9, "399a07b104b8a909aed6e2401e8f9b0d61eb30ee1e5bc8fb7ffddeba49814b43"),
+            ("linear1d", 10, 0, "b6dbe62457314663c59f4b0aca362cf60d6eae3b93d700bdff1f4e0b50ddec82"),
+            ("plateau_mix", 12, 3, "30c20d92696761682d89acbe088dcdcb353f35646b635e11b65f0f826aca6be5"),
+        ],
+    )
+    def test_synthetic_digest_pins(self, kind, n, seed, digest):
+        assert synthetic_pool(kind, n, seed).digest() == digest
 
-    @pytest.mark.parametrize("bad", [-1, 3, 10])
-    def test_unknown_id_is_a_typed_error(self, bad):
-        ds = self.dataset([0, 1, 2])
-        with pytest.raises(UnknownCandidateError, match=f"no candidate id {bad}"):
-            ds.by_id(bad)
-
-    def test_by_id_is_the_feature_matrix_row(self):
-        ds = synthetic_pool("quadratic2d", 24, seed=9)
-        for i in range(len(ds)):
-            assert ds.by_id(i).id == i
-            assert ds.by_id(i).features == tuple(ds.feature_matrix[i])
+    def test_csv_digest_pin(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "a,b,y\n1,2,3\n0.5,-1e-3,2.25\n4,1e10,-7\n")
+        ds = load_csv(DatasetSpec(name="small", csv_path=p, target_column="y", goal=Goal.MINIMIZE))
+        assert ds.digest() == "c7f55f2740d9b865b6855f8a22f2e4eca60ae4ec9ad23a589a49b167ec999ad6"

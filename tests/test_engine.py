@@ -156,7 +156,7 @@ class TestRunLoop:
         init = select_initial(ramp_pool, 3, 1)
         script = [i for i in (1, 0, 2, 3, 4) if i not in init]
         traj = run_active_learning(ramp_pool, cfg, ScriptedProposer(ids=script))
-        if ramp_pool.candidates[init[0]].target == 5.0:
+        if ramp_pool.targets[init[0]] == 5.0:
             assert traj.reached_optimum_at < cfg.n_initial
         else:
             assert traj.reached_optimum_at == cfg.n_initial
@@ -368,6 +368,12 @@ class TestTrajectoryIO:
             ("observed_value", float("nan"), NumericalError),
             ("running_best", float("inf"), NumericalError),
             ("match_score", float("-inf"), NumericalError),
+            ("match_score", "0.5", ConfigError),
+            ("match_score", True, ConfigError),
+            ("proposal_text", 5, ConfigError),
+            ("proposal_text", ["x"], ConfigError),
+            ("surrogate_diag", "x", ConfigError),
+            ("surrogate_diag", [1.0], ConfigError),
         ],
     )
     def test_malformed_stored_step_is_refused(self, tmp_path, ramp_pool, key, value, error):
@@ -379,6 +385,16 @@ class TestTrajectoryIO:
         lines[1] = json.dumps({**json.loads(lines[1]), key: value})
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(error):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("step", [{"iteration": 0}, [0, 1, 2.0, 2.0]], ids=["missing-keys", "list"])
+    def test_stored_step_that_is_no_step_is_refused(self, tmp_path, ramp_pool, step):
+        cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=6, n_initial=2)
+        path = tmp_path / "t.jsonl"
+        write_trajectory(run_active_learning(ramp_pool, cfg, RandomWalkProposer(6)), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], json.dumps(step), *lines[2:]]) + "\n")
+        with pytest.raises(ConfigError, match="malformed stored step"):
             read_trajectory(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, ramp_pool, monkeypatch):

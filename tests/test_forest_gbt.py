@@ -24,6 +24,8 @@ from albench.forest_gbt import (
     staged_predictions,
 )
 
+from conftest import model_dict, tree_dict
+
 
 def walk(tree, q, node=0):
     """One query's leaf value, found node by node."""
@@ -72,7 +74,7 @@ def reference_variance_tree(X, y, config):
     """One CART tree grown node by node, as the forest grew it before the
     level-synchronous grower: each node argsorts its own rows, scores every
     (feature, position) with the same expression, and takes the first
-    minimum in (feature, position) order. Returns the tree's to_dict()."""
+    minimum in (feature, position) order. Returns the tree as a tree_dict()."""
 
     def best_split(idx):
         m = len(idx)
@@ -130,7 +132,7 @@ def reference_gbt_fit(X, y, config):
     growth: every node argsorts its own rows, scores every (feature,
     position) with the second-order gain, and takes the first maximum in
     (feature, position) order. Returns the base score and each round's
-    tree as a to_dict()."""
+    tree as a tree_dict()."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -370,7 +372,7 @@ class TestForestMatchesNodeByNodeGrower:
         for tree, idx in zip(model.trees, bootstrap_samples(len(y), config)):
             expected = reference_variance_tree(X[idx], y[idx], config)
             # JSON text also tells -0.0 from 0.0
-            assert json.dumps(tree.to_dict()) == json.dumps(expected)
+            assert json.dumps(tree_dict(tree)) == json.dumps(expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 9])
     def test_signed_zero_leaves_match_reference(self, n):
@@ -378,7 +380,7 @@ class TestForestMatchesNodeByNodeGrower:
         y = np.full(n, -0.0)
         config = ForestConfig(n_trees=3, seed=0)
         for tree, idx in zip(fit_forest(X, y, config).trees, bootstrap_samples(n, config)):
-            assert json.dumps(tree.to_dict()) == json.dumps(reference_variance_tree(X[idx], y[idx], config))
+            assert json.dumps(tree_dict(tree)) == json.dumps(reference_variance_tree(X[idx], y[idx], config))
 
     def test_tree_layout(self, rng):
         X = rng.normal(size=(25, 3))
@@ -484,7 +486,7 @@ class TestGBT:
 
     def test_json_dump(self):
         model = fit_gbt([[0.0], [1.0]], [0.0, 1.0], GBTConfig(n_rounds=2, max_depth=1))
-        d = model.to_json_dict()
+        d = model_dict(model)
         assert d["kind"] == "gbt"
         assert len(d["trees"]) == 2
 
@@ -534,7 +536,7 @@ class TestGBTMatchesNodeByNodeGrower:
         base, trees = reference_gbt_fit(X, y, config)
         assert model.base_score == base
         # JSON text also tells -0.0 from 0.0
-        assert [json.dumps(t.to_dict()) for t in model.trees] == [json.dumps(t) for t in trees]
+        assert [json.dumps(tree_dict(t)) for t in model.trees] == [json.dumps(t) for t in trees]
         rounds = list(range(config.n_rounds + 1))
         assert np.array_equal(bits(staged_predictions(model, Q, rounds)), bits(reference_staged(base, trees, Q)))
 
@@ -546,7 +548,7 @@ class TestGBTMatchesNodeByNodeGrower:
         config = GBTConfig(n_rounds=1, max_depth=1)
         tree = fit_gbt(X, y, config).trees[0]
         assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
-        assert tree.to_dict() == reference_gbt_fit(X, y, config)[1][0]
+        assert tree_dict(tree) == reference_gbt_fit(X, y, config)[1][0]
 
     def test_node_tails_are_masked(self):
         # with lambda 0 a cut after a node's last row would score 0/0; its x
@@ -556,7 +558,7 @@ class TestGBTMatchesNodeByNodeGrower:
         config = GBTConfig(n_rounds=1, max_depth=2, lambda_l2=0.0, min_child_weight=0.0)
         tree = fit_gbt(X, y, config).trees[0]
         assert tree.feature[tree.left[0]] >= 0 and tree.feature[tree.right[0]] >= 0
-        assert tree.to_dict() == reference_gbt_fit(X, y, config)[1][0]
+        assert tree_dict(tree) == reference_gbt_fit(X, y, config)[1][0]
 
     def test_tree_layout(self, rng):
         X = rng.normal(size=(25, 3))
@@ -593,7 +595,7 @@ class TestEdgeThresholds:
         model = fit_forest(X, y, config)
         tree = model.trees[0]
         assert len(tree.feature) == 3 and tree.threshold[0] == xs[0] < xs[1]
-        assert tree.to_dict() == reference_variance_tree(X, y, config)
+        assert tree_dict(tree) == reference_variance_tree(X, y, config)
         assert predict_forest(model, X)[0].tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("xs", EDGE_CUTS)
@@ -603,7 +605,7 @@ class TestEdgeThresholds:
         config = GBTConfig(n_rounds=3, max_depth=3)
         model = fit_gbt(X, y, config)
         assert [len(t.feature) for t in model.trees] == [3, 3, 3]
-        assert [t.to_dict() for t in model.trees] == reference_gbt_fit(X, y, config)[1]
+        assert [tree_dict(t) for t in model.trees] == reference_gbt_fit(X, y, config)[1]
         mean, _ = predict_gbt(model, X)
         assert np.all(np.isfinite(mean)) and mean[0] < mean[1]
 
@@ -642,7 +644,7 @@ def integer_pool(n, d, seed):
 
 
 def model_digest(model):
-    return hashlib.sha256(json.dumps(model.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(model_dict(model), sort_keys=True).encode()).hexdigest()
 
 
 class TestBudgetBoundaries:

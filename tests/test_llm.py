@@ -85,7 +85,7 @@ class StaticRerankClient:
 class TestParameterPrompt:
     def test_observation_block_contents(self):
         pool = two_feature_pool()
-        observed = [(pool.candidates[0], 3.0)]
+        observed = [(0, 3.0)]
         text = render_parameter_prompt(pool, observed)
         block = text[text.index("Observed experiments:") : text.index("Propose the")]
         assert block.count("x1=1") == 1
@@ -94,24 +94,24 @@ class TestParameterPrompt:
 
     def test_contains_context_objective_and_instruction(self):
         pool = two_feature_pool()
-        text = render_parameter_prompt(pool, [(pool.candidates[1], 10.0)])
+        text = render_parameter_prompt(pool, [(1, 10.0)])
         assert pool.context in text
         assert "maximize y" in text
         assert "x1, x2" in text
 
     def test_zero_context_still_renders(self):
         pool = make_pool([1.0, 2.0], features=[(0.0,), (1.0,)])
-        text = render_parameter_prompt(pool, [(pool.candidates[0], 1.0)])
+        text = render_parameter_prompt(pool, [(0, 1.0)])
         assert text.startswith("The objective is to maximize")
 
     def test_minimize_objective_wording(self):
         pool = make_pool([1.0, 2.0], goal=Goal.MINIMIZE)
-        text = render_parameter_prompt(pool, [(pool.candidates[0], 1.0)])
+        text = render_parameter_prompt(pool, [(0, 1.0)])
         assert "minimize y" in text
 
     def test_byte_identical_rendering(self):
         pool = two_feature_pool()
-        observed = [(pool.candidates[0], 3.0), (pool.candidates[2], 7.0)]
+        observed = [(0, 3.0), (2, 7.0)]
         assert render_parameter_prompt(pool, observed) == render_parameter_prompt(pool, observed)
 
 
@@ -120,7 +120,7 @@ class TestReportPrompt:
         pool = two_feature_pool()
         client = ConstantChatClient("R")
         cache = {}
-        observed = [(pool.candidates[0], 3.0), (pool.candidates[1], 10.0)]
+        observed = [(0, 3.0), (1, 10.0)]
         text = render_report_prompt(pool, observed, client, cache)
         assert text.count("- R Result:") == 2
         assert client.calls == 2
@@ -130,23 +130,12 @@ class TestReportPrompt:
 
     def test_offline_template(self):
         pool = make_pool([5.0], features=[(1.0,)], name="single")
-        report = offline_report(pool.candidates[0], pool)
+        report = offline_report(0, pool)
         assert "x1" in report
         assert "1" in report
         cache = {}
-        text = render_report_prompt(pool, [(pool.candidates[0], 5.0)], None, cache)
+        text = render_report_prompt(pool, [(0, 5.0)], None, cache)
         assert report in text
-
-    def test_precomputed_report_text_wins(self):
-        from albench.types import Candidate, Dataset
-
-        cand = Candidate(id=0, features=(1.0,), target=2.0, report_text="archived report")
-        pool = Dataset(
-            name="d", candidates=[cand], feature_names=["x1"], target_name="y", goal=Goal.MAXIMIZE
-        )
-        cache = {}
-        text = render_report_prompt(pool, [(cand, 2.0)], ConstantChatClient("X"), cache)
-        assert "archived report" in text
 
 
 class TestProposeNext:
@@ -245,7 +234,7 @@ class TestParseProposal:
 
     def test_mean_fill_of_missing_feature(self, caplog):
         pool = two_feature_pool()
-        observed = [(pool.candidates[0], 3.0), (pool.candidates[1], 10.0)]
+        observed = [(0, 3.0), (1, 10.0)]
         # x2 observed values are 2 and 6 -> fill 4
         with caplog.at_level("INFO", logger="albench.llm"):
             parsed = parse_proposal("```\nx1: 7\n```", pool, observed)
@@ -303,7 +292,7 @@ class TestParseProposalFuzz:
     @given(text=_texts, with_observed=st.booleans())
     def test_any_text_parses_to_every_feature_finite_or_raises(self, text, with_observed):
         pool = two_feature_pool()
-        observed = [(pool.candidates[0], 3.0), (pool.candidates[2], 7.0)] if with_observed else []
+        observed = [(0, 3.0), (2, 7.0)] if with_observed else []
         try:
             parsed = parse_proposal(text, pool, observed)
         except ProposalParseError:
@@ -563,7 +552,7 @@ class TestPromptLineCache:
                 return "```\nx1: 1\nx2: 1\n```"
 
         def fresh_render(pool):
-            observed = [(pool.candidates[0], 3.0)]
+            observed = [(0, 3.0)]
             if prompt_format is PromptFormat.REPORT:
                 return render_report_prompt(pool, observed, None, {})
             return render_parameter_prompt(pool, observed)

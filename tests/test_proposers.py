@@ -35,7 +35,7 @@ class TestUnlabeledIds:
     def test_proposals_are_python_ints_from_the_same_draws(self):
         pool = synthetic_pool("quadratic2d", 16, seed=2)
         observed = [3, 0, 7, 12]
-        values = [pool.by_id(i).target for i in observed]
+        values = pool.targets[observed].tolist()
         walk = RandomWalkProposer(5)
         reference_rng = substream(5, STREAM_WALK)
         for _ in range(4):
@@ -114,7 +114,7 @@ class TestSurrogateProposers:
             proposer = SurrogateProposer(
                 ProposerKind.GPR, alpha=1.0, seed=7, settings=ProposerSettings(gpr=GPRConfig(standardize_targets=True))
             )
-            suggestion = proposer.propose(pool, [0, 3, 6], [pool.candidates[i].target for i in (0, 3, 6)])
+            suggestion = proposer.propose(pool, [0, 3, 6], pool.targets[[0, 3, 6]].tolist())
             picks.append(suggestion.candidate_id)
         assert picks[0] == picks[1]
 
@@ -172,7 +172,7 @@ class TestFactory:
         cfg = RunConfig(ProposerKind.LLM, seed=0)
         proposer = make_proposer(cfg, chat_client=ConstantChatClient("```\nx: 0.9\n```"))
         pool = synthetic_pool("linear1d", 6, seed=0)
-        suggestion = proposer.propose(pool, [0], [pool.candidates[0].target])
+        suggestion = proposer.propose(pool, [0], [float(pool.targets[0])])
         assert suggestion.candidate_id != 0
 
     def test_each_kind_constructs(self):

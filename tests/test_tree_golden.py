@@ -1,7 +1,7 @@
 """Golden pins for seeded tree-ensemble fits.
 
 Each case stores the sha256 of the sorted-key JSON dump of a seeded
-fit's ``to_json_dict()`` and the total node count of its trees. Any change
+fit's ``conftest.model_dict`` and the total node count of its trees. Any change
 to a split, a threshold, a leaf value or the tree structure changes the
 hash. These pins were recorded on the per-node grower and are the
 correctness gate for any faster grower: never re-record them to make a
@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from albench.forest_gbt import ForestConfig, GBTConfig, fit_forest, fit_gbt, staged_predictions
+
+from conftest import model_dict
 
 
 def pool(n, d, seed):
@@ -38,7 +40,7 @@ def tied_pool():
 
 
 def digest(model) -> str:
-    blob = json.dumps(model.to_json_dict(), sort_keys=True)
+    blob = json.dumps(model_dict(model), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
