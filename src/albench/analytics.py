@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -154,73 +155,55 @@ class RunRecord:
     trajectory: Trajectory
     pool: Dataset
 
-    @property
+    @cached_property
     def identity(self) -> dict:
         return run_identity(self.trajectory.config, self.trajectory.run_config_digest)
 
 
-def _write_csv(path, fieldnames, rows) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a header and then one line per row (a list of cell values)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
 def export_running_best(records: Sequence[RunRecord], path) -> None:
     rows = []
     for rec in records:
-        for step in rec.trajectory.steps:
-            rows.append(
-                {
-                    **rec.identity,
-                    "iteration": step.iteration,
-                    "observed_value": step.observed_value,
-                    "running_best": step.running_best,
-                }
-            )
-    _write_csv(path, [*IDENTITY, "iteration", "observed_value", "running_best"], rows)
+        identity = list(rec.identity.values())
+        rows += ([*identity, s.iteration, s.observed_value, s.running_best] for s in rec.trajectory.steps)
+    write_csv(path, [*IDENTITY, "iteration", "observed_value", "running_best"], rows)
 
 
 def export_distance_curves(records: Sequence[RunRecord], path) -> None:
     rows = []
     for rec in records:
-        for i, dist in enumerate(cumulative_l2(rec.trajectory, rec.pool)):
-            rows.append({**rec.identity, "iteration": i, "cumulative_l2": dist})
-    _write_csv(path, [*IDENTITY, "iteration", "cumulative_l2"], rows)
+        identity = list(rec.identity.values())
+        rows += ([*identity, i, dist] for i, dist in enumerate(cumulative_l2(rec.trajectory, rec.pool)))
+    write_csv(path, [*IDENTITY, "iteration", "cumulative_l2"], rows)
 
 
 def export_pca(records: Sequence[RunRecord], coords_path, edges_path) -> None:
-    """Pool coordinates in PC space plus per-run trajectory edge lists."""
+    """Pool coordinates in PC space plus per-run trajectory edge lists; with
+    one feature, pc2 reads 0."""
     if not records:
         raise ConfigError("export_pca needs at least one run")
     pool = records[0].pool
     k = min(2, pool.feature_matrix.shape[1])
-    _, projected, explained = pca_project(pool, k=k)
-    coord_rows = []
-    for cid, (target, point) in enumerate(zip(pool.targets.tolist(), projected)):
-        row = {"candidate_id": cid, "target": target}
-        for j in range(k):
-            row[f"pc{j + 1}"] = float(point[j])
-        if k == 1:
-            row["pc2"] = 0.0
-        coord_rows.append(row)
-    _write_csv(coords_path, ["candidate_id", "target", "pc1", "pc2"], coord_rows)
+    _, projected, _ = pca_project(pool, k=k)
+    points = [point + [0.0] * (2 - k) for point in projected.tolist()]
+    coord_rows = [[cid, target, *point] for cid, (target, point) in enumerate(zip(pool.targets.tolist(), points))]
+    write_csv(coords_path, ["candidate_id", "target", "pc1", "pc2"], coord_rows)
 
     edge_rows = []
     for rec in records:
-        ids = rec.trajectory.selected_ids()
-        for order, cid in enumerate(ids):
-            point = projected[cid]
-            edge_rows.append(
-                {
-                    **rec.identity,
-                    "order": order,
-                    "candidate_id": cid,
-                    "pc1": float(point[0]),
-                    "pc2": float(point[1]) if k > 1 else 0.0,
-                }
-            )
-    _write_csv(edges_path, [*IDENTITY, "order", "candidate_id", "pc1", "pc2"], edge_rows)
+        identity = list(rec.identity.values())
+        edge_rows += ([*identity, order, cid, *points[cid]] for order, cid in enumerate(rec.trajectory.selected_ids()))
+    write_csv(edges_path, [*IDENTITY, "order", "candidate_id", "pc1", "pc2"], edge_rows)
+
+
+VARIABILITY = ("count", "mean", "std", "min", "max", "q1", "median", "q3")
 
 
 def export_variability(summaries: Sequence[dict], path, group_by=("proposer", "alpha")) -> None:
@@ -228,20 +211,15 @@ def export_variability(summaries: Sequence[dict], path, group_by=("proposer", "a
     header when no run reached the optimum."""
     finished = any(s["iterations_to_optimum"] is not None for s in summaries)
     stats = variability_stats(summaries, group_by=group_by) if finished else {}
-    rows = []
-    for key, st in sorted(stats.items(), key=lambda kv: tuple(str(k) for k in kv[0])):
-        row = {field: value for field, value in zip(group_by, key)}
-        row.update(st)
-        rows.append(row)
-    _write_csv(path, list(group_by) + ["count", "mean", "std", "min", "max", "q1", "median", "q3"], rows)
+    rows = [
+        [*key, *(st[column] for column in VARIABILITY)]
+        for key, st in sorted(stats.items(), key=lambda kv: tuple(str(k) for k in kv[0]))
+    ]
+    write_csv(path, [*group_by, *VARIABILITY], rows)
 
 
 def export_similarity_scores(records: Sequence[RunRecord], path) -> None:
     """Per-trajectory mean match score (the similarity boxplot data)."""
-    rows = []
-    for rec in records:
-        score = rec.trajectory.mean_match_score()
-        if score is None:
-            continue
-        rows.append({**rec.identity, "mean_match_score": score})
-    _write_csv(path, [*IDENTITY, "mean_match_score"], rows)
+    scores = ((rec, rec.trajectory.mean_match_score()) for rec in records)
+    rows = [[*rec.identity.values(), score] for rec, score in scores if score is not None]
+    write_csv(path, [*IDENTITY, "mean_match_score"], rows)

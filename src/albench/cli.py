@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import hashlib
 import json
 import logging
@@ -326,11 +325,11 @@ def _run_cell(dataset: Dataset, header_entry: dict, new_proposer, settings, conf
 _worker: Optional[tuple] = None
 
 
-def _init_sweep_worker(dataset_entry: dict, cfg: dict, kinds, workers: int) -> None:
-    """Process-pool initializer: build the sweep's pool and proposer factory
-    once per worker."""
+def _init_sweep_worker(dataset: Dataset, header_entry: dict, cfg: dict, kinds, workers: int) -> None:
+    """Process-pool initializer: take the parent's pool and build the
+    proposer factory once per worker."""
     global _worker
-    _worker = (*build_dataset(dataset_entry), *proposer_factory(cfg, kinds, workers)[:2])
+    _worker = (dataset, header_entry, *proposer_factory(cfg, kinds, workers)[:2])
 
 
 def _sweep_worker(task: tuple[RunConfig, Path]) -> dict:
@@ -339,12 +338,14 @@ def _sweep_worker(task: tuple[RunConfig, Path]) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    """Run every cell of the sweep grid that has no complete stored run.
+    """Run every cell of the sweep grid that has no complete stored run,
+    then write `summary.csv` and the report exports.
 
-    The pool and the proposer factory are built once per process: serial
-    cells share the sweep's, and each worker process builds its own once.
-    This relies on Dataset being immutable, since each caches its digest
-    and z-scores.
+    The pool is loaded once per command. Serial cells share it, worker
+    processes get it from the parent, and the report export reuses it for
+    the runs that recorded its digest. The proposer factory is built once
+    per process. This relies on Dataset being immutable, since each caches
+    its digest and z-scores.
     """
     cfg = _read_config(args.config, SWEEP_KEYS)
     if "dataset" not in cfg:
@@ -379,7 +380,7 @@ def cmd_sweep(args) -> int:
             from . import gpr  # noqa: F401 -- load scipy once; the forked workers share it
 
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_sweep_worker, initargs=(header_entry, cfg, kinds, workers)
+            workers, initializer=_init_sweep_worker, initargs=(dataset, header_entry, cfg, kinds, workers)
         ) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
@@ -388,10 +389,7 @@ def cmd_sweep(args) -> int:
     results += skipped
     results.sort(key=lambda r: (r["proposer"], r["prompt_format"], r["alpha"], r["seed"], r["repeat_index"]))
     summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
-        writer.writeheader()
-        writer.writerows(results)
+    analytics.write_csv(summary_path, SUMMARY_FIELDS, ([r[f] for f in SUMMARY_FIELDS] for r in results))
 
     failed = [r for r in results if r["status"] == "failed"]
     print(
@@ -399,7 +397,7 @@ def cmd_sweep(args) -> int:
         f"-> {summary_path}"
     )
     try:
-        _export_reports(runs_dir, out_dir / "reports")
+        _export_reports(runs_dir, out_dir / "reports", {dataset.digest(): dataset})
     except AlbenchError as exc:
         logger.warning("report export skipped: %s", exc)
     return EXIT_PARTIAL_SWEEP if failed else EXIT_OK
@@ -408,11 +406,13 @@ def cmd_sweep(args) -> int:
 # --- report command ----------------------------------------------------------
 
 
-def _load_records(results_dir: Path):
+def _load_records(results_dir: Path, pools: dict[str, Dataset]):
     """Parse every trajectory in a directory, skipping corrupt files and
-    runs whose pool has changed since."""
+    runs whose pool has changed since. `pools` maps a pool digest to a pool
+    the caller holds; any other pool is rebuilt from the first header that
+    records it."""
     records = []
-    pools: dict[str, Dataset] = {}  # recorded pool digest -> the pool rebuilt from its header entry
+    pools = dict(pools)
     for path in sorted(results_dir.glob("*.jsonl")):
         try:
             header, steps = read_trajectory(path)
@@ -426,17 +426,24 @@ def _load_records(results_dir: Path):
     return records
 
 
-def _export_reports(results_dir: Path, out_dir: Path) -> None:
-    records = _load_records(results_dir)
+def _export_reports(results_dir: Path, out_dir: Path, pools: dict[str, Dataset]) -> None:
+    """Write the report families of every pool with runs in `results_dir`;
+    `pools` as for `_load_records`. Files of one pool carry no suffix; with
+    several, each carries its pool's name, plus the first 8 hex digits of
+    its digest when pools share a name."""
+    records = _load_records(results_dir, pools)
     if not records:
         raise ConfigError(f"no readable trajectories in {results_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
     by_pool: dict[str, list[analytics.RunRecord]] = {}
     for rec in records:
         by_pool.setdefault(rec.trajectory.dataset_digest, []).append(rec)
-    multi = len(by_pool) > 1
+    names = [group[0].pool.name for group in by_pool.values()]
     for digest, group in by_pool.items():
-        suffix = f"_{group[0].pool.name}" if multi else ""
+        name = group[0].pool.name
+        suffix = f"_{name}" if len(by_pool) > 1 else ""
+        if names.count(name) > 1:
+            suffix += f"_{digest[:8]}"
         analytics.export_running_best(group, out_dir / f"running_best{suffix}.csv")
         analytics.export_distance_curves(group, out_dir / f"distance_curves{suffix}.csv")
         analytics.export_pca(
@@ -451,7 +458,7 @@ def cmd_report(args) -> int:
     results_dir = Path(args.results)
     if not results_dir.is_dir():
         raise ConfigError(f"{results_dir} is not a directory")
-    _export_reports(results_dir, Path(args.out_dir or results_dir / "reports"))
+    _export_reports(results_dir, Path(args.out_dir or results_dir / "reports"), {})
     print(f"report exports written to {args.out_dir or results_dir / 'reports'}")
     return EXIT_OK
 

@@ -49,15 +49,18 @@ class FixtureRecord:
 
 
 def load_fixtures(path) -> list[FixtureRecord]:
-    """Read a fixture file; ValueError names the first line that is not a
-    JSON object with a string `response_text` and a string or null
-    `request_digest`."""
+    """Read a fixture file; ValueError names the first line (and, for a JSON
+    syntax error, the column) that is not a JSON object with a string
+    `response_text` and a string or null `request_digest`."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {line_no}, column {exc.colno}: {exc.msg}") from None
             if not (
                 isinstance(obj, dict) and isinstance(obj.get("response_text"), str)
                 and isinstance(obj.get("request_digest"), (str, type(None)))

@@ -186,6 +186,14 @@ class Dataset:
             arr.flags.writeable = False
             object.__setattr__(self, key, arr)
 
+    def __setstate__(self, state: dict) -> None:
+        """Unpickling: the arrays arrive writable, so make them read-only
+        again. The cached digest is kept; the z-scores are recomputed on
+        first use."""
+        self.__dict__.update(state, _pool_z=None)
+        for arr in (self.feature_matrix, self.targets):
+            arr.flags.writeable = False
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented

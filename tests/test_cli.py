@@ -1,7 +1,9 @@
 """Command-line behavior: run, sweep with resume, report exports, exit codes."""
 
 import csv
+import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -983,3 +985,114 @@ class TestReport:
         rows = read_summary(report_dir / "running_best.csv")
         got = [float(r["running_best"]) for r in rows]
         assert got == pytest.approx(expected)
+
+
+class TestReportExports:
+    """Report CSVs of one sweep directory holding the runs of two pools: a
+    CSV pool and a synthetic one, each swept with random-walk and mock-LLM
+    cells."""
+
+    CLIENT = "mock:```\nx1: 0.5\nx2: 0.5\n```"
+
+    def write_pool(self, tmp_path, name="lab", salt=0):
+        csv_path = tmp_path / f"{name}_{salt}.csv"
+        rows = "".join(f"{i % 5},{(i * 3) % 7},{(i * 7 + salt) % 13}\n" for i in range(20))
+        csv_path.write_text("x1,x2,y\n" + rows)
+        return {"name": name, "csv_path": str(csv_path), "target_column": "y", "goal": "maximize"}
+
+    def sweep(self, tmp_path, dataset, out_dir, parallelism=1):
+        cfg = {
+            "dataset": dataset, "proposers": ["random_walk", "llm"], "alphas": [0], "seeds": [38, 39],
+            "repeats_at_seed": {}, "parallelism": parallelism, "llm": {"client": self.CLIENT, "matcher": "offline"},
+        }
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+
+    def two_pool_reports(self, tmp_path):
+        """Sweep both pools into one directory, then report it: (the second
+        sweep's own report files, the report command's), as {name: bytes}."""
+        out_dir = tmp_path / "results"
+        self.sweep(tmp_path, self.write_pool(tmp_path), out_dir)
+        self.sweep(tmp_path, "synthetic:quadratic2d:20:3", out_dir)
+        assert main(["report", "--results", str(out_dir / "runs"), "--out-dir", str(tmp_path / "report")]) == EXIT_OK
+        return [{p.name: p.read_bytes() for p in d.glob("*.csv")} for d in (out_dir / "reports", tmp_path / "report")]
+
+    # sha256 of each report CSV, as written before the exports moved to row lists
+    DIGESTS = {
+        "distance_curves_lab.csv": "ded572a1f56f1088ee88e8717f902b215b120774872211b83ea3a05c631d29cf",
+        "distance_curves_quadratic2d_n20_s3.csv": "e942c35d38873969d05101f985efccd2129d0923c47add36c4511b0daa1874bc",
+        "pca_coordinates_lab.csv": "8d88962c1d22742b58e49d86c929d1172ec2113275b10471543c78920e6b495f",
+        "pca_coordinates_quadratic2d_n20_s3.csv": "ff3418abf18068cded6f7661ce5d4a6ca91cb4f679460959327b0d05827c51cc",
+        "pca_trajectories_lab.csv": "2b55846ed364b5227ecd5eee513d1abe5b47f14ff8239d52d91c770fdfe2f0f8",
+        "pca_trajectories_quadratic2d_n20_s3.csv": "95afcee2ff10472aa049e345b22c4eea1ab9e3f7a8d95c148b323bdcc130fe2b",
+        "running_best_lab.csv": "60356c444d667d1bad14991de41d854056997a7117da60f2407dfe4aae2630af",
+        "running_best_quadratic2d_n20_s3.csv": "bfa7b1eee49d64ac3e9f8ca6d01df879c0cae2c6e3012298bd273f9f5578a9ea",
+        "similarity_scores_lab.csv": "93f833e701d00941700edd51907ba826fc7d43774dc344732b169fbc733c8ff7",
+        "similarity_scores_quadratic2d_n20_s3.csv": "9df8877a769219d1bb12c6c3cc9f5ef5bb224f294318639b71c12f663e878696",
+        "variability_lab.csv": "11aa7806a4ceb042acb8064b5b6c40fb16f8b45aba8c2162402f8d76b4ff5bd5",
+        "variability_quadratic2d_n20_s3.csv": "d5945d9bfc2eb53c70f229e053ec46f07a5d0413b94adb5f7fdfc02ebc0d3142",
+    }
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        _, reports = self.two_pool_reports(tmp_path)
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in reports.items()}
+        assert digests == self.DIGESTS
+
+    def test_sweep_reports_equal_the_report_command(self, tmp_path):
+        swept, reported = self.two_pool_reports(tmp_path)
+        # the first sweep's unsuffixed single-pool files stay beside these
+        assert len(reported) == 12 and {name: swept[name] for name in reported} == reported
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_sweep_loads_its_csv_once(self, tmp_path, monkeypatch, parallelism):
+        """The parent loads the pool; workers and the report export reuse it."""
+        from albench import data
+
+        load, parent, calls = data.load_csv, os.getpid(), []
+
+        def counting(spec):
+            if os.getpid() != parent:
+                raise AssertionError("a sweep worker loaded the pool")
+            calls.append(spec.csv_path)
+            return load(spec)
+
+        monkeypatch.setattr(cli, "load_csv", counting)
+        monkeypatch.setattr(data, "load_csv", counting)
+        self.sweep(tmp_path, self.write_pool(tmp_path), tmp_path / "results", parallelism)
+        assert len(calls) == 1
+        assert len(list((tmp_path / "results" / "reports").glob("*.csv"))) == 6
+
+    def test_load_records_with_a_matching_pool_map_loads_no_csv(self, tmp_path, monkeypatch):
+        from albench import data
+
+        spec = self.write_pool(tmp_path)
+        self.sweep(tmp_path, spec, tmp_path / "results")
+        pool = cli.build_dataset(spec)[0]
+
+        def refuse(spec):
+            raise AssertionError("loaded a CSV")
+
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        monkeypatch.setattr(data, "load_csv", refuse)
+        records = cli._load_records(tmp_path / "results" / "runs", {pool.digest(): pool})
+        assert len(records) == 4 and all(r.pool is pool for r in records)
+
+    def test_same_named_pools_get_digest_suffixes(self, tmp_path):
+        out_dir = tmp_path / "results"
+        specs = [self.write_pool(tmp_path, "lab", salt) for salt in (0, 1)]
+        for spec in specs:
+            self.sweep(tmp_path, spec, out_dir)
+        assert main(["report", "--results", str(out_dir / "runs"), "--out-dir", str(tmp_path / "report")]) == EXIT_OK
+        runs = {}
+        for path in (out_dir / "runs").glob("*.jsonl"):
+            runs.setdefault(read_trajectory(path)[0]["dataset_digest"], set()).add(path.stem)
+        digests = [cli.build_dataset(spec)[0].digest() for spec in specs]
+        assert sorted(runs) == sorted(digests) and digests[0][:8] != digests[1][:8]
+        families = ("running_best", "distance_curves", "pca_coordinates", "pca_trajectories", "variability",
+                    "similarity_scores")
+        expected = {f"{family}_lab_{digest[:8]}.csv" for family in families for digest in digests}
+        assert {p.name for p in (tmp_path / "report").glob("*.csv")} == expected
+        for digest in digests:
+            rows = read_summary(tmp_path / "report" / f"running_best_lab_{digest[:8]}.csv")
+            assert {r["digest"] for r in rows} == runs[digest] and len(runs[digest]) == 4

@@ -1,5 +1,6 @@
 """CSV loading, the benchmark registry, and synthetic pool generators."""
 
+import pickle
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -268,6 +269,19 @@ class TestPoolCaches:
             z[0, 0] = 1.0
         assert not any(a.flags.writeable for a in (scale.mean, scale.safe_std, scale.degenerate))
         assert pool_zscores(ds)[1] is z
+
+    def test_unpickled_pool_is_read_only_and_keeps_its_digest(self):
+        ds = synthetic_pool("quadratic2d", 24, seed=9)
+        digest, (_, z) = ds.digest(), pool_zscores(ds)
+        copy = pickle.loads(pickle.dumps(ds))
+        assert copy == ds and copy._digest == digest
+        for arr in (copy.feature_matrix, copy.targets):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert copy._pool_z is None
+        copy_z = pool_zscores(copy)[1]
+        assert not copy_z.flags.writeable and copy_z.tobytes() == z.tobytes()
 
     def test_cached_z_rows_equal_standardizing_those_rows(self, rng):
         features = rng.normal(size=(30, 3))

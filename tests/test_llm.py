@@ -206,6 +206,14 @@ class TestScriptedClient:
             ("b", "00ff"),
         ]
 
+    def test_fixture_syntax_error_names_the_file_line(self, tmp_path):
+        path = tmp_path / "fx.jsonl"
+        save_fixtures([FixtureRecord(response_text="a"), FixtureRecord(response_text="b")], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"response_text": "c",, "request_digest": null}\n')
+        with pytest.raises(ValueError, match=r"^line 3, column 23: Expecting property name"):
+            load_fixtures(path)
+
     def test_recording_wrapper(self, tmp_path):
         inner = ConstantChatClient("res")
         rec = RecordingChatClient(inner)
