@@ -343,7 +343,8 @@ def cmd_sweep(args) -> int:
 
     The pool is loaded once per command. Serial cells share it, worker
     processes get it from the parent, and the report export reuses it for
-    the runs that recorded its digest. The proposer factory is built once
+    the runs that recorded its digest, and the resumed runs as they were
+    read to skip their cells. The proposer factory is built once
     per process. This relies on Dataset being immutable, since each caches
     its digest and z-scores.
     """
@@ -366,12 +367,13 @@ def cmd_sweep(args) -> int:
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks, skipped = [], []
+    tasks, skipped, stored_runs = [], [], {}
     for config in configs:
         out_path = runs_dir / f"{config.digest(dataset.digest())[:16]}.jsonl"
         stored = _read_complete(out_path, dataset, settings) if out_path.exists() else None
         if stored is not None:
             skipped.append(summary_row(stored.config, dataset, "skipped", stored))
+            stored_runs[out_path] = stored
         else:
             tasks.append((config, out_path))
 
@@ -397,7 +399,7 @@ def cmd_sweep(args) -> int:
         f"-> {summary_path}"
     )
     try:
-        _export_reports(runs_dir, out_dir / "reports", {dataset.digest(): dataset})
+        _export_reports(runs_dir, out_dir / "reports", {dataset.digest(): dataset}, stored_runs)
     except AlbenchError as exc:
         logger.warning("report export skipped: %s", exc)
     return EXIT_PARTIAL_SWEEP if failed else EXIT_OK
@@ -406,32 +408,40 @@ def cmd_sweep(args) -> int:
 # --- report command ----------------------------------------------------------
 
 
-def _load_records(results_dir: Path, pools: dict[str, Dataset]):
-    """Parse every trajectory in a directory, skipping corrupt files and
-    runs whose pool has changed since. `pools` maps a pool digest to a pool
-    the caller holds; any other pool is rebuilt from the first header that
-    records it."""
+def _load_records(results_dir: Path, pools: dict[str, Dataset], stored: Optional[dict[Path, Trajectory]] = None):
+    """Parse every trajectory in a directory, skipping corrupt files, runs
+    with no steps and runs whose pool has changed since. `pools` maps a pool
+    digest to a pool the caller holds; any other pool is rebuilt from the
+    first header that records it. `stored` maps a path under `results_dir`
+    to its run, already rebuilt against one of `pools`, which is not read
+    again."""
     records = []
-    pools = dict(pools)
+    pools, stored = dict(pools), stored or {}
     for path in sorted(results_dir.glob("*.jsonl")):
         try:
-            header, steps = read_trajectory(path)
-            digest = header.get("dataset_digest", "")
-            if digest not in pools:
-                pools[digest] = dataset_from_header_entry(header.get("dataset"))
-            trajectory = rebuild_trajectory(header, steps, pools[digest])
-            records.append(analytics.RunRecord(trajectory=trajectory, pool=pools[digest]))
+            trajectory = stored.get(path)
+            if trajectory is None:
+                header, steps = read_trajectory(path)
+                if not steps:
+                    raise ConfigError("the run has no steps")
+                digest = header.get("dataset_digest", "")
+                if digest not in pools:
+                    pools[digest] = dataset_from_header_entry(header.get("dataset"))
+                trajectory = rebuild_trajectory(header, steps, pools[digest])
+            records.append(analytics.RunRecord(trajectory=trajectory, pool=pools[trajectory.dataset_digest]))
         except _UNREADABLE as exc:
             logger.warning("skipping %s: %s", path, exc)
     return records
 
 
-def _export_reports(results_dir: Path, out_dir: Path, pools: dict[str, Dataset]) -> None:
+def _export_reports(
+    results_dir: Path, out_dir: Path, pools: dict[str, Dataset], stored: Optional[dict[Path, Trajectory]] = None
+) -> None:
     """Write the report families of every pool with runs in `results_dir`;
-    `pools` as for `_load_records`. Files of one pool carry no suffix; with
-    several, each carries its pool's name, plus the first 8 hex digits of
-    its digest when pools share a name."""
-    records = _load_records(results_dir, pools)
+    `pools` and `stored` as for `_load_records`. Files of one pool carry no
+    suffix; with several, each carries its pool's name, plus the first 8
+    hex digits of its digest when pools share a name."""
+    records = _load_records(results_dir, pools, stored)
     if not records:
         raise ConfigError(f"no readable trajectories in {results_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)

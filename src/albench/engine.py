@@ -107,6 +107,17 @@ def pool_zscores(dataset: Dataset) -> tuple[ZScore, np.ndarray]:
     return dataset._pool_z
 
 
+def pool_zcolumns(dataset: Dataset) -> np.ndarray:
+    """The matrix of `pool_zscores` stored feature by feature: a read-only,
+    C-contiguous (features, rows) copy, cached on the Dataset the same way,
+    so one pass over a feature reads contiguous memory."""
+    if dataset._pool_zt is None:
+        zt = np.ascontiguousarray(pool_zscores(dataset)[1].T)
+        zt.flags.writeable = False
+        object.__setattr__(dataset, "_pool_zt", zt)
+    return dataset._pool_zt
+
+
 def unlabeled_pool_ids(pool_size: int, observed_ids: Sequence[int]) -> np.ndarray:
     """Ascending ids of the pool's candidates that are not in `observed_ids`."""
     unlabeled = np.ones(pool_size, dtype=bool)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .acquisition import random_walk_select
 from .clients import ChatClient, RerankClient
-from .engine import STREAM_LLM, Suggestion, pool_zscores, substream, unlabeled_pool_ids
+from .engine import STREAM_LLM, Suggestion, pool_zcolumns, pool_zscores, substream, unlabeled_pool_ids
 from .engine import standardize_features  # noqa: F401 -- bench/spans.py traces calls under this name
 from .errors import ProposalParseError, ProposerError, TransportError
 from .types import Dataset, Goal, PromptFormat, ProposerKind
@@ -82,16 +82,22 @@ def render_parameter_prompt(
     hold the observed values, so share it only between prompts for the
     same pool (in a run, a candidate's observed value never changes).
     """
-    if cache is None:
-        cache = {}
+    return _prompt(dataset, _cached_lines(
+        observed, {} if cache is None else cache,
+        lambda cid, value: f"- {format_candidate_parameters(cid, dataset)} -> {dataset.target_name}={_fmt(value)}",
+    ))
+
+
+def _cached_lines(observed, cache: dict[int, str], render) -> list[str]:
+    """One line per (candidate id, value) pair: `cache`'s, or else
+    `render(cid, value)`, which is then cached."""
     lines = []
     for cid, value in observed:
         line = cache.get(cid)
         if line is None:
-            line = f"- {format_candidate_parameters(cid, dataset)} -> {dataset.target_name}={_fmt(value)}"
-            cache[cid] = line
+            line = cache[cid] = render(cid, value)
         lines.append(line)
-    return _prompt(dataset, lines)
+    return lines
 
 
 def offline_report(candidate_id: int, dataset: Dataset) -> str:
@@ -131,16 +137,20 @@ def render_report_prompt(
     observed: Sequence[tuple[int, float]],
     client: Optional[ChatClient],
     cache: dict[int, str],
+    lines: Optional[dict[int, str]] = None,
 ) -> str:
     """Narrative prompt over (candidate id, observed value) pairs: each
     observation expanded into a short report.
 
     With client=None the offline template is used and no calls are made.
+    `cache` holds the reports by candidate id; `lines` the rendered
+    observation lines, shared as `render_parameter_prompt`'s cache is.
     """
-    return _prompt(dataset, [
-        f"- {generate_report(cid, dataset, client, cache)} Result: {dataset.target_name}={_fmt(value)}."
-        for cid, value in observed
-    ])
+    return _prompt(dataset, _cached_lines(
+        observed, {} if lines is None else lines,
+        lambda cid, value: f"- {generate_report(cid, dataset, client, cache)} Result: "
+        f"{dataset.target_name}={_fmt(value)}.",
+    ))
 
 
 def propose_next(
@@ -219,12 +229,25 @@ def _offline_nearest(
     parsed: dict[str, float], dataset: Dataset, unlabeled_ids: np.ndarray
 ) -> tuple[int, float]:
     """Nearest unlabeled candidate in full-pool z-score space; `unlabeled_ids`
-    is a sorted int array, so ties pick the lowest id."""
+    is an ascending int array, so ties pick the lowest id.
+
+    One pass over the pool's z-score columns gives every squared distance.
+    It adds a row's d terms in another order than numpy's row sum (which
+    goes pairwise from 8 terms on), so the two may differ in the last
+    bits, though each is within a relative d*eps/2 of the true sum. The
+    exact formula then runs only on the rows within 4*d*eps of the fast
+    minimum, a band that holds every row whose exact distance ties the
+    minimum, so the id and the score keep that formula's bits for any d.
+    """
     scale, z_pool = pool_zscores(dataset)
     query = scale.apply([parsed[name] for name in dataset.feature_names])[0]
-    dists = np.linalg.norm(z_pool[unlabeled_ids] - query, axis=1)
+    diff = pool_zcolumns(dataset) - query[:, None]
+    np.multiply(diff, diff, out=diff)
+    sq = diff.sum(axis=0)[unlabeled_ids]
+    band = unlabeled_ids[sq <= sq.min() * (1 + 4 * len(query) * np.finfo(np.float64).eps)]
+    dists = np.linalg.norm(z_pool[band] - query, axis=1)
     best = int(np.argmin(dists))
-    return int(unlabeled_ids[best]), float(1.0 / (1.0 + dists[best]))
+    return int(band[best]), float(1.0 / (1.0 + dists[best]))
 
 
 def match_to_pool(
@@ -233,17 +256,21 @@ def match_to_pool(
     dataset: Dataset,
     unlabeled_ids: Sequence[int],
     rerank_client: Optional[RerankClient] = None,
+    diag: Optional[dict[str, float]] = None,
 ) -> tuple[int, float]:
     """Resolve a proposal to one unlabeled candidate id plus a score in [0,1].
 
     With a rerank client the raw text is ranked against the candidates'
     text renderings; without one, the offline nearest-neighbor matcher
     picks. Rerank transport failures fall back to the offline matcher with
-    a logged warning, so a run never dies on the matcher.
+    a logged warning and `diag["rerank_fallback"] = 1.0` (when a `diag`
+    dict is given), so a run never dies on the matcher.
     """
-    unlabeled_ids = np.sort(np.asarray(unlabeled_ids, dtype=np.intp))
+    unlabeled_ids = np.asarray(unlabeled_ids, dtype=np.intp)
     if unlabeled_ids.size == 0:
         raise ProposerError("no unlabeled candidates left to match against")
+    if (unlabeled_ids[1:] < unlabeled_ids[:-1]).any():  # `unlabeled_pool_ids` are ascending already
+        unlabeled_ids = np.sort(unlabeled_ids)
     if rerank_client is not None:
         documents = [format_candidate_parameters(i, dataset) for i in unlabeled_ids.tolist()]
         try:
@@ -252,6 +279,8 @@ def match_to_pool(
             return int(unlabeled_ids[index]), float(min(max(score, 0.0), 1.0))
         except TransportError as exc:
             logger.warning("rerank failed (%s); falling back to offline nearest neighbor", exc)
+            if diag is not None:
+                diag["rerank_fallback"] = 1.0
     return _offline_nearest(parsed, dataset, unlabeled_ids)
 
 
@@ -281,7 +310,7 @@ class LLMProposer:
         # the chat client writes the report prompt's reports, unless the
         # offline template stands in for them
         self.offline_reports = offline_reports
-        # reports and parameter-prompt lines by candidate id, for _cache_pool
+        # reports and prompt lines by candidate id, for _cache_pool
         self.report_cache: dict[int, str] = {}
         self.line_cache: dict[int, str] = {}
         self._cache_pool: Optional[Dataset] = None
@@ -296,7 +325,7 @@ class LLMProposer:
             self._cache_pool = dataset
         if self.prompt_format is PromptFormat.REPORT:
             report_client = None if self.offline_reports else self.client
-            return render_report_prompt(dataset, observed, report_client, self.report_cache)
+            return render_report_prompt(dataset, observed, report_client, self.report_cache, self.line_cache)
         return render_parameter_prompt(dataset, observed, self.line_cache)
 
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:
@@ -320,5 +349,6 @@ class LLMProposer:
                     match_score=None,
                     surrogate_diag={"parse_fallback": 1.0},
                 )
-        cid, score = match_to_pool(parsed, raw, dataset, unlabeled, self.rerank_client)
-        return Suggestion(candidate_id=cid, proposal_text=raw, match_score=score)
+        diag: dict[str, float] = {}
+        cid, score = match_to_pool(parsed, raw, dataset, unlabeled, self.rerank_client, diag)
+        return Suggestion(candidate_id=cid, proposal_text=raw, match_score=score, surrogate_diag=diag or None)

@@ -152,9 +152,9 @@ class Dataset:
     A Dataset is immutable once built: its fields cannot be reassigned, and
     callers must not mutate `feature_names` in place. Values that depend
     only on the pool (the digest, the full-pool z-scores of
-    `engine.pool_zscores`) are computed on first use and cached on the
-    instance. Derive a changed pool with `dataclasses.replace`, which starts
-    from empty caches.
+    `engine.pool_zscores` and their column-major copy) are computed on
+    first use and cached on the instance. Derive a changed pool with
+    `dataclasses.replace`, which starts from empty caches.
     """
 
     name: str
@@ -167,6 +167,7 @@ class Dataset:
 
     _digest: Optional[str] = field(default=None, init=False, repr=False)
     _pool_z: Optional[tuple] = field(default=None, init=False, repr=False)
+    _pool_zt: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         matrix = np.array(self.feature_matrix, dtype=np.float64)
@@ -188,9 +189,9 @@ class Dataset:
 
     def __setstate__(self, state: dict) -> None:
         """Unpickling: the arrays arrive writable, so make them read-only
-        again. The cached digest is kept; the z-scores are recomputed on
-        first use."""
-        self.__dict__.update(state, _pool_z=None)
+        again. The cached digest is kept; the z-scores and their copy are
+        recomputed on first use."""
+        self.__dict__.update(state, _pool_z=None, _pool_zt=None)
         for arr in (self.feature_matrix, self.targets):
             arr.flags.writeable = False
 

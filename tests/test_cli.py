@@ -573,6 +573,21 @@ class TestSweep:
         # one parse per grid cell, and one per stored header
         assert len(parsed) == 2 * len(runs)
 
+    def test_resume_reads_each_stored_run_once(self, tmp_path, monkeypatch):
+        """The report export reuses the runs read to skip their cells."""
+        path, out_dir, runs = self.resumable_sweep(tmp_path, 1)
+        reports = {p.name: p.read_bytes() for p in (out_dir / "reports").glob("*.csv")}
+        read = []
+
+        def counting(p):
+            read.append(Path(p).name)
+            return read_trajectory(p)
+
+        monkeypatch.setattr(cli, "read_trajectory", counting)
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert sorted(read) == sorted(runs)
+        assert {p.name: p.read_bytes() for p in (out_dir / "reports").glob("*.csv")} == reports
+
     def test_totals_match_trajectory_files(self, tmp_path):
         path = self.sweep_config(tmp_path)
         out_dir = tmp_path / "results"
@@ -899,6 +914,21 @@ class TestReport:
             code = main(["report", "--results", str(tmp_path), "--out-dir", str(report_dir)])
         assert code == EXIT_OK
         assert any("skipping" in r.message for r in caplog.records)
+
+    def test_header_only_file_skipped_with_warning(self, tmp_path, caplog):
+        good = tmp_path / "good.jsonl"
+        args = ["--dataset", "synthetic:linear1d:10:1", "--proposer", "random_walk", "--seed", "39"]
+        assert main(["run", *args, "--out", str(good)]) == EXIT_OK
+        (tmp_path / "empty.jsonl").write_text(good.read_text().splitlines()[0] + "\n")
+        report_dir = tmp_path / "reports"
+        with caplog.at_level("WARNING"):
+            code = main(["report", "--results", str(tmp_path), "--out-dir", str(report_dir)])
+        assert code == EXIT_OK
+        assert any("skipping" in r.message and "empty.jsonl" in r.message for r in caplog.records)
+        assert sorted(p.name for p in report_dir.glob("*.csv")) == [
+            "distance_curves.csv", "pca_coordinates.csv", "pca_trajectories.csv", "running_best.csv",
+            "similarity_scores.csv", "variability.csv",
+        ]
 
     def test_file_with_a_non_object_line_skipped_with_warning(self, tmp_path, caplog):
         good = tmp_path / "good.jsonl"

@@ -14,7 +14,7 @@ from albench.data import (
     registry_by_name,
     synthetic_pool,
 )
-from albench.engine import pool_zscores, standardize_features
+from albench.engine import pool_zcolumns, pool_zscores, standardize_features
 from albench.errors import ConfigError, CsvParseError, EmptyDatasetError, SchemaError
 from albench.types import Dataset, Goal
 
@@ -282,6 +282,18 @@ class TestPoolCaches:
         assert copy._pool_z is None
         copy_z = pool_zscores(copy)[1]
         assert not copy_z.flags.writeable and copy_z.tobytes() == z.tobytes()
+
+    def test_unpickled_pool_rebuilds_an_equal_column_major_copy(self):
+        ds = synthetic_pool("quadratic2d", 24, seed=9)
+        zt = pool_zcolumns(ds)
+        assert zt.flags.c_contiguous and not zt.flags.writeable
+        assert zt.tobytes() == np.ascontiguousarray(pool_zscores(ds)[1].T).tobytes()
+        assert pool_zcolumns(ds) is zt
+        copy = pickle.loads(pickle.dumps(ds))
+        assert copy._pool_zt is None
+        copy_zt = pool_zcolumns(copy)
+        assert copy_zt.flags.c_contiguous and not copy_zt.flags.writeable
+        assert copy_zt.shape == zt.shape and copy_zt.tobytes() == zt.tobytes()
 
     def test_cached_z_rows_equal_standardizing_those_rows(self, rng):
         features = rng.normal(size=(30, 3))

@@ -369,6 +369,17 @@ class TestMatchToPool:
         assert cid == 1
         assert any("falling back" in r.message for r in caplog.records)
 
+    def test_rerank_fallback_is_recorded_in_the_step(self):
+        pool = two_feature_pool()
+        client = ConstantChatClient("```\nx1: 4\nx2: 6\n```")
+        failing = StaticRerankClient(lambda q, d: 1.0, fail=True)
+        suggestion = LLMProposer(client, seed=0, rerank_client=failing).propose(pool, [0], [3.0])
+        assert failing.calls == 1
+        assert suggestion.candidate_id == 1 and suggestion.match_score == 1.0
+        assert suggestion.surrogate_diag == {"rerank_fallback": 1.0}
+        working = StaticRerankClient(lambda q, d: 0.5)
+        assert LLMProposer(client, seed=0, rerank_client=working).propose(pool, [0], [3.0]).surrogate_diag is None
+
 
 def reference_offline_nearest(parsed, dataset, unlabeled_ids):
     """The offline matcher as it was before the full-pool z-scores were
@@ -391,9 +402,10 @@ def reference_offline_nearest(parsed, dataset, unlabeled_ids):
 def matcher_problems(draw):
     """A pool, a parsed query and an unordered unlabeled subset. Few grid
     levels give duplicate rows and tied distances; a constant column takes
-    the degenerate-std path."""
-    n = draw(st.integers(2, 40))
-    d = draw(st.integers(1, 4))
+    the degenerate-std path. From 8 features on, numpy sums a row pairwise,
+    so the matcher's one pass over the columns adds in another order."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.one_of(st.integers(1, 20), st.just(131)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.sampled_from([2, 3, 1000]))
     features = rng.integers(0, levels, size=(n, d)) * draw(st.sampled_from([0.5, 1.0, 3.7])) - 1.0
@@ -423,6 +435,21 @@ class TestMatcherMatchesReference:
         got_id, got_score = match_to_pool(parsed, "raw", pool, unlabeled)
         assert got_id == want_id
         assert got_score.hex() == want_score.hex()
+
+    @pytest.mark.parametrize("d", [8, 9, 12, 16, 20])
+    def test_rotated_rows_tie_as_the_exact_formula_ties(self, d):
+        """Rows that rotate one vector share their column statistics, so a
+        constant query is equally far from each; only the order of summation
+        makes their distances differ in the last bits."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            base = np.round(rng.normal(size=d), 2)
+            pool = make_pool(targets=list(range(d)), features=[tuple(np.roll(base, k)) for k in range(d)])
+            query = float(np.round(rng.normal(), 2))
+            parsed = {f"x{j + 1}": query for j in range(d)}
+            want_id, want_score = reference_offline_nearest(parsed, pool, list(range(d)))
+            got_id, got_score = match_to_pool(parsed, "raw", pool, list(range(d)))
+            assert (got_id, got_score.hex()) == (want_id, want_score.hex())
 
 
 class TestLLMProposer:
@@ -548,6 +575,39 @@ class TestPromptLineCache:
         traj = run_active_learning(pool, cfg, LLMProposer(client, seed=4))
         assert len(traj.steps) == 20
         assert rendered == list(range(2, 20))
+
+    @pytest.mark.parametrize("prompt_format", list(PromptFormat))
+    def test_every_prompt_of_a_replayed_run_equals_a_cache_free_render(self, prompt_format, rng):
+        features = [tuple(row) for row in np.round(rng.normal(size=(40, 3)), 3)]
+        # the optimum is the candidate farthest from the origin, near which
+        # the replies propose, so the run takes many steps to reach it
+        pool = make_pool(targets=[float(np.linalg.norm(row)) for row in features], features=features)
+        replies = [
+            "```\n" + "".join(f"x{j + 1}: {v}\n" for j, v in enumerate(row)) + "```"
+            for row in np.round(rng.normal(scale=0.3, size=(30, 3)), 2)
+        ]
+
+        class Capture(ScriptedChatClient):
+            def __init__(self, records):
+                super().__init__(records)
+                self.prompts = []
+
+            def send(self, messages, temperature):
+                self.prompts.append(messages[0]["text"])
+                return super().send(messages, temperature)
+
+        client = Capture(replies)
+        cfg = RunConfig(ProposerKind.LLM, seed=6, n_initial=3, max_iterations=30, prompt_format=prompt_format)
+        proposer = LLMProposer(client, seed=6, prompt_format=prompt_format, offline_reports=True)
+        traj = run_active_learning(pool, cfg, proposer)
+        observed = [(s.candidate_id, s.observed_value) for s in traj.steps]
+        if prompt_format is PromptFormat.REPORT:
+            fresh = [render_report_prompt(pool, observed[:k], None, {}) for k in range(3, len(observed))]
+        else:
+            fresh = [render_parameter_prompt(pool, observed[:k]) for k in range(3, len(observed))]
+        assert len(client.prompts) >= 20 and client.prompts == fresh
+        # every observation but the last was rendered through the run's line cache
+        assert sorted(proposer.line_cache) == sorted(cid for cid, _ in observed[:-1])
 
     @pytest.mark.parametrize("prompt_format", list(PromptFormat))
     def test_a_proposer_reused_on_another_pool_renders_that_pool(self, prompt_format):
