@@ -20,20 +20,10 @@ from typing import Optional
 
 from . import analytics
 from .clients import (
-    ConstantChatClient,
-    LiveChatClient,
-    LiveRerankClient,
-    ScriptedChatClient,
-    TokenBucket,
-    load_fixtures,
+    ConstantChatClient, LiveChatClient, LiveRerankClient, ScriptedChatClient, TokenBucket, load_fixtures,
 )
 from .data import DatasetSpec, dataset_from_header_entry, dataset_header_entry, load_csv, parse_synthetic_string
-from .engine import (
-    read_trajectory,
-    rebuild_trajectory,
-    run_active_learning,
-    write_trajectory,
-)
+from .engine import read_trajectory, rebuild_trajectory, run_active_learning, write_trajectory
 from .errors import AlbenchError, ConfigError, RunAborted
 from .proposers import DEFAULT_SETTINGS, FIT_PREDICT, MODEL_SECTIONS, ProposerSettings, make_proposer
 from .types import (
@@ -136,13 +126,13 @@ def proposer_factory(cfg: dict, kinds, workers: int = 1, **flags):
     and, with `llm.rate_limit` set, one TokenBucket with that budget split
     between `workers` processes. Returns (new_proposer, settings, workers):
     new_proposer(run_config) makes a fresh proposer, with a fresh chat
-    client; workers drops to 1 when LLM runs have no rate limit, so that
-    their calls are serialized.
+    client; workers drops to 1 when LLM runs call a live client with no rate
+    limit, so that their calls are serialized.
     """
     llm = replace(read_config(LLMConfig, cfg.get("llm"), "llm"), **flags)
     rerank_client = _rerank_client(llm.matcher)
     llm_runs = ProposerKind.LLM in kinds
-    if llm_runs and llm.rate_limit is None:
+    if llm_runs and llm.rate_limit is None and str(llm.client).startswith("live:"):
         workers = 1
     limiter = TokenBucket(max(1, llm.rate_limit // workers)) if llm.rate_limit is not None else None
     new_chat_client, client = _chat_client_factory(llm.client, limiter)
@@ -166,9 +156,11 @@ def proposer_factory(cfg: dict, kinds, workers: int = 1, **flags):
     return new_proposer, settings, workers
 
 
-def execute_run(dataset: Dataset, header_entry: dict, config: RunConfig, out_path, new_proposer, settings) -> dict:
+def execute_run(
+    dataset: Dataset, header_entry: dict, config: RunConfig, out_path, new_proposer, settings
+) -> Trajectory:
     """Run one configuration with the proposer `new_proposer(config)`, built
-    with `settings`, and persist its trajectory (partial on abort)."""
+    with `settings`, persist its trajectory (partial on abort) and return it."""
     proposer = new_proposer(config)
     record = settings.record(config.proposer)
     try:
@@ -179,7 +171,7 @@ def execute_run(dataset: Dataset, header_entry: dict, config: RunConfig, out_pat
         raise
     if out_path is not None:
         write_trajectory(trajectory, out_path, header_entry, record)
-    return summary_row(config, dataset, "ok", trajectory)
+    return trajectory
 
 
 SUMMARY_FIELDS = [*analytics.IDENTITY, "pool_size", *analytics.OUTCOME, "status", "error"]
@@ -225,7 +217,8 @@ def cmd_run(args) -> int:
     dataset, header_entry = build_dataset(dataset_like)
     config.validate(len(dataset))
     out_path = args.out or f"run_{config.digest(dataset.digest())[:16]}.jsonl"
-    summary = execute_run(dataset, header_entry, config, out_path, new_proposer, settings)
+    trajectory = execute_run(dataset, header_entry, config, out_path, new_proposer, settings)
+    summary = summary_row(config, dataset, "ok", trajectory)
     frac = summary["data_fraction"]
     print(
         f"{config.proposer.value} on {dataset.name}: "
@@ -244,20 +237,18 @@ _UNREADABLE = (OSError, ValueError, KeyError, TypeError, AlbenchError)
 
 def expand_sweep(cfg: dict) -> list[dict]:
     """Factorial grid over proposers, alphas, seeds, repeats, and formats."""
-    proposers = cfg.get("proposers")
-    kinds = [k.value for k in ProposerKind]
-    if not (isinstance(proposers, list) and proposers and all(p in kinds for p in proposers)):
-        raise ConfigError(f"'proposers' must be a non-empty list of {kinds}, got {proposers!r}")
-    alphas = cfg.get("alphas", [0, 1, 2, 3, 4, 5])
-    seeds = cfg.get("seeds", [38, 39, 40, 41, 42])
-    if not (isinstance(alphas, list) and alphas and all(is_real(a, 0) for a in alphas)):
-        raise ConfigError(f"'alphas' must be a non-empty list of finite numbers >= 0, got {alphas!r}")
-    if not (isinstance(seeds, list) and seeds and all(is_int(s, 0) for s in seeds)):
-        raise ConfigError(f"'seeds' must be a non-empty list of integers >= 0, got {seeds!r}")
-    prompt_formats = cfg.get("prompt_formats", ["parameter"])
-    formats = [f.value for f in PromptFormat]
-    if not (isinstance(prompt_formats, list) and prompt_formats and all(f in formats for f in prompt_formats)):
-        raise ConfigError(f"'prompt_formats' must be a non-empty list of {formats}, got {prompt_formats!r}")
+
+    def axis(key, default, allowed, what):
+        values = cfg.get(key, default)
+        if not (isinstance(values, list) and values and all(allowed(v) for v in values)):
+            raise ConfigError(f"'{key}' must be a non-empty list of {what}, got {values!r}")
+        return values
+
+    kinds, formats = [k.value for k in ProposerKind], [f.value for f in PromptFormat]
+    proposers = axis("proposers", None, kinds.__contains__, kinds)
+    alphas = axis("alphas", [0, 1, 2, 3, 4, 5], lambda a: is_real(a, 0), "finite numbers >= 0")
+    seeds = axis("seeds", [38, 39, 40, 41, 42], lambda s: is_int(s, 0), "integers >= 0")
+    prompt_formats = axis("prompt_formats", ["parameter"], formats.__contains__, formats)
     repeats = cfg.get("repeats_at_seed", {"42": 5})
     try:
         repeats_at_seed = {int(k): v for k, v in repeats.items()}
@@ -274,10 +265,8 @@ def expand_sweep(cfg: dict) -> list[dict]:
         for fmt in format_grid:
             for alpha in alpha_grid:
                 for seed in seeds:
-                    repeats = [0]
-                    if kind is ProposerKind.LLM:
-                        repeats += list(range(1, repeats_at_seed.get(int(seed), 1)))
-                    for rep in repeats:
+                    # only LLM runs repeat at a seed, to measure non-determinism
+                    for rep in range(repeats_at_seed.get(int(seed), 1) if kind is ProposerKind.LLM else 1):
                         tasks.append(
                             {
                                 **base,
@@ -313,12 +302,16 @@ def _read_complete(path, dataset: Dataset, settings: ProposerSettings) -> Option
     return None
 
 
-def _run_cell(dataset: Dataset, header_entry: dict, new_proposer, settings, config: RunConfig, out_path) -> dict:
-    """Execute one sweep cell on an already-built pool; errors become a failed row."""
+def _run_cell(
+    dataset: Dataset, header_entry: dict, new_proposer, settings, config: RunConfig, out_path
+) -> tuple[dict, Optional[Trajectory]]:
+    """Execute one sweep cell on an already-built pool: (its summary row, its
+    run); errors become a failed row and no run."""
     try:
-        return execute_run(dataset, header_entry, config, out_path, new_proposer, settings)
+        trajectory = execute_run(dataset, header_entry, config, out_path, new_proposer, settings)
     except AlbenchError as exc:
-        return summary_row(config, dataset, "failed", error=str(exc))
+        return summary_row(config, dataset, "failed", error=str(exc)), None
+    return summary_row(config, dataset, "ok", trajectory), trajectory
 
 
 # (pool, header entry, new_proposer, settings) of a sweep worker process; set by _init_sweep_worker
@@ -332,7 +325,7 @@ def _init_sweep_worker(dataset: Dataset, header_entry: dict, cfg: dict, kinds, w
     _worker = (dataset, header_entry, *proposer_factory(cfg, kinds, workers)[:2])
 
 
-def _sweep_worker(task: tuple[RunConfig, Path]) -> dict:
+def _sweep_worker(task: tuple[RunConfig, Path]) -> tuple[dict, Optional[Trajectory]]:
     """Execute one sweep cell in a worker process, on the worker's pool."""
     return _run_cell(*_worker, *task)
 
@@ -341,12 +334,12 @@ def cmd_sweep(args) -> int:
     """Run every cell of the sweep grid that has no complete stored run,
     then write `summary.csv` and the report exports.
 
-    The pool is loaded once per command. Serial cells share it, worker
-    processes get it from the parent, and the report export reuses it for
-    the runs that recorded its digest, and the resumed runs as they were
-    read to skip their cells. The proposer factory is built once
-    per process. This relies on Dataset being immutable, since each caches
-    its digest and z-scores.
+    The pool is loaded once per command. Serial cells share it; worker
+    processes get it from the parent and send each run back. The export
+    uses every run the sweep resumed or made, and reads only the other
+    files in `runs/`. A dead worker fails the cells it leaves unfinished.
+    The proposer factory is built once per process. This relies on Dataset
+    being immutable, since each caches its digest and z-scores.
     """
     cfg = _read_config(args.config, SWEEP_KEYS)
     if "dataset" not in cfg:
@@ -367,15 +360,20 @@ def cmd_sweep(args) -> int:
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks, skipped, stored_runs = [], [], {}
+    rows, runs, tasks = [], {}, []
+
+    def keep(out_path, row, trajectory):
+        rows.append(row)
+        if trajectory is not None:
+            runs[out_path] = trajectory
+
     for config in configs:
         out_path = runs_dir / f"{config.digest(dataset.digest())[:16]}.jsonl"
         stored = _read_complete(out_path, dataset, settings) if out_path.exists() else None
-        if stored is not None:
-            skipped.append(summary_row(stored.config, dataset, "skipped", stored))
-            stored_runs[out_path] = stored
-        else:
+        if stored is None:
             tasks.append((config, out_path))
+        else:
+            keep(out_path, summary_row(stored.config, dataset, "skipped", stored), stored)
 
     if workers > 1 and len(tasks) > 1:
         if any(config.proposer is ProposerKind.GPR for config, _ in tasks):
@@ -384,22 +382,25 @@ def cmd_sweep(args) -> int:
         with concurrent.futures.ProcessPoolExecutor(
             workers, initializer=_init_sweep_worker, initargs=(dataset, header_entry, cfg, kinds, workers)
         ) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
+            futures = {pool.submit(_sweep_worker, task): task for task in tasks}
+            for future in concurrent.futures.as_completed(futures):
+                config, out_path = futures[future]
+                try:
+                    keep(out_path, *future.result())
+                except concurrent.futures.BrokenExecutor:  # a worker died; every unfinished cell fails
+                    keep(out_path, summary_row(config, dataset, "failed", error="worker died"), None)
     else:
-        results = [_run_cell(dataset, header_entry, new_proposer, settings, *task) for task in tasks]
+        for config, out_path in tasks:
+            keep(out_path, *_run_cell(dataset, header_entry, new_proposer, settings, config, out_path))
 
-    results += skipped
-    results.sort(key=lambda r: (r["proposer"], r["prompt_format"], r["alpha"], r["seed"], r["repeat_index"]))
+    rows.sort(key=lambda r: (r["proposer"], r["prompt_format"], r["alpha"], r["seed"], r["repeat_index"]))
     summary_path = out_dir / "summary.csv"
-    analytics.write_csv(summary_path, SUMMARY_FIELDS, ([r[f] for f in SUMMARY_FIELDS] for r in results))
+    analytics.write_csv(summary_path, SUMMARY_FIELDS, ([r[f] for f in SUMMARY_FIELDS] for r in rows))
 
-    failed = [r for r in results if r["status"] == "failed"]
-    print(
-        f"sweep: {len(results)} runs ({len(skipped)} resumed, {len(failed)} failed) "
-        f"-> {summary_path}"
-    )
+    failed = [r for r in rows if r["status"] == "failed"]
+    print(f"sweep: {len(rows)} runs ({len(rows) - len(tasks)} resumed, {len(failed)} failed) -> {summary_path}")
     try:
-        _export_reports(runs_dir, out_dir / "reports", {dataset.digest(): dataset}, stored_runs)
+        _export_reports(runs_dir, out_dir / "reports", {dataset.digest(): dataset}, runs)
     except AlbenchError as exc:
         logger.warning("report export skipped: %s", exc)
     return EXIT_PARTIAL_SWEEP if failed else EXIT_OK
@@ -407,19 +408,28 @@ def cmd_sweep(args) -> int:
 
 # --- report command ----------------------------------------------------------
 
+REPORT_FAMILIES = ("running_best", "distance_curves", "pca_coordinates", "pca_trajectories", "variability",
+                   "similarity_scores")
 
-def _load_records(results_dir: Path, pools: dict[str, Dataset], stored: Optional[dict[Path, Trajectory]] = None):
-    """Parse every trajectory in a directory, skipping corrupt files, runs
-    with no steps and runs whose pool has changed since. `pools` maps a pool
-    digest to a pool the caller holds; any other pool is rebuilt from the
-    first header that records it. `stored` maps a path under `results_dir`
-    to its run, already rebuilt against one of `pools`, which is not read
-    again."""
-    records = []
-    pools, stored = dict(pools), stored or {}
+
+def _export_reports(
+    results_dir: Path, out_dir: Path, pools: dict[str, Dataset], runs: Optional[dict[Path, Trajectory]] = None
+) -> None:
+    """Write the report families of every pool with runs in `results_dir`,
+    then remove the family files in `out_dir` that this export did not write.
+
+    `pools` maps a digest to a pool the caller holds, and `runs` a path in
+    `results_dir` to a run the caller holds, built on one of `pools`. Other
+    files are read, skipping corrupt ones, runs with no steps and runs whose
+    pool has changed; a pool not in `pools` is rebuilt from the first header
+    that records it. Files of one pool carry no suffix; with several, each
+    carries its pool's name, plus the first 8 hex digits of its digest when
+    pools share a name."""
+    pools, runs = dict(pools), runs or {}
+    by_pool: dict[str, list[analytics.RunRecord]] = {}
     for path in sorted(results_dir.glob("*.jsonl")):
         try:
-            trajectory = stored.get(path)
+            trajectory = runs.get(path)
             if trajectory is None:
                 header, steps = read_trajectory(path)
                 if not steps:
@@ -428,40 +438,32 @@ def _load_records(results_dir: Path, pools: dict[str, Dataset], stored: Optional
                 if digest not in pools:
                     pools[digest] = dataset_from_header_entry(header.get("dataset"))
                 trajectory = rebuild_trajectory(header, steps, pools[digest])
-            records.append(analytics.RunRecord(trajectory=trajectory, pool=pools[trajectory.dataset_digest]))
         except _UNREADABLE as exc:
             logger.warning("skipping %s: %s", path, exc)
-    return records
-
-
-def _export_reports(
-    results_dir: Path, out_dir: Path, pools: dict[str, Dataset], stored: Optional[dict[Path, Trajectory]] = None
-) -> None:
-    """Write the report families of every pool with runs in `results_dir`;
-    `pools` and `stored` as for `_load_records`. Files of one pool carry no
-    suffix; with several, each carries its pool's name, plus the first 8
-    hex digits of its digest when pools share a name."""
-    records = _load_records(results_dir, pools, stored)
-    if not records:
+            continue
+        record = analytics.RunRecord(trajectory=trajectory, pool=pools[trajectory.dataset_digest])
+        by_pool.setdefault(trajectory.dataset_digest, []).append(record)
+    if not by_pool:
         raise ConfigError(f"no readable trajectories in {results_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_pool: dict[str, list[analytics.RunRecord]] = {}
-    for rec in records:
-        by_pool.setdefault(rec.trajectory.dataset_digest, []).append(rec)
     names = [group[0].pool.name for group in by_pool.values()]
+    written = set()
     for digest, group in by_pool.items():
         name = group[0].pool.name
         suffix = f"_{name}" if len(by_pool) > 1 else ""
         if names.count(name) > 1:
             suffix += f"_{digest[:8]}"
-        analytics.export_running_best(group, out_dir / f"running_best{suffix}.csv")
-        analytics.export_distance_curves(group, out_dir / f"distance_curves{suffix}.csv")
-        analytics.export_pca(
-            group, out_dir / f"pca_coordinates{suffix}.csv", out_dir / f"pca_trajectories{suffix}.csv"
-        )
+        paths = {family: out_dir / f"{family}{suffix}.csv" for family in REPORT_FAMILIES}
+        analytics.export_running_best(group, paths["running_best"])
+        analytics.export_distance_curves(group, paths["distance_curves"])
+        analytics.export_pca(group, paths["pca_coordinates"], paths["pca_trajectories"])
         summaries = [analytics.summarize_trajectory(r.trajectory) for r in group]
-        analytics.export_variability(summaries, out_dir / f"variability{suffix}.csv")
-        analytics.export_similarity_scores(group, out_dir / f"similarity_scores{suffix}.csv")
+        analytics.export_variability(summaries, paths["variability"])
+        analytics.export_similarity_scores(group, paths["similarity_scores"])
+        written.update(paths.values())
+    for path in set(out_dir.glob("*.csv")) - written:
+        if any(path.name == f"{family}.csv" or path.name.startswith(f"{family}_") for family in REPORT_FAMILIES):
+            path.unlink()
 
 
 def cmd_report(args) -> int:
@@ -514,10 +516,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, str(args.log_level).upper(), logging.WARNING))
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RunAborted as exc:

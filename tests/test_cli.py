@@ -14,7 +14,7 @@ from albench.cli import EXIT_CONFIG, EXIT_OK, expand_sweep, main
 from albench.clients import FixtureRecord, TokenBucket
 from albench.engine import read_trajectory
 from albench.errors import ConfigError
-from albench.types import RunConfig
+from albench.types import ProposerKind, RunConfig
 
 from conftest import save_fixtures
 
@@ -588,6 +588,64 @@ class TestSweep:
         assert sorted(read) == sorted(runs)
         assert {p.name: p.read_bytes() for p in (out_dir / "reports").glob("*.csv")} == reports
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_fresh_sweep_reads_back_no_run(self, tmp_path, monkeypatch, parallelism):
+        """The report export uses the runs the sweep holds, from workers too."""
+        read = []
+        monkeypatch.setattr(cli, "read_trajectory", lambda p: read.append(p) or read_trajectory(p))
+        path = self.sweep_config(tmp_path, proposers=["random_walk"], seeds=[38, 39, 40], parallelism=parallelism)
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert read == []
+        rows = read_summary(out_dir / "reports" / "running_best.csv")
+        assert {r["digest"] for r in rows} == {p.stem for p in (out_dir / "runs").glob("*.jsonl")}
+
+    def test_sweep_reads_only_the_partial_run_of_a_failed_cell(self, tmp_path, monkeypatch):
+        from albench.cli import EXIT_PARTIAL_SWEEP
+
+        # port 1 refuses instantly, so the LLM run aborts after its initial observations
+        path = self.sweep_config(
+            tmp_path, dataset="synthetic:linear1d:12:1", proposers=["random_walk", "llm"], alphas=[0], seeds=[38],
+            repeats_at_seed={}, llm={"client": "live:http://127.0.0.1:1/v1|m", "backoff": 0},
+        )
+        read = []
+        monkeypatch.setattr(cli, "read_trajectory", lambda p: read.append(p) or read_trajectory(p))
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_PARTIAL_SWEEP
+        status = {r["proposer"]: (r["digest"], r["status"]) for r in read_summary(out_dir / "summary.csv")}
+        assert status == {"random_walk": (status["random_walk"][0], "ok"), "llm": (status["llm"][0], "failed")}
+        assert [Path(p).stem for p in read] == [status["llm"][0]]
+        rows = read_summary(out_dir / "reports" / "running_best.csv")
+        assert {r["digest"] for r in rows} == {digest for digest, _ in status.values()}
+
+    def test_dead_worker_fails_its_cells_and_a_rerun_completes_them(self, tmp_path, monkeypatch):
+        import signal
+
+        from albench.cli import EXIT_PARTIAL_SWEEP
+
+        parent, execute = os.getpid(), cli.execute_run
+
+        def dying(dataset, header_entry, config, *rest):
+            if os.getpid() != parent and config.seed == 41:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return execute(dataset, header_entry, config, *rest)
+
+        monkeypatch.setattr(cli, "execute_run", dying)
+        # two workers take the cells in order, so two finish before one takes seed 41
+        path = self.sweep_config(tmp_path, proposers=["random_walk"], seeds=[38, 39, 40, 41], parallelism=2)
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_PARTIAL_SWEEP
+        rows = {r["seed"]: r for r in read_summary(out_dir / "summary.csv")}
+        lost = {seed for seed, r in rows.items() if r["status"] == "failed"}
+        assert len(rows) == 4 and "41" in lost and len(lost) <= 2
+        assert {rows[seed]["error"] for seed in lost} == {"worker died"}
+        reported = {r["seed"] for r in read_summary(out_dir / "reports" / "running_best.csv")}
+        assert reported == set(rows) - lost
+        monkeypatch.undo()
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        again = {r["seed"]: r["status"] for r in read_summary(out_dir / "summary.csv")}
+        assert again == {seed: "ok" if seed in lost else "skipped" for seed in rows}
+
     def test_totals_match_trajectory_files(self, tmp_path):
         path = self.sweep_config(tmp_path)
         out_dir = tmp_path / "results"
@@ -795,6 +853,28 @@ class TestSweep:
         first = self.sweep_statuses(path, out_dir)
         assert len(first) == 8 and set(first.values()) == {"ok"}
         assert self.sweep_statuses(path, out_dir) == dict.fromkeys(first, "skipped")
+
+    @pytest.mark.parametrize(
+        "client, workers",
+        [("replay:fx.jsonl", 2), (MOCK, 2), ("live:http://127.0.0.1:1/v1|model", 1)],
+        ids=["replay", "mock", "live"],
+    )
+    def test_only_live_clients_without_a_rate_limit_are_serialized(self, tmp_path, monkeypatch, client, workers):
+        monkeypatch.chdir(tmp_path)
+        save_fixtures(self.REPLIES, tmp_path / "fx.jsonl")
+        cfg = {"llm": {"client": client}}
+        assert cli.proposer_factory(cfg, {ProposerKind.LLM}, 2)[2] == workers
+        assert cli.proposer_factory({"llm": {"client": client, "rate_limit": 600}}, {ProposerKind.LLM}, 2)[2] == 2
+
+    def test_parallel_replay_sweep_without_a_rate_limit_writes_the_serial_bytes(self, tmp_path):
+        save_fixtures(self.REPLIES, tmp_path / "fx.jsonl")
+        written = []
+        for parallelism in (1, 2):
+            out_dir = tmp_path / f"p{parallelism}"
+            assert self.sweep_statuses(self.llm_sweep(tmp_path, tmp_path / "fx.jsonl", parallelism), out_dir)
+            files = [out_dir / "summary.csv", *sorted((out_dir / "reports").glob("*.csv"))]
+            written.append({p.relative_to(out_dir): p.read_bytes() for p in files})
+        assert len(written[0]) == 7 and written[0] == written[1]
 
     @pytest.mark.parametrize("llm", [{"rate_limit": 600}, {"backoff": 0.25}], ids=["rate-limit", "backoff"])
     def test_timing_settings_keep_every_cell(self, tmp_path, llm):
@@ -1071,8 +1151,7 @@ class TestReportExports:
 
     def test_sweep_reports_equal_the_report_command(self, tmp_path):
         swept, reported = self.two_pool_reports(tmp_path)
-        # the first sweep's unsuffixed single-pool files stay beside these
-        assert len(reported) == 12 and {name: swept[name] for name in reported} == reported
+        assert len(reported) == 12 and swept == reported
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_sweep_loads_its_csv_once(self, tmp_path, monkeypatch, parallelism):
@@ -1093,8 +1172,8 @@ class TestReportExports:
         assert len(calls) == 1
         assert len(list((tmp_path / "results" / "reports").glob("*.csv"))) == 6
 
-    def test_load_records_with_a_matching_pool_map_loads_no_csv(self, tmp_path, monkeypatch):
-        from albench import data
+    def test_export_with_a_matching_pool_map_loads_no_csv(self, tmp_path, monkeypatch):
+        from albench import analytics, data
 
         spec = self.write_pool(tmp_path)
         self.sweep(tmp_path, spec, tmp_path / "results")
@@ -1103,10 +1182,28 @@ class TestReportExports:
         def refuse(spec):
             raise AssertionError("loaded a CSV")
 
+        export, exported = analytics.export_running_best, []
         monkeypatch.setattr(cli, "load_csv", refuse)
         monkeypatch.setattr(data, "load_csv", refuse)
-        records = cli._load_records(tmp_path / "results" / "runs", {pool.digest(): pool})
-        assert len(records) == 4 and all(r.pool is pool for r in records)
+        monkeypatch.setattr(analytics, "export_running_best", lambda group, path: exported.extend(group) or export(group, path))
+        cli._export_reports(tmp_path / "results" / "runs", tmp_path / "report", {pool.digest(): pool})
+        assert len(exported) == 4 and all(r.pool is pool for r in exported)
+        assert len(list((tmp_path / "report").glob("*.csv"))) == 6
+
+    def test_export_removes_only_the_family_files_it_did_not_write(self, tmp_path):
+        out_dir = tmp_path / "results"
+        self.sweep(tmp_path, self.write_pool(tmp_path), out_dir)
+        reports = out_dir / "reports"
+        single = {p.name for p in reports.glob("*.csv")}
+        assert len(single) == 6
+        stale = ["running_best_old.csv", "variability_other_1234abcd.csv"]
+        others = ["notes.csv", "running.csv", "summary_running_best.csv", "running_best.txt"]
+        for name in [*stale, *others]:
+            (reports / name).write_text("x\n")
+        self.sweep(tmp_path, "synthetic:quadratic2d:20:3", out_dir)
+        families = {p.name for p in reports.glob("*.csv")} - set(others)
+        assert len(families) == 12 and not families & {*single, *stale}
+        assert all((reports / name).read_text() == "x\n" for name in others)
 
     def test_same_named_pools_get_digest_suffixes(self, tmp_path):
         out_dir = tmp_path / "results"
