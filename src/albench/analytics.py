@@ -8,8 +8,6 @@ curves from different proposers share one scale.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -148,18 +146,6 @@ def variability_stats(
 # columns so plotting tools can facet without re-parsing trajectory files.
 
 
-@dataclass
-class RunRecord:
-    """A loaded trajectory paired with its pool, ready for export."""
-
-    trajectory: Trajectory
-    pool: Dataset
-
-    @cached_property
-    def identity(self) -> dict:
-        return run_identity(self.trajectory.config, self.trajectory.run_config_digest)
-
-
 def write_csv(path, header, rows) -> None:
     """Write a header and then one line per row (a list of cell values)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -168,28 +154,26 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def export_running_best(records: Sequence[RunRecord], path) -> None:
+def export_running_best(runs: Sequence[Trajectory], path) -> None:
     rows = []
-    for rec in records:
-        identity = list(rec.identity.values())
-        rows += ([*identity, s.iteration, s.observed_value, s.running_best] for s in rec.trajectory.steps)
+    for run in runs:
+        identity = list(run_identity(run.config, run.run_config_digest).values())
+        rows += ([*identity, s.iteration, s.observed_value, s.running_best] for s in run.steps)
     write_csv(path, [*IDENTITY, "iteration", "observed_value", "running_best"], rows)
 
 
-def export_distance_curves(records: Sequence[RunRecord], path) -> None:
+def export_distance_curves(pool: Dataset, runs: Sequence[Trajectory], path) -> None:
+    """Each run's `cumulative_l2` curve; every run took its steps on `pool`."""
     rows = []
-    for rec in records:
-        identity = list(rec.identity.values())
-        rows += ([*identity, i, dist] for i, dist in enumerate(cumulative_l2(rec.trajectory, rec.pool)))
+    for run in runs:
+        identity = list(run_identity(run.config, run.run_config_digest).values())
+        rows += ([*identity, i, dist] for i, dist in enumerate(cumulative_l2(run, pool)))
     write_csv(path, [*IDENTITY, "iteration", "cumulative_l2"], rows)
 
 
-def export_pca(records: Sequence[RunRecord], coords_path, edges_path) -> None:
-    """Pool coordinates in PC space plus per-run trajectory edge lists; with
-    one feature, pc2 reads 0."""
-    if not records:
-        raise ConfigError("export_pca needs at least one run")
-    pool = records[0].pool
+def export_pca(pool: Dataset, runs: Sequence[Trajectory], coords_path, edges_path) -> None:
+    """Pool coordinates in PC space plus per-run trajectory edge lists; every
+    run took its steps on `pool`. With one feature, pc2 reads 0."""
     k = min(2, pool.feature_matrix.shape[1])
     _, projected, _ = pca_project(pool, k=k)
     points = [point + [0.0] * (2 - k) for point in projected.tolist()]
@@ -197,9 +181,9 @@ def export_pca(records: Sequence[RunRecord], coords_path, edges_path) -> None:
     write_csv(coords_path, ["candidate_id", "target", "pc1", "pc2"], coord_rows)
 
     edge_rows = []
-    for rec in records:
-        identity = list(rec.identity.values())
-        edge_rows += ([*identity, order, cid, *points[cid]] for order, cid in enumerate(rec.trajectory.selected_ids()))
+    for run in runs:
+        identity = list(run_identity(run.config, run.run_config_digest).values())
+        edge_rows += ([*identity, order, cid, *points[cid]] for order, cid in enumerate(run.selected_ids()))
     write_csv(edges_path, [*IDENTITY, "order", "candidate_id", "pc1", "pc2"], edge_rows)
 
 
@@ -218,8 +202,8 @@ def export_variability(summaries: Sequence[dict], path, group_by=("proposer", "a
     write_csv(path, [*group_by, *VARIABILITY], rows)
 
 
-def export_similarity_scores(records: Sequence[RunRecord], path) -> None:
+def export_similarity_scores(runs: Sequence[Trajectory], path) -> None:
     """Per-trajectory mean match score (the similarity boxplot data)."""
-    scores = ((rec, rec.trajectory.mean_match_score()) for rec in records)
-    rows = [[*rec.identity.values(), score] for rec, score in scores if score is not None]
+    scores = ((run_identity(run.config, run.run_config_digest), run.mean_match_score()) for run in runs)
+    rows = [[*identity.values(), score] for identity, score in scores if score is not None]
     write_csv(path, [*IDENTITY, "mean_match_score"], rows)

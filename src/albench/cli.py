@@ -166,11 +166,9 @@ def execute_run(
     try:
         trajectory = run_active_learning(dataset, config, proposer)
     except RunAborted as exc:
-        if exc.partial is not None and out_path is not None:
-            write_trajectory(exc.partial, out_path, header_entry, record)
+        write_trajectory(exc.partial, out_path, header_entry, record)
         raise
-    if out_path is not None:
-        write_trajectory(trajectory, out_path, header_entry, record)
+    write_trajectory(trajectory, out_path, header_entry, record)
     return trajectory
 
 
@@ -189,7 +187,6 @@ def summary_row(
         columns = analytics.run_identity(config, config.digest(dataset.digest()))
     else:
         columns = analytics.summarize_trajectory(trajectory)
-        columns["digest"] = columns["digest"] or config.digest(dataset.digest())[:16]
     row = dict.fromkeys(SUMMARY_FIELDS)
     row.update(columns, pool_size=len(dataset), status=status, error=error)
     return row
@@ -422,11 +419,12 @@ def _export_reports(
     `results_dir` to a run the caller holds, built on one of `pools`. Other
     files are read, skipping corrupt ones, runs with no steps and runs whose
     pool has changed; a pool not in `pools` is rebuilt from the first header
-    that records it. Files of one pool carry no suffix; with several, each
-    carries its pool's name, plus the first 8 hex digits of its digest when
-    pools share a name."""
+    that records it. Runs are grouped by their pool's digest, and each
+    group's exports get that pool. Files of one pool carry no suffix; with
+    several, each carries its pool's name, plus the first 8 hex digits of
+    its digest when pools share a name."""
     pools, runs = dict(pools), runs or {}
-    by_pool: dict[str, list[analytics.RunRecord]] = {}
+    by_pool: dict[str, list[Trajectory]] = {}
     for path in sorted(results_dir.glob("*.jsonl")):
         try:
             trajectory = runs.get(path)
@@ -441,24 +439,22 @@ def _export_reports(
         except _UNREADABLE as exc:
             logger.warning("skipping %s: %s", path, exc)
             continue
-        record = analytics.RunRecord(trajectory=trajectory, pool=pools[trajectory.dataset_digest])
-        by_pool.setdefault(trajectory.dataset_digest, []).append(record)
+        by_pool.setdefault(trajectory.dataset_digest, []).append(trajectory)
     if not by_pool:
         raise ConfigError(f"no readable trajectories in {results_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = [group[0].pool.name for group in by_pool.values()]
+    names = [pools[digest].name for digest in by_pool]
     written = set()
     for digest, group in by_pool.items():
-        name = group[0].pool.name
-        suffix = f"_{name}" if len(by_pool) > 1 else ""
-        if names.count(name) > 1:
+        pool = pools[digest]
+        suffix = f"_{pool.name}" if len(by_pool) > 1 else ""
+        if names.count(pool.name) > 1:
             suffix += f"_{digest[:8]}"
         paths = {family: out_dir / f"{family}{suffix}.csv" for family in REPORT_FAMILIES}
         analytics.export_running_best(group, paths["running_best"])
-        analytics.export_distance_curves(group, paths["distance_curves"])
-        analytics.export_pca(group, paths["pca_coordinates"], paths["pca_trajectories"])
-        summaries = [analytics.summarize_trajectory(r.trajectory) for r in group]
-        analytics.export_variability(summaries, paths["variability"])
+        analytics.export_distance_curves(pool, group, paths["distance_curves"])
+        analytics.export_pca(pool, group, paths["pca_coordinates"], paths["pca_trajectories"])
+        analytics.export_variability([analytics.summarize_trajectory(run) for run in group], paths["variability"])
         analytics.export_similarity_scores(group, paths["similarity_scores"])
         written.update(paths.values())
     for path in set(out_dir.glob("*.csv")) - written:

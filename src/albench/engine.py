@@ -162,8 +162,10 @@ def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer)
     Iterations 0..n_initial-1 record the seeded initial observations; each
     later iteration asks the proposer for exactly one unlabeled candidate
     (batch size one), looks up its stored target, and appends a StepRecord.
-    A proposer that fails after its own retries aborts the run; the partial
-    trajectory rides along on the RunAborted exception.
+    The running best equals the pool optimum exactly when a step observed
+    it. A proposer that fails after its own retries, or a replay client
+    without an answer, aborts the run; the partial trajectory rides along
+    on the RunAborted exception. `make_trajectory` builds both.
     """
     pool_size = len(dataset)
     config.validate(pool_size)
@@ -175,51 +177,32 @@ def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer)
 
     steps: list[StepRecord] = []
     observed: set[int] = set()
-    reached_at: Optional[int] = None
+    observed_order: list[int] = []
     best = None
 
-    def observe(candidate_id: int, *, proposal_text=None, match_score=None, diag=None) -> None:
-        nonlocal best, reached_at
-        value = float(dataset.targets[candidate_id])
+    def observe(cid: int, suggestion: Suggestion) -> None:
+        nonlocal best
+        value = float(dataset.targets[cid])
         if best is None or dataset.goal.is_improvement(value, best):
             best = value
-        iteration = len(steps)
-        steps.append(
-            StepRecord(
-                iteration=iteration,
-                candidate_id=candidate_id,
-                observed_value=value,
-                running_best=best,
-                proposal_text=proposal_text,
-                match_score=match_score,
-                surrogate_diag=diag,
-            )
-        )
-        observed.add(candidate_id)
-        if reached_at is None:
-            reached_at = reached_optimum_at(steps[-1:], optimum)
-
-    def build() -> Trajectory:
-        return Trajectory(
-            run_config_digest=config.digest(dataset.digest()),
-            steps=steps,
-            reached_optimum_at=reached_at,
-            data_fraction_used=len(observed) / pool_size,
-            config=config,
-            dataset_digest=dataset.digest(),
-        )
+        steps.append(StepRecord(
+            iteration=len(steps), candidate_id=cid, observed_value=value, running_best=best,
+            proposal_text=suggestion.proposal_text, match_score=suggestion.match_score,
+            surrogate_diag=suggestion.surrogate_diag,
+        ))
+        observed.add(cid)
+        observed_order.append(cid)
 
     for cid in select_initial(dataset, config.seed, config.n_initial):
-        observe(cid)
+        observe(cid, Suggestion(cid))
 
-    observed_order = [s.candidate_id for s in steps]
-    while reached_at is None and len(steps) < max_iterations and len(observed) < pool_size:
+    while best != optimum and len(steps) < max_iterations:
         values = dataset.targets[observed_order].tolist()
         try:
             suggestion = proposer.propose(dataset, list(observed_order), values)
         except ProposerError as exc:
             raise RunAborted(
-                f"proposer failed at iteration {len(steps)}: {exc}", partial=build()
+                f"proposer failed at iteration {len(steps)}: {exc}", partial=make_trajectory(config, dataset, steps)
             ) from exc
         try:
             cid = operator.index(suggestion.candidate_id)
@@ -233,15 +216,24 @@ def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer)
             )
         if not 0 <= cid < pool_size:
             raise ProtocolViolationError(f"proposer returned unknown candidate id {cid}")
-        observe(
-            cid,
-            proposal_text=suggestion.proposal_text,
-            match_score=suggestion.match_score,
-            diag=suggestion.surrogate_diag,
-        )
-        observed_order.append(cid)
+        observe(cid, suggestion)
 
-    return build()
+    return make_trajectory(config, dataset, steps)
+
+
+def make_trajectory(config: RunConfig, dataset: Dataset, steps: list[StepRecord]) -> Trajectory:
+    """The Trajectory of the run `config` that took `steps` on `dataset`: the
+    one constructor, for fresh and stored runs alike, so every field that
+    derives from the steps is computed here."""
+    dataset_digest = dataset.digest()
+    return Trajectory(
+        run_config_digest=config.digest(dataset_digest),
+        steps=steps,
+        reached_optimum_at=reached_optimum_at(steps, dataset.optimum_value),
+        data_fraction_used=len({s.candidate_id for s in steps}) / len(dataset),
+        config=config,
+        dataset_digest=dataset_digest,
+    )
 
 
 # --- trajectory persistence (JSON lines) ------------------------------------
@@ -311,22 +303,17 @@ def read_trajectory(path) -> tuple[dict, list[StepRecord]]:
 
 
 def rebuild_trajectory(header: dict, steps: list[StepRecord], dataset: Dataset) -> Trajectory:
-    """Reconstruct a Trajectory from a parsed file, against its pool.
+    """Reconstruct a Trajectory from a parsed file, against its pool, with
+    `make_trajectory`: the header's run config digest is not read.
 
-    ConfigError when `dataset` is not the pool the run recorded (an edited
-    CSV, for one) or the header's run config is malformed.
+    ConfigError when the header's run config is malformed, or `dataset` is
+    not the pool the run recorded (an edited CSV, for one).
     """
-    recorded, actual = header.get("dataset_digest", ""), dataset.digest()
+    trajectory = make_trajectory(RunConfig.from_dict(header["run_config"]), dataset, steps)
+    recorded, actual = header.get("dataset_digest", ""), trajectory.dataset_digest
     if recorded != actual:
         raise ConfigError(
             f"the pool has digest {actual} but the run recorded {recorded}; "
             "was the dataset edited after the run?"
         )
-    return Trajectory(
-        run_config_digest=header.get("run_config_digest", ""),
-        steps=steps,
-        reached_optimum_at=reached_optimum_at(steps, dataset.optimum_value),
-        data_fraction_used=len({s.candidate_id for s in steps}) / len(dataset),
-        config=RunConfig.from_dict(header["run_config"]),
-        dataset_digest=recorded,
-    )
+    return trajectory

@@ -52,12 +52,12 @@ class ProposalParseError(AlbenchError):
     """An LLM reply contained no parsable fenced key:value block."""
 
 
-class ReplayExhaustedError(AlbenchError):
-    """The scripted chat client ran out of recorded responses."""
+class ReplayExhaustedError(ProposerError):
+    """The scripted chat client ran out of recorded responses; the run aborts."""
 
 
-class ReplayMismatchError(AlbenchError):
-    """A replayed request did not match the recorded request digest."""
+class ReplayMismatchError(ProposerError):
+    """A replayed request did not match the recorded request digest; the run aborts."""
 
 
 class TransportError(AlbenchError):

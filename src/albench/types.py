@@ -101,6 +101,12 @@ def read_config(cls, d, name: str, known=None):
         raise ConfigError(f"bad '{name}': {exc}") from exc
 
 
+def _fields_dict(instance) -> dict:
+    """A dataclass instance's fields as a new dict, with enum members written
+    as their values. Unlike `dataclasses.asdict`, it copies no value."""
+    return {key: value.value if isinstance(value, Enum) else value for key, value in vars(instance).items()}
+
+
 def as_matrix(X) -> np.ndarray:
     """2-D float view; a 1-D input is n samples of one feature."""
     X = np.asarray(X, dtype=float)
@@ -260,15 +266,7 @@ class RunConfig:
         return pool_size if self.max_iterations is None else min(self.max_iterations, pool_size)
 
     def to_dict(self) -> dict:
-        return {
-            "proposer": self.proposer.value,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "repeat_index": self.repeat_index,
-            "n_initial": self.n_initial,
-            "max_iterations": self.max_iterations,
-            "prompt_format": self.prompt_format.value,
-        }
+        return _fields_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -294,15 +292,7 @@ class StepRecord:
     surrogate_diag: Optional[dict[str, float]] = None
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "candidate_id": self.candidate_id,
-            "observed_value": self.observed_value,
-            "running_best": self.running_best,
-            "proposal_text": self.proposal_text,
-            "match_score": self.match_score,
-            "surrogate_diag": self.surrogate_diag,
-        }
+        return _fields_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from albench.analytics import (
     IDENTITY,
     OUTCOME,
-    RunRecord,
     cumulative_l2,
     export_distance_curves,
     export_pca,
@@ -18,6 +17,7 @@ from albench.analytics import (
     export_similarity_scores,
     export_variability,
     pca_project,
+    run_identity,
     running_best,
     summarize_trajectory,
     variability_stats,
@@ -245,41 +245,40 @@ class TestExports:
     def _records(self, rng):
         features = [tuple(map(float, r)) for r in rng.normal(size=(9, 2))]
         pool = make_pool(list(range(9)), features=features)
-        records = []
+        runs = []
         for seed in (1, 2):
             cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=seed)
-            traj = run_active_learning(pool, cfg, RandomWalkProposer(seed))
-            records.append(RunRecord(trajectory=traj, pool=pool))
-        return pool, records
+            runs.append(run_active_learning(pool, cfg, RandomWalkProposer(seed)))
+        return pool, runs
 
     def test_export_families(self, tmp_path, rng):
-        pool, records = self._records(rng)
-        export_running_best(records, tmp_path / "rb.csv")
-        export_distance_curves(records, tmp_path / "dc.csv")
-        export_pca(records, tmp_path / "pc.csv", tmp_path / "pe.csv")
-        summaries = [summarize_trajectory(r.trajectory) for r in records]
+        pool, runs = self._records(rng)
+        export_running_best(runs, tmp_path / "rb.csv")
+        export_distance_curves(pool, runs, tmp_path / "dc.csv")
+        export_pca(pool, runs, tmp_path / "pc.csv", tmp_path / "pe.csv")
+        summaries = [summarize_trajectory(run) for run in runs]
         export_variability(summaries, tmp_path / "vr.csv", group_by=("proposer",))
-        export_similarity_scores(records, tmp_path / "ss.csv")
+        export_similarity_scores(runs, tmp_path / "ss.csv")
         for name in ("rb", "dc", "pc", "pe", "vr", "ss"):
             assert (tmp_path / f"{name}.csv").exists()
 
     def test_one_set_of_run_columns(self, rng):
-        _, records = self._records(rng)
-        for rec in records:
-            row = summarize_trajectory(rec.trajectory)
+        _, runs = self._records(rng)
+        for run in runs:
+            row = summarize_trajectory(run)
             assert list(row) == [*IDENTITY, *OUTCOME]
-            assert {k: row[k] for k in IDENTITY} == rec.identity
-            assert row["digest"] == rec.trajectory.run_config_digest[:16]
-            assert row["steps"] == len(rec.trajectory.steps)
-            assert row["iterations_to_optimum"] == rec.trajectory.reached_optimum_at
+            assert {k: row[k] for k in IDENTITY} == run_identity(run.config, run.run_config_digest)
+            assert row["digest"] == run.run_config_digest[:16]
+            assert row["steps"] == len(run.steps)
+            assert row["iterations_to_optimum"] == run.reached_optimum_at
 
     def test_running_best_column_cross_check(self, tmp_path, rng):
-        pool, records = self._records(rng)
-        export_running_best(records, tmp_path / "rb.csv")
+        pool, runs = self._records(rng)
+        export_running_best(runs, tmp_path / "rb.csv")
         with open(tmp_path / "rb.csv") as fh:
             rows = list(csv.DictReader(fh))
-        for rec in records:
-            digest = rec.trajectory.run_config_digest[:16]
+        for run in runs:
+            digest = run.run_config_digest[:16]
             got = [float(r["running_best"]) for r in rows if r["digest"] == digest]
-            expected = running_best(rec.trajectory.observed_values(), pool.goal)
+            expected = running_best(run.observed_values(), pool.goal)
             assert got == pytest.approx(expected)

@@ -341,6 +341,26 @@ class TestRun:
         header, steps = read_trajectory(out)
         assert len(steps) == 2  # the initial observations survived the abort
 
+    @pytest.mark.parametrize(
+        "digest, message, n_steps",
+        [(None, "scripted client exhausted after 1 responses", 3), ("0" * 64, "does not match recorded", 2)],
+        ids=["exhausted", "digest-mismatch"],
+    )
+    def test_replay_failure_aborts_with_the_partial_trajectory(self, tmp_path, capsys, digest, message, n_steps):
+        from albench.cli import EXIT_RUN_FAILURE
+
+        fixtures = tmp_path / "fx.jsonl"
+        save_fixtures([FixtureRecord(response_text="```\nx: 0.0\n```", request_digest=digest)], fixtures)
+        out = tmp_path / "partial.jsonl"
+        code = main(
+            ["run", "--dataset", "synthetic:linear1d:12:1", "--proposer", "llm", "--seed", "38", "--n-initial", "2",
+             "--client", f"replay:{fixtures}", "--out", str(out)]
+        )
+        assert code == EXIT_RUN_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("run aborted:") and message in err and "partial trajectory preserved" in err
+        assert len(read_trajectory(out)[1]) == n_steps
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = {
             "dataset": "synthetic:linear1d:12:3",
@@ -683,7 +703,11 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_PARTIAL_SWEEP
         rows = read_summary(out_dir / "summary.csv")
         assert [r["status"] for r in rows] == ["failed"]
-        assert "exhausted" in rows[0]["error"]
+        assert rows[0]["error"] == "proposer failed at iteration 2: scripted client exhausted after 1 responses"
+        # the aborted run keeps its partial trajectory, and the export reads it
+        partial = out_dir / "runs" / f"{rows[0]['digest']}.jsonl"
+        assert len(read_trajectory(partial)[1]) == 2
+        assert {r["digest"] for r in read_summary(out_dir / "reports" / "running_best.csv")} == {rows[0]["digest"]}
 
     def test_parallel_and_serial_sweeps_agree(self, tmp_path):
         results = {}
@@ -799,6 +823,17 @@ class TestSweep:
         assert rows == expected and len(rows) == 7
         for p in (stored / "runs").glob("*.jsonl"):
             assert (out_dir / "runs" / p.name).read_bytes() == p.read_bytes()
+
+    def test_stored_config_digests_are_those_the_run_config_gives(self):
+        """A rebuilt run computes its config digest and does not read the
+        header's, which every stored run agrees with."""
+        runs = sorted((Path(__file__).parent / "data" / "stored_sweep" / "runs").glob("*.jsonl"))
+        assert len(runs) == 7
+        for path in runs:
+            header = read_trajectory(path)[0]
+            config = RunConfig.from_dict(header["run_config"])
+            assert header["run_config_digest"] == config.digest(header["dataset_digest"])
+            assert path.stem == header["run_config_digest"][:16]
 
     def forest_sweep(self, tmp_path, out_dir, forest):
         """The rfr cell (alpha 2, seed 3, cap 8) on synthetic:quadratic2d:40:1 with
@@ -1182,12 +1217,15 @@ class TestReportExports:
         def refuse(spec):
             raise AssertionError("loaded a CSV")
 
-        export, exported = analytics.export_running_best, []
+        exported = []
+        for name in ("export_distance_curves", "export_pca"):
+            export = getattr(analytics, name)
+            monkeypatch.setattr(analytics, name, lambda p, runs, *paths, export=export: (
+                exported.append((p, len(runs))) or export(p, runs, *paths)))
         monkeypatch.setattr(cli, "load_csv", refuse)
         monkeypatch.setattr(data, "load_csv", refuse)
-        monkeypatch.setattr(analytics, "export_running_best", lambda group, path: exported.extend(group) or export(group, path))
         cli._export_reports(tmp_path / "results" / "runs", tmp_path / "report", {pool.digest(): pool})
-        assert len(exported) == 4 and all(r.pool is pool for r in exported)
+        assert len(exported) == 2 and all(p is pool and n == 4 for p, n in exported)
         assert len(list((tmp_path / "report").glob("*.csv"))) == 6
 
     def test_export_removes_only_the_family_files_it_did_not_write(self, tmp_path):

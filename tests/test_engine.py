@@ -323,9 +323,31 @@ class TestTrajectoryIO:
         assert RunConfig.from_dict(header["run_config"]) == cfg
         assert header["dataset_digest"] == ramp_pool.digest()
         assert [s.to_dict() for s in steps] == [s.to_dict() for s in traj.steps]
-        rebuilt = rebuild_trajectory(header, steps, ramp_pool)
-        assert rebuilt.reached_optimum_at == traj.reached_optimum_at
-        assert rebuilt.data_fraction_used == traj.data_fraction_used
+        assert rebuild_trajectory(header, steps, ramp_pool) == traj
+
+    def test_partial_run_round_trip(self, tmp_path, ramp_pool):
+        """The partial run that `execute_run` writes on an abort rebuilds to
+        the one the RunAborted carries."""
+        from albench.cli import execute_run
+
+        class FailingSecond(ScriptedProposer):
+            def propose(self, dataset, observed_ids, observed_values):
+                if self.position == 1:
+                    raise ProposerError("boom")
+                return Suggestion(super().propose(dataset, observed_ids, observed_values).candidate_id,
+                                  proposal_text="x1: 4", match_score=0.5, surrogate_diag={"parse_fallback": 0.0})
+
+        cfg = RunConfig(ProposerKind.LLM, seed=3, n_initial=2)
+        initial = select_initial(ramp_pool, 3, 2)
+        # the worst candidate first, so the run cannot stop before the abort
+        unlabeled = sorted((i for i in range(len(ramp_pool)) if i not in initial), key=ramp_pool.targets.__getitem__)
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(RunAborted) as info:
+            execute_run(ramp_pool, {"source": "synthetic:test"}, cfg, path,
+                        lambda config: FailingSecond(ids=unlabeled), DEFAULT_SETTINGS)
+        partial = info.value.partial
+        assert len(partial.steps) == 3 and partial.steps[-1].proposal_text == "x1: 4"
+        assert rebuild_trajectory(*read_trajectory(path), ramp_pool) == partial
 
     def test_rebuild_against_another_pool_names_both_digests(self, tmp_path, ramp_pool):
         cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=6, n_initial=2)

@@ -1,5 +1,6 @@
 """Prompt construction, proposal parsing, pool matching, and the chat clients."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -632,3 +633,60 @@ class TestPromptLineCache:
         proposer.propose(first, [0], [3.0])
         proposer.propose(second, [0], [3.0])
         assert client.prompts == [fresh_render(first), fresh_render(second)]
+
+
+class TestPromptPins:
+    """The sha256 of the ordered request digests (`message_digest`) that a
+    replayed run sends, pinned per prompt format. Selections depend only on
+    the replies, so these pins are what catches a reworded prompt."""
+
+    FEATURES = [(0.5, 1.0), (1.5, -0.5), (2.0, 2.5), (-1.0, 0.0), (3.0, 1.0), (0.0, 3.0), (2.5, -1.5), (1.0, 1.0)]
+    TARGETS = [1.2, 0.4, 2.9, -0.3, 3.6, 1.1, 0.8, 1.7]
+    PROPOSALS = ["```\nx1: 2\nx2: 2\n```", "```\nx1: 0\nx2: 0\n```", "```\nx1: 1\nx2: 1\n```",
+                 "```\nx1: 3\nx2: 1\n```"]
+
+    class Log(ScriptedChatClient):
+        def __init__(self, records):
+            super().__init__(records)
+            self.digests = []
+
+        def send(self, messages, temperature):
+            self.digests.append(message_digest(messages, temperature))
+            return super().send(messages, temperature)
+
+    def _replay(self, replies, prompt_format=PromptFormat.PARAMETER, offline_reports=True):
+        pool = make_pool(
+            targets=self.TARGETS, features=self.FEATURES,
+            context="Annealing trials over two furnace settings; higher yield is better.",
+        )
+        client = self.Log(replies)
+        cfg = RunConfig(ProposerKind.LLM, seed=7, n_initial=2, prompt_format=prompt_format)
+        proposer = LLMProposer(client, seed=7, prompt_format=prompt_format, offline_reports=offline_reports)
+        traj = run_active_learning(pool, cfg, proposer)
+        assert traj.reached_optimum_at is not None
+        return len(client.digests), hashlib.sha256("\n".join(client.digests).encode()).hexdigest()
+
+    def test_parameter_format_with_context(self):
+        assert self._replay(self.PROPOSALS) == (
+            4, "2fc86f7578e7f4d514ea9adf3813acca3089cc066d990c8e11748526707616b5",
+        )
+
+    def test_report_format_with_offline_reports(self):
+        assert self._replay(self.PROPOSALS, PromptFormat.REPORT) == (
+            4, "a42e2c1e18ef8d1ef45c45cfca1e2ff8eb4c759effa5b9571f4d56b59f2b4ea2",
+        )
+
+    def test_report_format_with_client_written_reports(self):
+        # the first step asks for the two initial observations' reports, every
+        # later step for the report of the one observation added since
+        replies = ["Report A.", "Report B.", self.PROPOSALS[0]]
+        for k, proposal in enumerate(self.PROPOSALS[1:]):
+            replies += [f"Report {'CDEF'[k]}.", proposal]
+        assert self._replay(replies, PromptFormat.REPORT, offline_reports=False) == (
+            9, "850672e8e540b2fe05f637ceb7c9d34c21a0c25777a4529f93d82f1625b02632",
+        )
+
+    def test_an_unparsable_first_reply_sends_the_strict_reprompt(self):
+        assert self._replay(["no fences here", *self.PROPOSALS]) == (
+            5, "743792880bbf37688d434305c7a756bfbd791e1f65d6493fa1e37c67b21fb9a1",
+        )
