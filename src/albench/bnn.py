@@ -16,12 +16,14 @@ from Monte-Carlo forward passes.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, FitError, ShapeError
 
+_NOISE_BLOCK = 4  # rows a helper thread draws ahead of the caller
 INIT_MU_HALF_RANGE = 0.2
 INIT_LOG_SIGMA = -5.0
 OBSERVATION_SIGMA = 1.0  # fixed; the MSE term assumes unit observation noise
@@ -216,13 +218,45 @@ class _Adam:
         params -= step
 
 
+def _normal_rows(rng: np.random.Generator, size: int, count: int):
+    """Yield `count` rows of `size` standard normals from `rng`, the same
+    values as filling `count` such rows one after another.
+
+    One helper thread fills the next block of rows while the caller uses
+    the current one: a `(k, size)` fill consumes the stream exactly as k
+    row fills do, and the helper never draws past `count`. A row stays
+    valid until the next one is asked for. Close the generator (or run it
+    to the end) to join the helper. The helper calls no albench function,
+    so a tracer that wraps them sees only the caller's thread.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # at module top it would slow `import albench`
+
+    blocks = np.empty((2, _NOISE_BLOCK, size))
+    starts = range(0, count, _NOISE_BLOCK)
+
+    def fill(k: int) -> np.ndarray:
+        block = blocks[k % 2, : min(_NOISE_BLOCK, count - starts[k])]
+        rng.standard_normal(out=block)
+        return block
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(fill, 0) if starts else None
+        for k in range(len(starts)):
+            block = pending.result()
+            if k + 1 < len(starts):
+                pending = helper.submit(fill, k + 1)
+            yield from block
+
+
 def train_bnn(X, y, config: BNNConfig) -> BNNetwork:
     """Full-batch Adam on the negative ELBO, fresh noise draw per step.
 
     Initialization and the per-step noise come from two independent
     substreams of config.seed, so training is exactly repeatable. Each
-    step's noise is one fill of a buffer laid out like one half of
-    `BNNetwork.params`, one standard normal per parameter.
+    step's noise is one row of standard normals laid out like one half of
+    `BNNetwork.params`, one per parameter. A helper thread draws the rows
+    a few steps ahead (`_normal_rows`), with the same values as drawing
+    them step by step; it is joined before this returns or raises.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -235,17 +269,17 @@ def train_bnn(X, y, config: BNNConfig) -> BNNetwork:
     params = network.params
     _, log_sigma = network.halves()
     adam = _Adam(params.size, config.learning_rate)
-    eps, sigma, work = (np.empty(log_sigma.size) for _ in range(3))
+    sigma, work = np.empty(log_sigma.size), np.empty(log_sigma.size)
     grads = np.empty(params.size)
     history = []
-    for epoch in range(config.epochs):
-        noise_rng.standard_normal(out=eps)
-        np.exp(log_sigma, out=sigma)
-        loss = _loss_and_grads(network, X, y, sigma, eps, work, grads)
-        if not math.isfinite(loss):
-            raise FitError(f"training aborted: non-finite loss {loss} at epoch {epoch}")
-        adam.step(params, grads)
-        history.append(loss)
+    with closing(_normal_rows(noise_rng, log_sigma.size, config.epochs)) as noise:
+        for epoch, eps in enumerate(noise):
+            np.exp(log_sigma, out=sigma)
+            loss = _loss_and_grads(network, X, y, sigma, eps, work, grads)
+            if not math.isfinite(loss):
+                raise FitError(f"training aborted: non-finite loss {loss} at epoch {epoch}")
+            adam.step(params, grads)
+            history.append(loss)
     network.final_loss = history[-1] if history else math.nan
     network.loss_history = history
     return network
@@ -258,15 +292,17 @@ def predict_bnn(
     each of shape (n,).
 
     Each pass draws one standard normal per parameter, laid out like one
-    half of `BNNetwork.params`.
+    half of `BNNetwork.params`. A helper thread draws them a few passes
+    ahead (`_normal_rows`), so `rng` gives and ends in the same values and
+    state as drawing pass by pass; it is joined before this returns.
     """
     if mc_samples < 2:
         raise ConfigError(f"mc_samples must be >= 2, got {mc_samples}")
     X_query = np.atleast_2d(np.asarray(X_query, dtype=float))
     samples = np.empty((mc_samples, X_query.shape[0]))
     sigma = np.exp(network.halves()[1])
-    eps, work = np.empty(sigma.size), np.empty(sigma.size)
-    for s in range(mc_samples):
-        rng.standard_normal(out=eps)
-        samples[s] = _forward(X_query, _sample(network, sigma, eps, work))[0]
+    work = np.empty(sigma.size)
+    with closing(_normal_rows(rng, sigma.size, mc_samples)) as noise:
+        for s, eps in enumerate(noise):
+            samples[s] = _forward(X_query, _sample(network, sigma, eps, work))[0]
     return samples.mean(axis=0), samples.std(axis=0)

@@ -327,6 +327,21 @@ def _sweep_worker(task: tuple[RunConfig, Path]) -> tuple[dict, Optional[Trajecto
     return _run_cell(*_worker, *task)
 
 
+def _pool_cells(tasks: list, workers: int, initargs: tuple, keep) -> list:
+    """Run sweep cells on a fresh pool of `workers` processes and pass each
+    result to `keep`; return the cells left without one. A dead worker
+    breaks the whole pool, so those are the cells unfinished at that time."""
+    lost = []
+    with concurrent.futures.ProcessPoolExecutor(workers, initializer=_init_sweep_worker, initargs=initargs) as pool:
+        futures = {pool.submit(_sweep_worker, task): task for task in tasks}
+        for future in concurrent.futures.as_completed(futures):
+            try:
+                keep(futures[future][1], *future.result())
+            except concurrent.futures.BrokenExecutor:
+                lost.append(futures[future])
+    return lost
+
+
 def cmd_sweep(args) -> int:
     """Run every cell of the sweep grid that has no complete stored run,
     then write `summary.csv` and the report exports.
@@ -334,7 +349,9 @@ def cmd_sweep(args) -> int:
     The pool is loaded once per command. Serial cells share it; worker
     processes get it from the parent and send each run back. The export
     uses every run the sweep resumed or made, and reads only the other
-    files in `runs/`. A dead worker fails the cells it leaves unfinished.
+    files in `runs/`. A dead worker breaks its pool: each cell left
+    unfinished runs once more, alone in a fresh worker, and fails if that
+    worker dies too.
     The proposer factory is built once per process. This relies on Dataset
     being immutable, since each caches its digest and z-scores.
     """
@@ -376,16 +393,10 @@ def cmd_sweep(args) -> int:
         if any(config.proposer is ProposerKind.GPR for config, _ in tasks):
             from . import gpr  # noqa: F401 -- load scipy once; the forked workers share it
 
-        with concurrent.futures.ProcessPoolExecutor(
-            workers, initializer=_init_sweep_worker, initargs=(dataset, header_entry, cfg, kinds, workers)
-        ) as pool:
-            futures = {pool.submit(_sweep_worker, task): task for task in tasks}
-            for future in concurrent.futures.as_completed(futures):
-                config, out_path = futures[future]
-                try:
-                    keep(out_path, *future.result())
-                except concurrent.futures.BrokenExecutor:  # a worker died; every unfinished cell fails
-                    keep(out_path, summary_row(config, dataset, "failed", error="worker died"), None)
+        initargs = (dataset, header_entry, cfg, kinds, workers)
+        for task in _pool_cells(tasks, workers, initargs, keep):
+            for config, out_path in _pool_cells([task], 1, initargs, keep):
+                keep(out_path, summary_row(config, dataset, "failed", error="worker died"), None)
     else:
         for config, out_path in tasks:
             keep(out_path, *_run_cell(dataset, header_entry, new_proposer, settings, config, out_path))

@@ -102,7 +102,7 @@ def _fit_predict_bnn(proposer, Z_train, y, Z_pool, model_seed):
     network = bnn_mod.train_bnn(Z_train, y, config)
     predict_rng = np.random.default_rng(np.random.SeedSequence(entropy=model_seed, spawn_key=(1,)))
     mean, std = bnn_mod.predict_bnn(network, Z_pool, config.mc_samples, predict_rng)
-    return mean, std, {"bnn_final_loss": network.final_loss}
+    return mean, std, {"bnn_final_loss": network.final_loss, "bnn_min_loss": min(network.loss_history)}
 
 
 #: The surrogate proposers, each as fit_predict(proposer, Z_train, y, Z_pool,

@@ -1,6 +1,7 @@
 """Variational network: KL closed form, reparameterized forward, gradients."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from albench.bnn import (
     BayesianLinearLayer,
     BNNConfig,
     BNNetwork,
+    _normal_rows,
     init_network,
     kl_layer,
     predict_bnn,
@@ -320,6 +322,38 @@ class TestPredict:
         net = init_network(1, BNNConfig(hidden_layers=1, width=2, seed=0), rng)
         with pytest.raises(ConfigError):
             predict_bnn(net, [[0.0]], 1, rng)
+
+
+class TestNormalRows:
+    """Noise drawn ahead on a helper thread equals noise drawn row by row."""
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 1000])
+    def test_rows_and_end_state_match_row_by_row_fills(self, count):
+        size = 17
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        want, seen = np.empty(size), 0
+        for row in _normal_rows(got_rng, size, count):
+            want_rng.standard_normal(out=want)
+            assert row.tobytes() == want.tobytes()
+            seen += 1
+        assert seen == count
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_train_and_predict_leave_no_thread_behind(self, rng):
+        X = rng.normal(size=(5, 2))
+        before = threading.active_count()
+        net = train_bnn(X, rng.normal(size=5), BNNConfig(hidden_layers=1, width=4, epochs=9, seed=2))
+        assert threading.active_count() == before
+        predict_bnn(net, X, 7, np.random.default_rng(0))
+        assert threading.active_count() == before
+
+    def test_a_non_finite_loss_leaves_no_thread_behind(self, rng):
+        X = rng.normal(size=(2, 2))
+        before = threading.active_count()
+        with np.errstate(over="ignore"), pytest.raises(FitError, match="non-finite loss") as raised:
+            train_bnn(X, [1e200, -1e200], BNNConfig(hidden_layers=1, width=4, epochs=9, seed=2))
+        # the traceback, which keeps train_bnn's frame alive, is still held here
+        assert raised.tb is not None and threading.active_count() == before
 
 
 # --- per-array reference ------------------------------------------------------

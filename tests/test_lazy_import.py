@@ -1,4 +1,5 @@
-"""scipy loads only for GPR: checked in fresh interpreters.
+"""scipy loads only for GPR, and set-up loads no concurrent.futures: checked in
+fresh interpreters.
 
 `albench.gpr` imports scipy.linalg and scipy.optimize, which take most of
 albench's start-up time. Each test runs a script in a new process with
@@ -39,6 +40,18 @@ print(json.dumps({m: m in sys.modules for m in ("scipy.linalg", "scipy.optimize"
 def test_import_loads_no_scipy_and_no_requests(tmp_path):
     loaded = run_fresh("import albench, albench.cli" + LOADED, tmp_path)
     assert loaded == {"scipy.linalg": False, "scipy.optimize": False, "requests": False}
+
+
+def test_setup_imports_load_no_concurrent_futures(tmp_path):
+    # the benchmark's setup probe imports these; concurrent.futures costs
+    # milliseconds, so it loads only where a pool is used (cli, BNN noise)
+    script = """
+    import json, sys
+    import albench, albench.clients, albench.data
+
+    print(json.dumps({"concurrent.futures": "concurrent.futures" in sys.modules}))
+    """
+    assert run_fresh(script, tmp_path) == {"concurrent.futures": False}
 
 
 def test_non_gpr_runs_and_report_load_no_scipy(tmp_path):

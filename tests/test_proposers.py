@@ -86,7 +86,9 @@ class TestSurrogateProposers:
         traj = run_active_learning(pool, cfg, proposer)
         proposed = [s for s in traj.steps if s.surrogate_diag is not None]
         assert proposed
-        assert all("bnn_final_loss" in s.surrogate_diag for s in proposed)
+        for step in proposed:
+            assert set(step.surrogate_diag) == {"bnn_final_loss", "bnn_min_loss"}
+            assert step.surrogate_diag["bnn_min_loss"] <= step.surrogate_diag["bnn_final_loss"]
 
     def test_bnn_run_deterministic(self):
         pool = synthetic_pool("linear1d", 8, seed=4)
