@@ -26,7 +26,6 @@ from .errors import ConfigError, FitError, ShapeError
 _NOISE_BLOCK = 4  # rows a helper thread draws ahead of the caller
 INIT_MU_HALF_RANGE = 0.2
 INIT_LOG_SIGMA = -5.0
-OBSERVATION_SIGMA = 1.0  # fixed; the MSE term assumes unit observation noise
 
 
 @dataclass

@@ -277,37 +277,37 @@ def expand_sweep(cfg: dict) -> list[dict]:
     return tasks
 
 
-def _read_complete(path, dataset: Dataset, settings: ProposerSettings) -> Optional[Trajectory]:
-    """The stored run at `path`, rebuilt, if it is complete, else None.
-
-    A run is complete if it hit the optimum or its iteration cap. A file
-    that cannot be read, is torn, has a malformed header, ran on another
-    pool, or records no settings or other ones (compared as JSON) counts
-    as incomplete, so its cell runs again.
-    """
-    try:
-        header, steps = read_trajectory(path)
-        trajectory = rebuild_trajectory(header, steps, dataset)
-    except _UNREADABLE:
-        return None
-    recorded = json.dumps(header.get("settings"), sort_keys=True)
-    if recorded != json.dumps(settings.record(trajectory.config.proposer), sort_keys=True):
-        return None
-    cap = trajectory.config.resolved_max_iterations(len(dataset))
-    if trajectory.steps and (trajectory.reached_optimum_at is not None or len(trajectory.steps) >= cap):
-        return trajectory
-    return None
+def _read_runs(results_dir: Path, pools: dict[str, Dataset]) -> dict[Path, tuple[dict, Trajectory]]:
+    """Every run stored in `results_dir`, read once, in path order: {path:
+    (header, run)}. Each is rebuilt on `pools[its header's pool digest]`; a
+    missing pool is rebuilt from the header and added. A file that is
+    unreadable, torn, header-only, has a malformed step or ran on a changed
+    pool is skipped, with a warning."""
+    runs = {}
+    for path in sorted(results_dir.glob("*.jsonl")):
+        try:
+            header, steps = read_trajectory(path)
+            if not steps:
+                raise ConfigError("the run has no steps")
+            digest = header.get("dataset_digest", "")
+            if digest not in pools:
+                pools[digest] = dataset_from_header_entry(header.get("dataset"))
+            runs[path] = header, rebuild_trajectory(header, steps, pools[digest])
+        except _UNREADABLE as exc:
+            logger.warning("skipping %s: %s", path, exc)
+    return runs
 
 
 def _run_cell(
     dataset: Dataset, header_entry: dict, new_proposer, settings, config: RunConfig, out_path
 ) -> tuple[dict, Optional[Trajectory]]:
     """Execute one sweep cell on an already-built pool: (its summary row, its
-    run); errors become a failed row and no run."""
+    run); errors become a failed row and no run, or an aborted run's partial."""
     try:
         trajectory = execute_run(dataset, header_entry, config, out_path, new_proposer, settings)
     except AlbenchError as exc:
-        return summary_row(config, dataset, "failed", error=str(exc)), None
+        partial = exc.partial if isinstance(exc, RunAborted) else None
+        return summary_row(config, dataset, "failed", error=str(exc)), partial
     return summary_row(config, dataset, "ok", trajectory), trajectory
 
 
@@ -347,11 +347,11 @@ def cmd_sweep(args) -> int:
     then write `summary.csv` and the report exports.
 
     The pool is loaded once per command. Serial cells share it; worker
-    processes get it from the parent and send each run back. The export
-    uses every run the sweep resumed or made, and reads only the other
-    files in `runs/`. A dead worker breaks its pool: each cell left
-    unfinished runs once more, alone in a fresh worker, and fails if that
-    worker dies too.
+    processes get it from the parent and send each run back. `runs/` is
+    read once, before any cell runs; a cell that runs again replaces its
+    stored run in the export, an aborted one with its partial. A dead
+    worker breaks its pool: each cell left unfinished runs once more, alone
+    in a fresh worker, and fails if that worker dies too.
     The proposer factory is built once per process. This relies on Dataset
     being immutable, since each caches its digest and z-scores.
     """
@@ -374,20 +374,32 @@ def cmd_sweep(args) -> int:
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
 
-    rows, runs, tasks = [], {}, []
+    pool_digest = dataset.digest()
+    pools = {pool_digest: dataset}
+    stored = _read_runs(runs_dir, pools)
+    runs = {path: run for path, (_, run) in stored.items()}
+    rows, tasks = [], []
 
     def keep(out_path, row, trajectory):
         rows.append(row)
         if trajectory is not None:
             runs[out_path] = trajectory
 
+    def complete(header: dict, run: Trajectory) -> bool:
+        """A stored run stands for its cell if it ran on this pool with these
+        settings (compared as JSON) and hit the optimum or its iteration cap."""
+        same_settings = json.dumps(header.get("settings"), sort_keys=True) == json.dumps(
+            settings.record(run.config.proposer), sort_keys=True)
+        done = run.reached_optimum_at is not None or len(run.steps) >= run.config.resolved_max_iterations(len(dataset))
+        return run.dataset_digest == pool_digest and same_settings and done
+
     for config in configs:
-        out_path = runs_dir / f"{config.digest(dataset.digest())[:16]}.jsonl"
-        stored = _read_complete(out_path, dataset, settings) if out_path.exists() else None
-        if stored is None:
-            tasks.append((config, out_path))
+        out_path = runs_dir / f"{config.digest(pool_digest)[:16]}.jsonl"
+        if out_path in stored and complete(*stored[out_path]):
+            run = runs[out_path]
+            keep(out_path, summary_row(run.config, dataset, "skipped", run), run)
         else:
-            keep(out_path, summary_row(stored.config, dataset, "skipped", stored), stored)
+            tasks.append((config, out_path))
 
     if workers > 1 and len(tasks) > 1:
         if any(config.proposer is ProposerKind.GPR for config, _ in tasks):
@@ -408,7 +420,7 @@ def cmd_sweep(args) -> int:
     failed = [r for r in rows if r["status"] == "failed"]
     print(f"sweep: {len(rows)} runs ({len(rows) - len(tasks)} resumed, {len(failed)} failed) -> {summary_path}")
     try:
-        _export_reports(runs_dir, out_dir / "reports", {dataset.digest(): dataset}, runs)
+        _export_reports(out_dir / "reports", pools, [runs[path] for path in sorted(runs)])
     except AlbenchError as exc:
         logger.warning("report export skipped: %s", exc)
     return EXIT_PARTIAL_SWEEP if failed else EXIT_OK
@@ -420,39 +432,20 @@ REPORT_FAMILIES = ("running_best", "distance_curves", "pca_coordinates", "pca_tr
                    "similarity_scores")
 
 
-def _export_reports(
-    results_dir: Path, out_dir: Path, pools: dict[str, Dataset], runs: Optional[dict[Path, Trajectory]] = None
-) -> None:
-    """Write the report families of every pool with runs in `results_dir`,
-    then remove the family files in `out_dir` that this export did not write.
+def _export_reports(out_dir: Path, pools: dict[str, Dataset], runs: list[Trajectory]) -> None:
+    """Write the report families of `runs`, then remove the family files in
+    `out_dir` that this export did not write.
 
-    `pools` maps a digest to a pool the caller holds, and `runs` a path in
-    `results_dir` to a run the caller holds, built on one of `pools`. Other
-    files are read, skipping corrupt ones, runs with no steps and runs whose
-    pool has changed; a pool not in `pools` is rebuilt from the first header
-    that records it. Runs are grouped by their pool's digest, and each
+    `pools` maps a digest to a pool; each run was built on one of them.
+    Runs are grouped by their pool's digest, keeping their order, and each
     group's exports get that pool. Files of one pool carry no suffix; with
     several, each carries its pool's name, plus the first 8 hex digits of
-    its digest when pools share a name."""
-    pools, runs = dict(pools), runs or {}
+    its digest when pools share a name. ConfigError when `runs` is empty."""
+    if not runs:
+        raise ConfigError("no runs to report")
     by_pool: dict[str, list[Trajectory]] = {}
-    for path in sorted(results_dir.glob("*.jsonl")):
-        try:
-            trajectory = runs.get(path)
-            if trajectory is None:
-                header, steps = read_trajectory(path)
-                if not steps:
-                    raise ConfigError("the run has no steps")
-                digest = header.get("dataset_digest", "")
-                if digest not in pools:
-                    pools[digest] = dataset_from_header_entry(header.get("dataset"))
-                trajectory = rebuild_trajectory(header, steps, pools[digest])
-        except _UNREADABLE as exc:
-            logger.warning("skipping %s: %s", path, exc)
-            continue
-        by_pool.setdefault(trajectory.dataset_digest, []).append(trajectory)
-    if not by_pool:
-        raise ConfigError(f"no readable trajectories in {results_dir}")
+    for run in runs:
+        by_pool.setdefault(run.dataset_digest, []).append(run)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = [pools[digest].name for digest in by_pool]
     written = set()
@@ -477,7 +470,11 @@ def cmd_report(args) -> int:
     results_dir = Path(args.results)
     if not results_dir.is_dir():
         raise ConfigError(f"{results_dir} is not a directory")
-    _export_reports(results_dir, Path(args.out_dir or results_dir / "reports"), {})
+    pools = {}
+    runs = _read_runs(results_dir, pools)
+    if not runs:
+        raise ConfigError(f"no readable trajectories in {results_dir}")
+    _export_reports(Path(args.out_dir or results_dir / "reports"), pools, [run for _, run in runs.values()])
     print(f"report exports written to {args.out_dir or results_dir / 'reports'}")
     return EXIT_OK
 

@@ -128,6 +128,35 @@ class TokenBucket:
             time.sleep(wait)
 
 
+def _post_json(what: str, endpoint: str, body: dict, auth: dict, timeout: float, read):
+    """POST `body` to `endpoint` as JSON and return `read(the reply's JSON)`.
+
+    TransportError on a network failure, a status other than 200, a body
+    that is not JSON, or one that `read` fails on (KeyError, IndexError,
+    TypeError or ValueError); `what` names the endpoint in its message.
+    """
+    import requests
+
+    try:
+        resp = requests.post(endpoint, json=body, headers={"Content-Type": "application/json", **auth}, timeout=timeout)
+    except requests.RequestException as exc:
+        raise TransportError(f"{what} request failed: {exc}") from exc
+    if resp.status_code != 200:
+        raise TransportError(f"{what} endpoint returned {resp.status_code}: {resp.text[:200]}")
+    try:
+        return read(resp.json())
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise TransportError(f"unrecognized {what} response: {exc!r}") from exc
+
+
+def _chat_text(payload) -> str:
+    """The reply text of an OpenAI- or Anthropic-style chat response body."""
+    text = payload["choices"][0]["message"]["content"] if "choices" in payload else payload["content"][0]["text"]
+    if not isinstance(text, str):
+        raise TypeError(f"the reply text is a {type(text).__name__}")
+    return text
+
+
 class LiveChatClient:
     """JSON-over-HTTP chat completion client.
 
@@ -151,8 +180,6 @@ class LiveChatClient:
         self.rate_limiter = rate_limiter
 
     def send(self, messages, temperature):
-        import requests
-
         if self.rate_limiter is not None:
             self.rate_limiter.acquire()
         body = {
@@ -160,23 +187,8 @@ class LiveChatClient:
             "temperature": temperature,
             "messages": [{"role": m["role"], "content": m["text"]} for m in messages],
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-            headers["x-api-key"] = self.api_key
-        try:
-            resp = requests.post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise TransportError(f"chat request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"chat endpoint returned {resp.status_code}: {resp.text[:200]}")
-        payload = resp.json()
-        try:
-            if "choices" in payload:
-                return payload["choices"][0]["message"]["content"]
-            return payload["content"][0]["text"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"unrecognized chat response shape: {exc}") from exc
+        auth = {"Authorization": f"Bearer {self.api_key}", "x-api-key": self.api_key} if self.api_key else {}
+        return _post_json("chat", self.endpoint, body, auth, self.timeout, _chat_text)
 
 
 class RerankClient(Protocol):
@@ -199,24 +211,10 @@ class LiveRerankClient:
         self.timeout = timeout
 
     def rerank(self, query, documents, top_n=1):
-        import requests
-
         body = {"query": query, "documents": list(documents), "top_n": top_n}
         if self.model:
             body["model"] = self.model
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = requests.post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise TransportError(f"rerank request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"rerank endpoint returned {resp.status_code}: {resp.text[:200]}")
-        payload = resp.json()
-        try:
-            results = payload["results"]
-            return [(int(r["index"]), float(r["relevance_score"])) for r in results]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TransportError(f"unrecognized rerank response shape: {exc}") from exc
-
+        auth = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        return _post_json("rerank", self.endpoint, body, auth, self.timeout, lambda payload: [
+            (int(r["index"]), float(r["relevance_score"])) for r in payload["results"]
+        ])

@@ -286,19 +286,10 @@ def parse_synthetic_string(text: str) -> Dataset:
         raise ConfigError(f"bad synthetic dataset string {text!r}: {exc}") from None
 
 
-def dataset_header_entry(dataset: Dataset, source: str | DatasetSpec) -> dict:
-    """Header-embeddable description of where a pool came from.
-
-    `source` is either a 'synthetic:...' string or the DatasetSpec the pool
-    was loaded with; both carry enough to rebuild the pool for reporting.
-    """
-    entry = {"name": dataset.name, "goal": dataset.goal.value}
-    if isinstance(source, DatasetSpec):
-        entry["source"] = "csv"
-        entry["spec"] = source.to_dict()
-    else:
-        entry["source"] = source
-    return entry
+def dataset_header_entry(dataset: Dataset, spec: DatasetSpec) -> dict:
+    """Header-embeddable description of the CSV pool loaded with `spec`:
+    enough to rebuild it for reporting."""
+    return {"name": dataset.name, "goal": dataset.goal.value, "source": "csv", "spec": spec.to_dict()}
 
 
 def dataset_from_header_entry(entry: dict) -> Dataset:

@@ -27,6 +27,7 @@ from .types import Dataset, Goal, PromptFormat, ProposerKind
 logger = logging.getLogger(__name__)
 
 FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+MAX_ATTEMPTS = 3  # chat calls for one prompt before ProposerError
 
 
 def _fmt(value: float) -> str:
@@ -114,41 +115,32 @@ REPORT_WRITER_INSTRUCTION = (
 )
 
 
-def generate_report(
-    candidate_id: int,
-    dataset: Dataset,
-    client: Optional[ChatClient],
-    cache: dict[int, str],
-) -> str:
-    """Report text for one candidate, generated at most once per run."""
-    if candidate_id in cache:
-        return cache[candidate_id]
+def generate_report(candidate_id: int, dataset: Dataset, client: Optional[ChatClient]) -> str:
+    """Report text for one candidate: the offline template without a client."""
     if client is None:
-        text = offline_report(candidate_id, dataset)
-    else:
-        prompt = REPORT_WRITER_INSTRUCTION.format(params=format_candidate_parameters(candidate_id, dataset))
-        text = propose_next(prompt, client)
-    cache[candidate_id] = text
-    return text
+        return offline_report(candidate_id, dataset)
+    prompt = REPORT_WRITER_INSTRUCTION.format(params=format_candidate_parameters(candidate_id, dataset))
+    return propose_next(prompt, client)
 
 
 def render_report_prompt(
     dataset: Dataset,
     observed: Sequence[tuple[int, float]],
     client: Optional[ChatClient],
-    cache: dict[int, str],
-    lines: Optional[dict[int, str]] = None,
+    cache: Optional[dict[int, str]] = None,
 ) -> str:
     """Narrative prompt over (candidate id, observed value) pairs: each
     observation expanded into a short report.
 
     With client=None the offline template is used and no calls are made.
-    `cache` holds the reports by candidate id; `lines` the rendered
-    observation lines, shared as `render_parameter_prompt`'s cache is.
+    `cache` holds the rendered observation lines, shared as
+    `render_parameter_prompt`'s is; a report is generated only for a line
+    it lacks, so a run that passes one dict to every step asks for each
+    candidate's report once.
     """
     return _prompt(dataset, _cached_lines(
-        observed, {} if lines is None else lines,
-        lambda cid, value: f"- {generate_report(cid, dataset, client, cache)} Result: "
+        observed, {} if cache is None else cache,
+        lambda cid, value: f"- {generate_report(cid, dataset, client)} Result: "
         f"{dataset.target_name}={_fmt(value)}.",
     ))
 
@@ -157,7 +149,6 @@ def propose_next(
     prompt: str,
     client: ChatClient,
     *,
-    max_retries: int = 3,
     backoff: float = 1.0,
     sleep=time.sleep,
 ) -> str:
@@ -166,14 +157,14 @@ def propose_next(
         raise ProposerError("empty prompt")
     messages = [{"role": "user", "text": prompt}]
     last_error = None
-    for attempt in range(max_retries):
+    for attempt in range(MAX_ATTEMPTS):
         try:
             return client.send(messages, temperature=0.0)
         except TransportError as exc:
             last_error = exc
-            if attempt < max_retries - 1:
+            if attempt < MAX_ATTEMPTS - 1:
                 sleep(backoff * 2**attempt)
-    raise ProposerError(f"chat client failed after {max_retries} attempts: {last_error}")
+    raise ProposerError(f"chat client failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 def parse_proposal(
@@ -262,7 +253,8 @@ def match_to_pool(
 
     With a rerank client the raw text is ranked against the candidates'
     text renderings; without one, the offline nearest-neighbor matcher
-    picks. Rerank transport failures fall back to the offline matcher with
+    picks. A rerank transport failure, or a reply with no result, an index
+    out of range or a non-finite score, falls back to the offline matcher with
     a logged warning and `diag["rerank_fallback"] = 1.0` (when a `diag`
     dict is given), so a run never dies on the matcher.
     """
@@ -275,7 +267,9 @@ def match_to_pool(
         documents = [format_candidate_parameters(i, dataset) for i in unlabeled_ids.tolist()]
         try:
             ranked = rerank_client.rerank(raw_text, documents, top_n=1)
-            index, score = ranked[0]
+            index, score = ranked[0] if ranked else (-1, 0.0)
+            if not (0 <= index < len(documents) and np.isfinite(score)):
+                raise TransportError(f"unusable rerank reply {ranked[:1]!r} for {len(documents)} documents")
             return int(unlabeled_ids[index]), float(min(max(score, 0.0), 1.0))
         except TransportError as exc:
             logger.warning("rerank failed (%s); falling back to offline nearest neighbor", exc)
@@ -310,8 +304,7 @@ class LLMProposer:
         # the chat client writes the report prompt's reports, unless the
         # offline template stands in for them
         self.offline_reports = offline_reports
-        # reports and prompt lines by candidate id, for _cache_pool
-        self.report_cache: dict[int, str] = {}
+        # prompt lines by candidate id, for _cache_pool
         self.line_cache: dict[int, str] = {}
         self._cache_pool: Optional[Dataset] = None
         self.backoff = backoff
@@ -321,11 +314,11 @@ class LLMProposer:
     def _render(self, dataset: Dataset, observed) -> str:
         if dataset is not self._cache_pool:
             # an id names another candidate in another pool
-            self.report_cache, self.line_cache = {}, {}
+            self.line_cache = {}
             self._cache_pool = dataset
         if self.prompt_format is PromptFormat.REPORT:
             report_client = None if self.offline_reports else self.client
-            return render_report_prompt(dataset, observed, report_client, self.report_cache, self.line_cache)
+            return render_report_prompt(dataset, observed, report_client, self.line_cache)
         return render_parameter_prompt(dataset, observed, self.line_cache)
 
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:

@@ -620,7 +620,8 @@ class TestSweep:
         rows = read_summary(out_dir / "reports" / "running_best.csv")
         assert {r["digest"] for r in rows} == {p.stem for p in (out_dir / "runs").glob("*.jsonl")}
 
-    def test_sweep_reads_only_the_partial_run_of_a_failed_cell(self, tmp_path, monkeypatch):
+    def test_sweep_reads_back_no_run_of_a_failed_cell(self, tmp_path, monkeypatch):
+        """The export gets an aborted cell's partial run from memory."""
         from albench.cli import EXIT_PARTIAL_SWEEP
 
         # port 1 refuses instantly, so the LLM run aborts after its initial observations
@@ -634,7 +635,8 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_PARTIAL_SWEEP
         status = {r["proposer"]: (r["digest"], r["status"]) for r in read_summary(out_dir / "summary.csv")}
         assert status == {"random_walk": (status["random_walk"][0], "ok"), "llm": (status["llm"][0], "failed")}
-        assert [Path(p).stem for p in read] == [status["llm"][0]]
+        assert read == []
+        assert read_trajectory(out_dir / "runs" / f"{status['llm'][0]}.jsonl")[1]
         rows = read_summary(out_dir / "reports" / "running_best.csv")
         assert {r["digest"] for r in rows} == {digest for digest, _ in status.values()}
 
@@ -771,6 +773,16 @@ class TestSweep:
         cut = sum(len(line) for line in lines[:middle]) + len(lines[middle]) // 2
         (out_dir / "runs" / torn).write_bytes(data[:cut])
         self.rerun_touches_only(path, out_dir, runs, torn)
+
+    def test_resume_warns_once_of_a_torn_cell_file_and_reruns_it(self, tmp_path, caplog):
+        path, out_dir, runs = self.resumable_sweep(tmp_path, 1)
+        torn = sorted(runs)[0]
+        last = runs[torn].splitlines(keepends=True)[-1]
+        (out_dir / "runs" / torn).write_bytes(runs[torn][: -len(last) // 2])  # half of the last step
+        with caplog.at_level("WARNING"):
+            self.rerun_touches_only(path, out_dir, runs, torn)
+        skipped = [r.message for r in caplog.records if "skipping" in r.message]
+        assert len(skipped) == 1 and torn in skipped[0]
 
     @pytest.mark.parametrize(
         "edit",
@@ -1225,7 +1237,10 @@ class TestReportExports:
                 exported.append((p, len(runs))) or export(p, runs, *paths)))
         monkeypatch.setattr(cli, "load_csv", refuse)
         monkeypatch.setattr(data, "load_csv", refuse)
-        cli._export_reports(tmp_path / "results" / "runs", tmp_path / "report", {pool.digest(): pool})
+        pools = {pool.digest(): pool}
+        runs = cli._read_runs(tmp_path / "results" / "runs", pools)
+        assert pools == {pool.digest(): pool} and len(runs) == 4
+        cli._export_reports(tmp_path / "report", pools, [run for _, run in runs.values()])
         assert len(exported) == 2 and all(p is pool and n == 4 for p, n in exported)
         assert len(list((tmp_path / "report").glob("*.csv"))) == 6
 

@@ -370,6 +370,26 @@ class TestMatchToPool:
         assert cid == 1
         assert any("falling back" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "reply",
+        [[], [(-1, 0.9)], [(3, 0.9)], [(50, 0.9)], [(0, float("nan"))], [(0, float("inf"))]],
+        ids=["empty", "negative-index", "index-past-end", "far-index", "nan-score", "infinite-score"],
+    )
+    def test_unusable_rerank_reply_falls_back_to_nearest(self, caplog, reply):
+        class Replying:
+            def rerank(self, query, documents, top_n=1):
+                assert len(documents) == 3
+                return reply
+
+        pool = two_feature_pool()
+        parsed = {"x1": 4.0, "x2": 6.0}
+        diag = {}
+        with caplog.at_level("WARNING", logger="albench.llm"):
+            got = match_to_pool(parsed, "raw", pool, [0, 1, 2], rerank_client=Replying(), diag=diag)
+        assert got == match_to_pool(parsed, "raw", pool, [0, 1, 2])
+        assert diag == {"rerank_fallback": 1.0}
+        assert any("falling back" in r.message for r in caplog.records)
+
     def test_rerank_fallback_is_recorded_in_the_step(self):
         pool = two_feature_pool()
         client = ConstantChatClient("```\nx1: 4\nx2: 6\n```")
