@@ -16,6 +16,7 @@ from Monte-Carlo forward passes.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -228,8 +229,6 @@ def _normal_rows(rng: np.random.Generator, size: int, count: int):
     to the end) to join the helper. The helper calls no albench function,
     so a tracer that wraps them sees only the caller's thread.
     """
-    from concurrent.futures import ThreadPoolExecutor  # at module top it would slow `import albench`
-
     blocks = np.empty((2, _NOISE_BLOCK, size))
     starts = range(0, count, _NOISE_BLOCK)
 

@@ -280,18 +280,25 @@ def expand_sweep(cfg: dict) -> list[dict]:
 def _read_runs(results_dir: Path, pools: dict[str, Dataset]) -> dict[Path, tuple[dict, Trajectory]]:
     """Every run stored in `results_dir`, read once, in path order: {path:
     (header, run)}. Each is rebuilt on `pools[its header's pool digest]`; a
-    missing pool is rebuilt from the header and added. A file that is
-    unreadable, torn, header-only, has a malformed step or ran on a changed
-    pool is skipped, with a warning."""
-    runs = {}
+    missing pool is rebuilt from the header and added; one that fails to
+    rebuild is tried once, and every file naming it is skipped for the same
+    reason. A file that is unreadable, torn, header-only, has a malformed
+    step or ran on a changed pool is skipped, with a warning."""
+    runs, unbuilt = {}, {}  # unbuilt: {pool digest: why its rebuild failed}
     for path in sorted(results_dir.glob("*.jsonl")):
         try:
             header, steps = read_trajectory(path)
             if not steps:
                 raise ConfigError("the run has no steps")
             digest = header.get("dataset_digest", "")
+            if digest in unbuilt:
+                raise unbuilt[digest]
             if digest not in pools:
-                pools[digest] = dataset_from_header_entry(header.get("dataset"))
+                try:
+                    pools[digest] = dataset_from_header_entry(header.get("dataset"))
+                except _UNREADABLE as exc:
+                    unbuilt[digest] = exc
+                    raise
             runs[path] = header, rebuild_trajectory(header, steps, pools[digest])
         except _UNREADABLE as exc:
             logger.warning("skipping %s: %s", path, exc)

@@ -306,8 +306,11 @@ def rebuild_trajectory(header: dict, steps: list[StepRecord], dataset: Dataset) 
     """Reconstruct a Trajectory from a parsed file, against its pool, with
     `make_trajectory`: the header's run config digest is not read.
 
-    ConfigError when the header's run config is malformed, or `dataset` is
-    not the pool the run recorded (an edited CSV, for one).
+    ConfigError when the header's run config is malformed, `dataset` is not
+    the pool the run recorded (an edited CSV, for one), or a step's
+    candidate id is outside `dataset` or repeats an earlier one; the last
+    names the first such iteration, and is checked before anything indexes
+    the pool.
     """
     trajectory = make_trajectory(RunConfig.from_dict(header["run_config"]), dataset, steps)
     recorded, actual = header.get("dataset_digest", ""), trajectory.dataset_digest
@@ -316,4 +319,12 @@ def rebuild_trajectory(header: dict, steps: list[StepRecord], dataset: Dataset) 
             f"the pool has digest {actual} but the run recorded {recorded}; "
             "was the dataset edited after the run?"
         )
+    seen = set()
+    for step in steps:
+        if not 0 <= step.candidate_id < len(dataset):
+            raise ConfigError(f"iteration {step.iteration}: candidate_id {step.candidate_id} is outside the "
+                              f"{len(dataset)}-row pool")
+        if step.candidate_id in seen:
+            raise ConfigError(f"iteration {step.iteration}: candidate_id {step.candidate_id} repeats an earlier id")
+        seen.add(step.candidate_id)
     return trajectory

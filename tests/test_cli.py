@@ -805,11 +805,12 @@ class TestSweep:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("candidate_id", 7.7), ("observed_value", float("nan")), ("running_best", float("inf")),
-            ("match_score", "0.5"), ("match_score", True), ("proposal_text", 5), ("surrogate_diag", [1.0]),
+            ("candidate_id", 7.7), ("candidate_id", 9999), ("observed_value", float("nan")),
+            ("running_best", float("inf")), ("match_score", "0.5"), ("match_score", True), ("proposal_text", 5),
+            ("surrogate_diag", [1.0]),
         ],
         ids=[
-            "fractional-id", "nan-value", "infinite-best",
+            "fractional-id", "out-of-pool-id", "nan-value", "infinite-best",
             "string-score", "boolean-score", "number-text", "list-diag",
         ],
     )
@@ -1070,7 +1071,9 @@ class TestReport:
         assert any("skipping" in r.message and "bad.jsonl" in r.message for r in caplog.records)
 
     @pytest.mark.parametrize(
-        "key, value", [("candidate_id", 7.7), ("observed_value", float("nan"))], ids=["fractional-id", "nan-value"]
+        "key, value",
+        [("candidate_id", 7.7), ("candidate_id", 9999), ("observed_value", float("nan"))],
+        ids=["fractional-id", "out-of-pool-id", "nan-value"],
     )
     def test_file_with_a_malformed_step_skipped_with_warning(self, tmp_path, caplog, key, value):
         good = tmp_path / "good.jsonl"
@@ -1111,6 +1114,30 @@ class TestReport:
         skipped = [r.message for r in caplog.records if "skipping" in r.message]
         assert len(skipped) == 2
         assert all(recorded in m and current in m for m in skipped)
+
+    def test_pool_that_fails_to_rebuild_is_tried_once(self, tmp_path, caplog, monkeypatch):
+        from albench import data
+
+        csv_path = tmp_path / "pool.csv"
+        csv_path.write_text("x1,x2,y\n" + "".join(f"{i},{i % 3},{(i * 7) % 11}\n" for i in range(12)))
+        spec = {"name": "pool", "csv_path": str(csv_path), "target_column": "y", "goal": "maximize"}
+        config = tmp_path / "sweep.json"
+        config.write_text(
+            json.dumps({"dataset": spec, "proposers": ["random_walk"], "seeds": [38, 39, 40], "parallelism": 1})
+        )
+        out_dir = tmp_path / "results"
+        assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == EXIT_OK
+        csv_path.unlink()
+        load, calls = data.load_csv, []
+        monkeypatch.setattr(data, "load_csv", lambda spec: calls.append(spec) or load(spec))
+        with caplog.at_level("WARNING"):
+            code = main(["report", "--results", str(out_dir / "runs"), "--out-dir", str(tmp_path / "reports")])
+        assert code == EXIT_CONFIG
+        assert len(calls) == 1
+        skipped = [r.message for r in caplog.records if "skipping" in r.message]
+        paths = sorted((out_dir / "runs").glob("*.jsonl"))
+        assert [m.split(": ")[0] for m in skipped] == [f"skipping {p}" for p in paths]
+        assert len({m.split(": ", 1)[1] for m in skipped}) == 1 and "pool.csv" in skipped[0]
 
     def test_empty_directory_nonzero_exit(self, tmp_path):
         empty = tmp_path / "empty"

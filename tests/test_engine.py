@@ -358,6 +358,20 @@ class TestTrajectoryIO:
             rebuild_trajectory(header, steps, edited)
         assert ramp_pool.digest() in str(info.value) and edited.digest() in str(info.value)
 
+    @pytest.mark.parametrize(
+        "new_id, reason",
+        [(lambda steps: 5, "candidate_id 5 is outside the 5-row pool"),
+         (lambda steps: steps[0].candidate_id, "repeats an earlier id")],
+        ids=["outside-the-pool", "repeated"],
+    )
+    def test_rebuild_names_the_first_step_with_a_bad_id(self, tmp_path, ramp_pool, new_id, reason):
+        cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=6, n_initial=2)
+        write_trajectory(run_active_learning(ramp_pool, cfg, RandomWalkProposer(6)), tmp_path / "t.jsonl")
+        header, steps = read_trajectory(tmp_path / "t.jsonl")
+        steps[-1] = replace(steps[-1], candidate_id=new_id(steps))
+        with pytest.raises(ConfigError, match=f"^iteration {len(steps) - 1}: .*{reason}$"):
+            rebuild_trajectory(header, steps, ramp_pool)
+
     @pytest.mark.parametrize("header", ['"run_config"', '["run_config"]'])
     def test_header_that_is_not_an_object_is_config_error(self, tmp_path, header):
         (tmp_path / "t.jsonl").write_text(header + "\n")

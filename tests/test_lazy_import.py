@@ -1,9 +1,10 @@
-"""scipy loads only for GPR, and set-up loads no concurrent.futures: checked in
-fresh interpreters.
+"""`import albench` loads no submodule, set-up loads only what reading a pool
+needs, and scipy loads only for GPR: checked in fresh interpreters.
 
-`albench.gpr` imports scipy.linalg and scipy.optimize, which take most of
-albench's start-up time. Each test runs a script in a new process with
-PYTHONPATH=src and reads back which modules it loaded.
+Each public name's module loads on first access, so a caller pays only for
+what it uses; `albench.gpr` imports scipy.linalg and scipy.optimize, the
+largest part of albench's start-up time. Each test runs a script in a new
+process with PYTHONPATH=src and reads back which modules it loaded.
 """
 
 import json
@@ -42,16 +43,32 @@ def test_import_loads_no_scipy_and_no_requests(tmp_path):
     assert loaded == {"scipy.linalg": False, "scipy.optimize": False, "requests": False}
 
 
-def test_setup_imports_load_no_concurrent_futures(tmp_path):
+def test_import_loads_no_submodule_and_no_numpy(tmp_path):
+    script = """
+    import json, sys
+    import albench
+
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("albench") or m == "numpy")))
+    """
+    assert run_fresh(script, tmp_path) == ["albench"]
+
+
+def test_setup_imports_load_only_what_reading_a_pool_needs(tmp_path):
     # the benchmark's setup probe imports these; concurrent.futures costs
     # milliseconds, so it loads only where a pool is used (cli, BNN noise)
     script = """
     import json, sys
     import albench, albench.clients, albench.data
 
-    print(json.dumps({"concurrent.futures": "concurrent.futures" in sys.modules}))
+    print(json.dumps({
+        "albench": sorted(m for m in sys.modules if m.startswith("albench")),
+        "concurrent.futures": "concurrent.futures" in sys.modules,
+    }))
     """
-    assert run_fresh(script, tmp_path) == {"concurrent.futures": False}
+    assert run_fresh(script, tmp_path) == {
+        "albench": ["albench", "albench.clients", "albench.data", "albench.errors", "albench.types"],
+        "concurrent.futures": False,
+    }
 
 
 def test_non_gpr_runs_and_report_load_no_scipy(tmp_path):
@@ -78,22 +95,28 @@ def test_non_gpr_runs_and_report_load_no_scipy(tmp_path):
     assert (tmp_path / "reports" / "running_best.csv").exists()
 
 
-def test_gpr_names_resolve_lazily(tmp_path):
+def test_public_names_resolve_lazily(tmp_path):
     script = """
     import json, sys
     import albench
 
     before = "scipy.linalg" in sys.modules
     fit = albench.fit_gpr
-    from albench import gpr
+    from albench import engine, gpr
     namespace = {}
     exec("from albench import *", namespace)
+    public = {n: getattr(albench, n) for n in albench.__all__}
     print(json.dumps({
         "before": before,
         "fit_is_gpr_fit": fit is gpr.fit_gpr,
+        "engine_is_the_module": engine is sys.modules["albench.engine"],
         "star_missing": [n for n in albench.__all__ if n not in namespace],
         "dir_missing": sorted(set(albench.__all__) - set(dir(albench))),
-        "unresolved": [n for n in albench.__all__ if getattr(albench, n, None) is None],
+        "not_the_defined_object": [
+            n for n, obj in public.items()
+            if not obj.__module__.startswith("albench.")
+            or getattr(sys.modules[obj.__module__], n) is not obj or namespace[n] is not obj
+        ],
         "loaded": "scipy.linalg" in sys.modules,
     }))
     """
@@ -101,9 +124,10 @@ def test_gpr_names_resolve_lazily(tmp_path):
     assert result == {
         "before": False,
         "fit_is_gpr_fit": True,
+        "engine_is_the_module": True,
         "star_missing": [],
         "dir_missing": [],
-        "unresolved": [],
+        "not_the_defined_object": [],
         "loaded": True,
     }
 
