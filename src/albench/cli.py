@@ -22,10 +22,9 @@ from . import analytics
 from .clients import (
     ConstantChatClient, LiveChatClient, LiveRerankClient, ScriptedChatClient, TokenBucket, load_fixtures,
 )
-from .data import DatasetSpec, dataset_from_header_entry, dataset_header_entry, load_csv, parse_synthetic_string
+from .data import DatasetSpec, load_csv, parse_synthetic_string
 from .engine import read_trajectory, rebuild_trajectory, run_active_learning, write_trajectory
 from .errors import AlbenchError, ConfigError, RunAborted
-from .proposers import DEFAULT_SETTINGS, FIT_PREDICT, MODEL_SECTIONS, ProposerSettings, make_proposer
 from .types import (
     Dataset, PromptFormat, ProposerKind, RunConfig, Trajectory, check_keys, is_int, is_real, read_config,
 )
@@ -41,21 +40,28 @@ EXIT_PARTIAL_SWEEP = 3
 # --- config assembly ---------------------------------------------------------
 
 
-def build_dataset(spec_like) -> tuple[Dataset, dict]:
-    """Resolve a dataset description into (pool, header entry).
+def build_dataset(description) -> tuple[Dataset, dict]:
+    """Build the pool that `description` names: (pool, its header entry).
 
-    Accepts 'synthetic:<kind>:<n>[:<seed>]' strings, header entries, and
-    `dataset` objects, which `DatasetSpec.from_dict` checks.
+    The one reader of pool descriptions, for `run`, `sweep` and `report`.
+    A string reads as the header entry {"source": string}; a `dataset`
+    object without "source" is checked by `DatasetSpec.from_dict` and reads
+    as the CSV entry {name, goal, "source": "csv", spec}. An entry whose
+    source is 'synthetic:<kind>:<n>[:<seed>]', or "csv" with a spec, is
+    built; anything else is a ConfigError.
     """
-    if isinstance(spec_like, str):
-        if spec_like.startswith("synthetic:"):
-            return parse_synthetic_string(spec_like), {"source": spec_like}
-        raise ConfigError(f"unrecognized dataset string {spec_like!r}")
-    if isinstance(spec_like, dict) and "source" in spec_like:  # header entry round-trip
-        return dataset_from_header_entry(spec_like), dict(spec_like)
-    spec = DatasetSpec.from_dict(spec_like)
-    dataset = load_csv(spec)
-    return dataset, dataset_header_entry(dataset, spec)
+    entry = description
+    if isinstance(description, str):
+        entry = {"source": description}
+    elif isinstance(description, dict) and "source" not in description:
+        spec = DatasetSpec.from_dict(description)
+        entry = {"name": spec.name, "goal": spec.goal.value, "source": "csv", "spec": spec.to_dict()}
+    source = entry.get("source") if isinstance(entry, dict) else None
+    if isinstance(source, str) and source.startswith("synthetic:"):
+        return parse_synthetic_string(source), entry
+    if source == "csv" and entry.get("spec"):
+        return load_csv(DatasetSpec.from_dict(entry["spec"])), entry
+    raise ConfigError(f"cannot build a pool from dataset {description!r}")
 
 
 # The top-level keys that each command reads; any other key is a ConfigError.
@@ -129,6 +135,8 @@ def proposer_factory(cfg: dict, kinds, workers: int = 1, **flags):
     client; workers drops to 1 when LLM runs call a live client with no rate
     limit, so that their calls are serialized.
     """
+    from .proposers import DEFAULT_SETTINGS, MODEL_SECTIONS, ProposerSettings, make_proposer  # not on `report`'s path
+
     llm = replace(read_config(LLMConfig, cfg.get("llm"), "llm"), **flags)
     rerank_client = _rerank_client(llm.matcher)
     llm_runs = ProposerKind.LLM in kinds
@@ -234,6 +242,7 @@ _UNREADABLE = (OSError, ValueError, KeyError, TypeError, AlbenchError)
 
 def expand_sweep(cfg: dict) -> list[dict]:
     """Factorial grid over proposers, alphas, seeds, repeats, and formats."""
+    from .proposers import FIT_PREDICT
 
     def axis(key, default, allowed, what):
         values = cfg.get(key, default)
@@ -295,7 +304,7 @@ def _read_runs(results_dir: Path, pools: dict[str, Dataset]) -> dict[Path, tuple
                 raise unbuilt[digest]
             if digest not in pools:
                 try:
-                    pools[digest] = dataset_from_header_entry(header.get("dataset"))
+                    pools[digest] = build_dataset(header.get("dataset"))[0]
                 except _UNREADABLE as exc:
                     unbuilt[digest] = exc
                     raise

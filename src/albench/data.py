@@ -219,57 +219,38 @@ def synthetic_pool(kind: SyntheticKind | str, n: int, seed: int) -> Dataset:
     if n < 4:
         raise ConfigError(f"synthetic pools need n >= 4, got {n}")
     rng = np.random.default_rng(seed)
-
     if kind is SyntheticKind.QUADRATIC2D:
-        side = math.ceil(math.sqrt(n))
-        lattice = np.linspace(-1.0, 1.0, side)
-        spacing = lattice[1] - lattice[0] if side > 1 else 1.0
+        lattice = np.linspace(-1.0, 1.0, math.ceil(math.sqrt(n)))  # n >= 4: two points a side or more
+        spacing = lattice[1] - lattice[0]
         xx, yy = np.meshgrid(lattice, lattice, indexing="ij")
-        points = np.column_stack([xx.ravel(), yy.ravel()])[:n]
-        points = points + rng.uniform(-0.3 * spacing, 0.3 * spacing, size=points.shape)
-        return Dataset(
-            name=f"quadratic2d_n{n}_s{seed}",
-            feature_matrix=points,
-            targets=-(points[:, 0] ** 2 + points[:, 1] ** 2),
-            feature_names=["x1", "x2"],
-            target_name="y",
-            goal=Goal.MAXIMIZE,
-            context="A two-dimensional response surface with a single peak near the origin.",
-        )
-
-    if kind is SyntheticKind.LINEAR1D:
+        grid = np.column_stack([xx.ravel(), yy.ravel()])[:n]
+        x = grid + rng.uniform(-0.3 * spacing, 0.3 * spacing, size=grid.shape)
+        features, names, targets = x, ["x1", "x2"], -(x[:, 0] ** 2 + x[:, 1] ** 2)
+        context = "A two-dimensional response surface with a single peak near the origin."
+    else:
         base = np.linspace(0.0, 1.0, n)
         gap = base[1] - base[0]
         x = base + rng.uniform(-0.4 * gap, 0.4 * gap, size=n)
-        return Dataset(
-            name=f"linear1d_n{n}_s{seed}",
-            feature_matrix=x[:, None],
-            targets=x,
-            feature_names=["x"],
-            target_name="y",
-            goal=Goal.MAXIMIZE,
-            context="A one-dimensional linear response.",
-        )
-
-    # plateau_mix: levels 0.0 / 0.5 / 1.0, with the top level on two
-    # disjoint x-intervals so the optimal value is attained by several rows.
-    base = np.linspace(0.0, 1.0, n)
-    gap = base[1] - base[0]
-    x = base + rng.uniform(-0.4 * gap, 0.4 * gap, size=n)
-    targets = np.zeros(n)
-    targets[((x >= 0.15) & (x < 0.3)) | ((x >= 0.7) & (x < 0.85))] = 1.0
-    targets[(x >= 0.4) & (x < 0.6)] = 0.5
-    if not np.any(targets == 1.0):  # tiny n can miss both intervals; pin two rows
-        targets[0] = 1.0
-        targets[-1] = 1.0
+        features, names, targets = x[:, None], ["x"], x
+        context = "A one-dimensional linear response."
+        if kind is SyntheticKind.PLATEAU_MIX:
+            # levels 0.0 / 0.5 / 1.0, with the top level on two disjoint
+            # x-intervals so the optimal value is attained by several rows.
+            targets = np.zeros(n)
+            targets[((x >= 0.15) & (x < 0.3)) | ((x >= 0.7) & (x < 0.85))] = 1.0
+            targets[(x >= 0.4) & (x < 0.6)] = 0.5
+            if not np.any(targets == 1.0):  # tiny n can miss both intervals; pin two rows
+                targets[0] = 1.0
+                targets[-1] = 1.0
+            context = "A stepped response with two equally good plateaus."
     return Dataset(
-        name=f"plateau_mix_n{n}_s{seed}",
-        feature_matrix=x[:, None],
+        name=f"{kind.value}_n{n}_s{seed}",
+        feature_matrix=features,
         targets=targets,
-        feature_names=["x"],
+        feature_names=names,
         target_name="y",
         goal=Goal.MAXIMIZE,
-        context="A stepped response with two equally good plateaus.",
+        context=context,
     )
 
 
@@ -284,21 +265,3 @@ def parse_synthetic_string(text: str) -> Dataset:
         return synthetic_pool(kind, int(n), int(seed))
     except ValueError as exc:
         raise ConfigError(f"bad synthetic dataset string {text!r}: {exc}") from None
-
-
-def dataset_header_entry(dataset: Dataset, spec: DatasetSpec) -> dict:
-    """Header-embeddable description of the CSV pool loaded with `spec`:
-    enough to rebuild it for reporting."""
-    return {"name": dataset.name, "goal": dataset.goal.value, "source": "csv", "spec": spec.to_dict()}
-
-
-def dataset_from_header_entry(entry: dict) -> Dataset:
-    """Rebuild the pool a trajectory ran on, from its header entry."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"cannot rebuild dataset from header entry {entry!r}")
-    source = entry.get("source", "")
-    if isinstance(source, str) and source.startswith("synthetic:"):
-        return parse_synthetic_string(source)
-    if source == "csv" and entry.get("spec"):
-        return load_csv(DatasetSpec.from_dict(entry["spec"]))
-    raise ConfigError(f"cannot rebuild dataset from header entry {entry!r}")

@@ -92,30 +92,24 @@ def standardize_features(reference, query) -> np.ndarray:
     return ZScore.fit(reference).apply(query)
 
 
-def pool_zscores(dataset: Dataset) -> tuple[ZScore, np.ndarray]:
-    """The pool's own z-score and its standardized feature matrix (read-only).
+def pool_zscores(dataset: Dataset) -> tuple[ZScore, np.ndarray, np.ndarray]:
+    """The pool's own z-score, its standardized feature matrix, and that
+    matrix stored feature by feature: a C-contiguous (features, rows) copy,
+    so one pass over a feature reads contiguous memory. Both matrices are
+    read-only.
 
-    Both are computed on the first call and cached on the Dataset, which is
-    immutable, so the matcher and the analytics share one full-pool scale.
-    Row i of the matrix is bit-identical to standardizing row i alone.
+    All three are computed on the first call and cached on the Dataset,
+    which is immutable, so the matcher and the analytics share one
+    full-pool scale. Row i of the matrix is bit-identical to standardizing
+    row i alone.
     """
     if dataset._pool_z is None:
         scale = ZScore.fit(dataset.feature_matrix)
         z = scale.apply(dataset.feature_matrix)
-        z.flags.writeable = False
-        object.__setattr__(dataset, "_pool_z", (scale, z))
+        zt = np.ascontiguousarray(z.T)
+        z.flags.writeable = zt.flags.writeable = False
+        object.__setattr__(dataset, "_pool_z", (scale, z, zt))
     return dataset._pool_z
-
-
-def pool_zcolumns(dataset: Dataset) -> np.ndarray:
-    """The matrix of `pool_zscores` stored feature by feature: a read-only,
-    C-contiguous (features, rows) copy, cached on the Dataset the same way,
-    so one pass over a feature reads contiguous memory."""
-    if dataset._pool_zt is None:
-        zt = np.ascontiguousarray(pool_zscores(dataset)[1].T)
-        zt.flags.writeable = False
-        object.__setattr__(dataset, "_pool_zt", zt)
-    return dataset._pool_zt
 
 
 def unlabeled_pool_ids(pool_size: int, observed_ids: Sequence[int]) -> np.ndarray:
@@ -215,7 +209,7 @@ def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer)
                 f"proposer returned already-observed candidate id {cid} at iteration {len(steps)}"
             )
         if not 0 <= cid < pool_size:
-            raise ProtocolViolationError(f"proposer returned unknown candidate id {cid}")
+            raise ProtocolViolationError(f"proposer returned unknown candidate id {cid} at iteration {len(steps)}")
         observe(cid, suggestion)
 
     return make_trajectory(config, dataset, steps)

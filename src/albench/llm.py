@@ -19,7 +19,7 @@ import numpy as np
 
 from .acquisition import random_walk_select
 from .clients import ChatClient, RerankClient
-from .engine import STREAM_LLM, Suggestion, pool_zcolumns, pool_zscores, substream, unlabeled_pool_ids
+from .engine import STREAM_LLM, Suggestion, pool_zscores, substream, unlabeled_pool_ids
 from .engine import standardize_features  # noqa: F401 -- bench/spans.py traces calls under this name
 from .errors import ProposalParseError, ProposerError, TransportError
 from .types import Dataset, Goal, PromptFormat, ProposerKind
@@ -230,9 +230,9 @@ def _offline_nearest(
     minimum, a band that holds every row whose exact distance ties the
     minimum, so the id and the score keep that formula's bits for any d.
     """
-    scale, z_pool = pool_zscores(dataset)
+    scale, z_pool, z_columns = pool_zscores(dataset)
     query = scale.apply([parsed[name] for name in dataset.feature_names])[0]
-    diff = pool_zcolumns(dataset) - query[:, None]
+    diff = z_columns - query[:, None]
     np.multiply(diff, diff, out=diff)
     sq = diff.sum(axis=0)[unlabeled_ids]
     band = unlabeled_ids[sq <= sq.min() * (1 + 4 * len(query) * np.finfo(np.float64).eps)]

@@ -173,7 +173,6 @@ class Dataset:
 
     _digest: Optional[str] = field(default=None, init=False, repr=False)
     _pool_z: Optional[tuple] = field(default=None, init=False, repr=False)
-    _pool_zt: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         matrix = np.array(self.feature_matrix, dtype=np.float64)
@@ -195,9 +194,9 @@ class Dataset:
 
     def __setstate__(self, state: dict) -> None:
         """Unpickling: the arrays arrive writable, so make them read-only
-        again. The cached digest is kept; the z-scores and their copy are
-        recomputed on first use."""
-        self.__dict__.update(state, _pool_z=None, _pool_zt=None)
+        again. The cached digest is kept; the z-scores are recomputed on
+        first use."""
+        self.__dict__.update(state, _pool_z=None)
         for arr in (self.feature_matrix, self.targets):
             arr.flags.writeable = False
 

@@ -193,6 +193,52 @@ class TestMalformedConfig:
         assert not out.exists()
 
 
+class TestBuildDataset:
+    """`build_dataset` reads each form of pool description, and the header
+    entry it returns rebuilds the same pool and the same entry."""
+
+    def forms(self, tmp_path):
+        lab = tmp_path / "lab.csv"
+        lab.write_text("a,b,y\n" + "".join(f"{i},{i % 4},{(i * 5) % 9}\n" for i in range(10)))
+        membrane = tmp_path / "membrane.csv"
+        membrane.write_text("p,t,elastic_modulus\n" + "".join(f"{i},{i % 7},{i * 3 % 11}\n" for i in range(73)))
+        return {
+            "synthetic string": "synthetic:plateau_mix:9:4",
+            "dataset object": {"name": "lab", "csv_path": str(lab), "target_column": "y", "goal": "minimize",
+                               "feature_columns": ["b", "a"], "context": "two knobs"},
+            "registry object": {"registry": "membrane", "csv_path": str(membrane)},
+        }
+
+    @pytest.mark.parametrize("form", ["synthetic string", "dataset object", "registry object"])
+    def test_header_entry_rebuilds_the_same_pool_and_entry(self, tmp_path, form):
+        description = self.forms(tmp_path)[form]
+        pool, entry = cli.build_dataset(description)
+        again, entry_again = cli.build_dataset(json.loads(json.dumps(entry)))
+        assert again.digest() == pool.digest()
+        assert json.dumps(entry_again) == json.dumps(entry)
+        if isinstance(description, str):
+            assert entry == {"source": description}
+        else:
+            assert list(entry) == ["name", "goal", "source", "spec"] and entry["source"] == "csv"
+            assert (entry["name"], entry["goal"]) == (pool.name, pool.goal.value)
+
+    def test_registry_object_starts_from_the_registry_entry(self, tmp_path):
+        pool, entry = cli.build_dataset(self.forms(tmp_path)["registry object"])
+        assert (pool.name, pool.target_name, len(pool)) == ("membrane", "elastic_modulus", 73)
+        assert entry["spec"]["expected_rows"] == 73 and entry["goal"] == "maximize"
+
+    @pytest.mark.parametrize(
+        "description",
+        ["quadratic2d:20", "csv", 7, ["synthetic:linear1d:8"], {"source": "csv"}, {"source": "csv", "spec": None},
+         None],
+        ids=["plain string", "source-like string", "number", "list", "csv without spec", "csv with null spec",
+             "null"],
+    )
+    def test_other_descriptions_are_config_errors(self, description):
+        with pytest.raises(ConfigError):
+            cli.build_dataset(description)
+
+
 class TestRun:
     def test_happy_path(self, tmp_path, capsys):
         out = tmp_path / "traj.jsonl"
@@ -1116,8 +1162,6 @@ class TestReport:
         assert all(recorded in m and current in m for m in skipped)
 
     def test_pool_that_fails_to_rebuild_is_tried_once(self, tmp_path, caplog, monkeypatch):
-        from albench import data
-
         csv_path = tmp_path / "pool.csv"
         csv_path.write_text("x1,x2,y\n" + "".join(f"{i},{i % 3},{(i * 7) % 11}\n" for i in range(12)))
         spec = {"name": "pool", "csv_path": str(csv_path), "target_column": "y", "goal": "maximize"}
@@ -1128,8 +1172,8 @@ class TestReport:
         out_dir = tmp_path / "results"
         assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == EXIT_OK
         csv_path.unlink()
-        load, calls = data.load_csv, []
-        monkeypatch.setattr(data, "load_csv", lambda spec: calls.append(spec) or load(spec))
+        load, calls = cli.load_csv, []
+        monkeypatch.setattr(cli, "load_csv", lambda spec: calls.append(spec) or load(spec))
         with caplog.at_level("WARNING"):
             code = main(["report", "--results", str(out_dir / "runs"), "--out-dir", str(tmp_path / "reports")])
         assert code == EXIT_CONFIG

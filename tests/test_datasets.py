@@ -14,7 +14,7 @@ from albench.data import (
     registry_by_name,
     synthetic_pool,
 )
-from albench.engine import pool_zcolumns, pool_zscores, standardize_features
+from albench.engine import pool_zscores, standardize_features
 from albench.errors import ConfigError, CsvParseError, EmptyDatasetError, SchemaError
 from albench.types import Dataset, Goal
 
@@ -184,6 +184,41 @@ class TestSyntheticPools:
             c = synthetic_pool(kind, 24, seed=10)
             assert c.digest() != a.digest()
 
+    # Recorded before the three kinds shared one constructor: each pool's
+    # digest covers its name, values, columns, goal and context, so a changed
+    # draw order, formula or field shows here. quadratic2d at n=7 fills part
+    # of a 3x3 grid; plateau_mix at n=4, seed 1 has no row on a top interval
+    # and pins rows 0 and 3.
+    DIGESTS = {
+        ("quadratic2d", 4, 0): "993dc54ad64470164a163f13f9b12d1a272f522162f8adcb3c9bd382e80e8f5d",
+        ("quadratic2d", 4, 1): "3d8e87316c9f30266ef3c5e451d4c18af91f36c2209eeea179bd16763032f1c1",
+        ("quadratic2d", 7, 3): "56388e04b7b22cecfe414592dc3b3ab3b9d8471682a474873adece2a7dc3a64b",
+        ("quadratic2d", 24, 9): "399a07b104b8a909aed6e2401e8f9b0d61eb30ee1e5bc8fb7ffddeba49814b43",
+        ("quadratic2d", 101, 42): "a4a5d0c323b6c0ffb89127d7198bba33cc363d03539173fc03efe1d9a778331a",
+        ("linear1d", 4, 0): "9d56f5ff61ce9e701ab39c41df4daec0640765d6e68e8299e399cdbfcf3d0135",
+        ("linear1d", 7, 3): "68449b2f131d0db1fc906839704d523a0d1c9caf73bdb138e696ed85e9dc4928",
+        ("linear1d", 24, 9): "4149507a9c30dd8cad5db9b276d4613904c564f8c2545aa5f15c0660fc10824c",
+        ("linear1d", 101, 42): "03c16cd9c1c2852c35d7dc745972d8f7b896d4da09aaa8d35ad7d90c6dfe58f2",
+        ("plateau_mix", 4, 0): "4a9137820030e298e8849c27b09fcd18c56fa97c941f23b89ba1a1f11094c3c9",
+        ("plateau_mix", 4, 1): "8cabadf93af86963b36904781f1b4c84871e710feda40086dc77a8af0c8adeef",
+        ("plateau_mix", 7, 3): "a128ccf73a23679f73408d11714614d4402c66a825e14c5551d7984db5d804fe",
+        ("plateau_mix", 24, 9): "1ec5498ecae3e3296f1b8de5c5ce65d60171cf3fa71091c5f934ff5d6c5c3472",
+        ("plateau_mix", 101, 42): "b655a672d48e306b31304be69e105ea59cf723b2e0292fa87d87360f73784e3f",
+    }
+
+    @pytest.mark.parametrize("kind, n, seed", sorted(DIGESTS))
+    def test_digest_is_pinned(self, kind, n, seed):
+        ds = synthetic_pool(kind, n, seed)
+        assert ds.name == f"{kind}_n{n}_s{seed}" and len(ds) == n
+        assert ds.digest() == self.DIGESTS[kind, n, seed]
+
+    def test_plateau_n4_seed1_takes_the_pin_path(self):
+        ds = synthetic_pool("plateau_mix", 4, seed=1)
+        x = ds.feature_matrix[:, 0]
+        on_top = ((x >= 0.15) & (x < 0.3)) | ((x >= 0.7) & (x < 0.85))
+        assert not on_top.any()
+        assert ds.targets.tolist() == [1.0, 0.5, 0.5, 1.0]
+
     def test_n_too_small(self):
         with pytest.raises(ConfigError):
             synthetic_pool("linear1d", 3, seed=0)
@@ -263,7 +298,7 @@ class TestPoolCaches:
 
     def test_cached_z_matrix_is_read_only(self):
         ds = synthetic_pool("quadratic2d", 24, seed=9)
-        scale, z = pool_zscores(ds)
+        scale, z, _ = pool_zscores(ds)
         assert not z.flags.writeable
         with pytest.raises(ValueError):
             z[0, 0] = 1.0
@@ -272,7 +307,7 @@ class TestPoolCaches:
 
     def test_unpickled_pool_is_read_only_and_keeps_its_digest(self):
         ds = synthetic_pool("quadratic2d", 24, seed=9)
-        digest, (_, z) = ds.digest(), pool_zscores(ds)
+        digest, (_, z, _) = ds.digest(), pool_zscores(ds)
         copy = pickle.loads(pickle.dumps(ds))
         assert copy == ds and copy._digest == digest
         for arr in (copy.feature_matrix, copy.targets):
@@ -285,13 +320,13 @@ class TestPoolCaches:
 
     def test_unpickled_pool_rebuilds_an_equal_column_major_copy(self):
         ds = synthetic_pool("quadratic2d", 24, seed=9)
-        zt = pool_zcolumns(ds)
+        zt = pool_zscores(ds)[2]
         assert zt.flags.c_contiguous and not zt.flags.writeable
         assert zt.tobytes() == np.ascontiguousarray(pool_zscores(ds)[1].T).tobytes()
-        assert pool_zcolumns(ds) is zt
+        assert pool_zscores(ds)[2] is zt
         copy = pickle.loads(pickle.dumps(ds))
-        assert copy._pool_zt is None
-        copy_zt = pool_zcolumns(copy)
+        assert copy._pool_z is None
+        copy_zt = pool_zscores(copy)[2]
         assert copy_zt.flags.c_contiguous and not copy_zt.flags.writeable
         assert copy_zt.shape == zt.shape and copy_zt.tobytes() == zt.tobytes()
 
@@ -299,7 +334,7 @@ class TestPoolCaches:
         features = rng.normal(size=(30, 3))
         features[:, 1] = 2.5  # a constant column takes the degenerate-std path
         pool = make_pool(targets=list(range(30)), features=[tuple(row) for row in features])
-        _, z = pool_zscores(pool)
+        _, z, _ = pool_zscores(pool)
         fm = pool.feature_matrix
         assert z.tobytes() == standardize_features(fm, fm).tobytes()
         ids = [29, 3, 3, 17]

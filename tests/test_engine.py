@@ -206,6 +206,14 @@ class TestRunLoop:
         with pytest.raises(ProtocolViolationError, match="non-integer"):
             run_active_learning(ramp_pool, cfg, ScriptedProposer(ids=[bad_id]))
 
+    @pytest.mark.parametrize("bad_id", [-1, 5])
+    def test_unknown_id_names_its_iteration(self, ramp_pool, bad_id):
+        cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=3, n_initial=1)
+        init = select_initial(ramp_pool, 3, 1)
+        valid = next(i for i in (0, 2, 3, 4) if i not in init)  # not the optimum, candidate 1
+        with pytest.raises(ProtocolViolationError, match=f"unknown candidate id {bad_id} at iteration 2$"):
+            run_active_learning(ramp_pool, cfg, ScriptedProposer(ids=[valid, bad_id]))
+
     def test_numpy_integer_id_is_accepted(self, ramp_pool):
         cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=3, n_initial=1, max_iterations=2)
         init = select_initial(ramp_pool, 3, 1)

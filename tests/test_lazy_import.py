@@ -1,5 +1,6 @@
 """`import albench` loads no submodule, set-up loads only what reading a pool
-needs, and scipy loads only for GPR: checked in fresh interpreters.
+needs, `albench report` loads no proposer code, and scipy loads only for
+GPR: checked in fresh interpreters.
 
 Each public name's module loads on first access, so a caller pays only for
 what it uses; `albench.gpr` imports scipy.linalg and scipy.optimize, the
@@ -92,6 +93,28 @@ def test_non_gpr_runs_and_report_load_no_scipy(tmp_path):
     loaded = run_fresh(textwrap.dedent(script) + LOADED, tmp_path)
     assert not loaded["scipy.linalg"] and not loaded["scipy.optimize"]
     assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["llm.jsonl", "rfr.jsonl", "rw.jsonl"]
+    assert (tmp_path / "reports" / "running_best.csv").exists()
+
+
+def test_cli_import_and_report_load_no_proposer_code(tmp_path):
+    # proposers pulls in bnn, forest_gbt and acquisition; only run and sweep
+    # build proposers, so `albench report` never needs them
+    from albench.cli import main
+
+    (tmp_path / "runs").mkdir()
+    for proposer in ("random_walk", "rfr"):
+        assert main(["run", "--dataset", "synthetic:linear1d:12:5", "--proposer", proposer, "--seed", "4",
+                     "--max-iterations", "5", "--out", str(tmp_path / "runs" / f"{proposer}.jsonl")]) == 0
+    script = """
+    import json, sys
+    import albench.cli
+
+    PROPOSER_CODE = ("albench.proposers", "albench.bnn", "albench.forest_gbt", "albench.acquisition", "albench.llm")
+    imported = sorted(m for m in PROPOSER_CODE if m in sys.modules)
+    assert albench.cli.main(["report", "--results", "runs", "--out-dir", "reports"]) == 0
+    print(json.dumps({"import": imported, "report": sorted(m for m in PROPOSER_CODE if m in sys.modules)}))
+    """
+    assert run_fresh(script, tmp_path) == {"import": [], "report": []}
     assert (tmp_path / "reports" / "running_best.csv").exists()
 
 
