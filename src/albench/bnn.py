@@ -55,7 +55,6 @@ class BNNConfig:
     epochs: int = 1000
     learning_rate: float = 1e-3
     mc_samples: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.hidden_layers, self.width, self.epochs, self.mc_samples) < 1:
@@ -246,11 +245,11 @@ def _normal_rows(rng: np.random.Generator, size: int, count: int):
             yield from block
 
 
-def train_bnn(X, y, config: BNNConfig) -> BNNetwork:
+def train_bnn(X, y, config: BNNConfig, seed: int) -> BNNetwork:
     """Full-batch Adam on the negative ELBO, fresh noise draw per step.
 
     Initialization and the per-step noise come from two independent
-    substreams of config.seed, so training is exactly repeatable. Each
+    substreams of `seed`, so training is exactly repeatable. Each
     step's noise is one row of standard normals laid out like one half of
     `BNNetwork.params`, one per parameter. A helper thread draws the rows
     a few steps ahead (`_normal_rows`), with the same values as drawing
@@ -260,7 +259,7 @@ def train_bnn(X, y, config: BNNConfig) -> BNNetwork:
     y = np.asarray(y, dtype=float)
     if X.shape[0] < 1 or X.shape[0] != y.shape[0]:
         raise FitError(f"bad training set: |X|={X.shape[0]}, |y|={y.shape[0]}")
-    init_ss, noise_ss = np.random.SeedSequence(config.seed).spawn(2)
+    init_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
     network = init_network(X.shape[1], config, np.random.default_rng(init_ss))
     noise_rng = np.random.default_rng(noise_ss)
 

@@ -126,8 +126,8 @@ def proposer_factory(cfg: dict, kinds, workers: int = 1, **flags):
 
     The one reader of the `llm` and `model_overrides` sections, with
     `read_config`; `flags` are `llm` fields that override the section's. A
-    model_overrides section may set the keys that its proposer kind records
-    (so no `seed`). ConfigError on a malformed section, or LLM runs among
+    model_overrides section takes its model config's fields; a model's seed
+    comes from the run. ConfigError on a malformed section, or LLM runs among
     `kinds` without a chat client. It builds the settings, the rerank client
     and, with `llm.rate_limit` set, one TokenBucket with that budget split
     between `workers` processes. Returns (new_proposer, settings, workers):
@@ -135,7 +135,7 @@ def proposer_factory(cfg: dict, kinds, workers: int = 1, **flags):
     client; workers drops to 1 when LLM runs call a live client with no rate
     limit, so that their calls are serialized.
     """
-    from .proposers import DEFAULT_SETTINGS, MODEL_SECTIONS, ProposerSettings, make_proposer  # not on `report`'s path
+    from .proposers import DEFAULT_SETTINGS, SURROGATES, ProposerSettings, make_proposer  # not on `report`'s path
 
     llm = replace(read_config(LLMConfig, cfg.get("llm"), "llm"), **flags)
     rerank_client = _rerank_client(llm.matcher)
@@ -146,12 +146,9 @@ def proposer_factory(cfg: dict, kinds, workers: int = 1, **flags):
     new_chat_client, client = _chat_client_factory(llm.client, limiter)
     if llm_runs and new_chat_client is None:
         raise ConfigError("LLM runs need a chat client (flag --client or config llm.client)")
-    section_kinds = {section: kind for kind, section in MODEL_SECTIONS.items()}
-    models = {}
-    for section, values in check_keys(cfg.get("model_overrides"), "model_overrides", section_kinds).items():
-        model = type(getattr(DEFAULT_SETTINGS, section))
-        known = DEFAULT_SETTINGS.record(section_kinds[section])
-        models[section] = read_config(model, values, f"model_overrides.{section}", known)
+    overrides = check_keys(cfg.get("model_overrides"), "model_overrides", [s for s, _ in SURROGATES.values()])
+    models = {section: read_config(type(getattr(DEFAULT_SETTINGS, section)), values, f"model_overrides.{section}")
+              for section, values in overrides.items()}
     matcher = llm.matcher or "offline"
     settings = ProposerSettings(**models, matcher=matcher, offline_reports=llm.offline_reports, client=client)
 
@@ -242,12 +239,14 @@ _UNREADABLE = (OSError, ValueError, KeyError, TypeError, AlbenchError)
 
 def expand_sweep(cfg: dict) -> list[dict]:
     """Factorial grid over proposers, alphas, seeds, repeats, and formats."""
-    from .proposers import FIT_PREDICT
+    from .proposers import SURROGATES
 
     def axis(key, default, allowed, what):
         values = cfg.get(key, default)
         if not (isinstance(values, list) and values and all(allowed(v) for v in values)):
             raise ConfigError(f"'{key}' must be a non-empty list of {what}, got {values!r}")
+        if len(set(values)) < len(values):  # 1 == 1.0: one cell, written twice
+            raise ConfigError(f"'{key}' repeats a value, got {values!r}")
         return values
 
     kinds, formats = [k.value for k in ProposerKind], [f.value for f in PromptFormat]
@@ -266,7 +265,7 @@ def expand_sweep(cfg: dict) -> list[dict]:
     tasks = []
     for name in proposers:
         kind = ProposerKind(name)
-        alpha_grid = alphas if kind in FIT_PREDICT else [0.0]  # only surrogates use alpha
+        alpha_grid = alphas if kind in SURROGATES else [0.0]  # only surrogates use alpha
         format_grid = prompt_formats if kind is ProposerKind.LLM else ["parameter"]
         for fmt in format_grid:
             for alpha in alpha_grid:

@@ -48,7 +48,6 @@ class ForestConfig:
     max_depth: Optional[int] = None
     min_samples_split: int = 2
     min_samples_leaf: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -372,15 +371,15 @@ def _check_xy(X, y):
     return X, y
 
 
-def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> ForestModel:
-    """Grow the bootstrap ensemble; deterministic given config.seed.
+def fit_forest(X, y, config: ForestConfig, seed: int) -> ForestModel:
+    """Grow the bootstrap ensemble; deterministic given `seed`.
 
     Each tree draws its resample from its own spawned PRNG substream, so
     fitting order (or parallel scheduling) cannot change the result.
     """
     X, y = _check_xy(X, y)
     n, d = X.shape
-    children = np.random.SeedSequence(config.seed).spawn(config.n_trees)
+    children = np.random.SeedSequence(seed).spawn(config.n_trees)
     per_batch = max(1, _GROW_BUDGET // (n * d))
     rule = _VarianceRule(config)
     trees: list[Tree] = []

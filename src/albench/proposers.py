@@ -8,7 +8,7 @@ run's model substream each iteration, so runs are repeatable end to end.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,11 +21,6 @@ from .errors import ConfigError
 from .types import Dataset, ProposerKind, RunConfig
 
 
-#: The surrogate kinds, each with the ProposerSettings field (and the
-#: config's model_overrides section) that holds its model config.
-MODEL_SECTIONS = {ProposerKind.RFR: "forest", ProposerKind.GBT: "gbt", ProposerKind.BNN: "bnn", ProposerKind.GPR: "gpr"}
-
-
 @dataclass(frozen=True)
 class GPRConfig:
     standardize_targets: bool = False
@@ -33,9 +28,9 @@ class GPRConfig:
 
 @dataclass(frozen=True)
 class ProposerSettings:
-    """What selects a run's candidates besides its RunConfig. `client` and
-    `matcher` are the LLM's descriptors; a model config's `seed` is never
-    read, as fits draw theirs from the run's model substream."""
+    """What selects a run's candidates besides its RunConfig: the model
+    config of each `SURROGATES` section (none holds a seed: fits draw theirs
+    from the run) and the LLM's `client` and `matcher` descriptors."""
 
     forest: forest_gbt.ForestConfig = forest_gbt.ForestConfig()
     gbt: forest_gbt.GBTConfig = forest_gbt.GBTConfig()
@@ -50,9 +45,7 @@ class ProposerSettings:
         and credentials select nothing, so they are never here."""
         if kind is ProposerKind.LLM:
             return {"client": self.client, "matcher": self.matcher, "offline_reports": self.offline_reports}
-        if kind not in MODEL_SECTIONS:
-            return {}
-        return {k: v for k, v in asdict(getattr(self, MODEL_SECTIONS[kind])).items() if k != "seed"}
+        return asdict(getattr(self, SURROGATES[kind][0])) if kind in SURROGATES else {}
 
 
 DEFAULT_SETTINGS = ProposerSettings()
@@ -71,11 +64,11 @@ class RandomWalkProposer:
         return Suggestion(candidate_id=random_walk_select(unlabeled, self._rng))
 
 
-def _fit_predict_gpr(proposer, Z_train, y, Z_pool, model_seed):
+def _fit_predict_gpr(config: GPRConfig, Z_train, y, Z_pool, model_seed):
     from . import gpr  # loads scipy, which no other proposer needs
 
     shift, scale = 0.0, 1.0
-    if proposer.settings.gpr.standardize_targets:
+    if config.standardize_targets:
         shift = float(y.mean())
         scale = float(y.std()) or 1.0
     y_fit = (y - shift) / scale
@@ -85,35 +78,37 @@ def _fit_predict_gpr(proposer, Z_train, y, Z_pool, model_seed):
     return mean * scale + shift, std * scale, diag
 
 
-def _fit_predict_rfr(proposer, Z_train, y, Z_pool, model_seed):
-    model = forest_gbt.fit_forest(Z_train, y, replace(proposer.settings.forest, seed=model_seed))
+def _fit_predict_rfr(config: forest_gbt.ForestConfig, Z_train, y, Z_pool, model_seed):
+    model = forest_gbt.fit_forest(Z_train, y, config, model_seed)
     mean, std = forest_gbt.predict_forest(model, Z_pool)
     return mean, std, None
 
 
-def _fit_predict_gbt(proposer, Z_train, y, Z_pool, model_seed):
-    model = forest_gbt.fit_gbt(Z_train, y, proposer.settings.gbt)
+def _fit_predict_gbt(config: forest_gbt.GBTConfig, Z_train, y, Z_pool, model_seed):
+    model = forest_gbt.fit_gbt(Z_train, y, config)
     mean, std = forest_gbt.predict_gbt(model, Z_pool)
     return mean, std, None
 
 
-def _fit_predict_bnn(proposer, Z_train, y, Z_pool, model_seed):
-    config = replace(proposer.settings.bnn, seed=model_seed)
-    network = bnn_mod.train_bnn(Z_train, y, config)
+def _fit_predict_bnn(config: bnn_mod.BNNConfig, Z_train, y, Z_pool, model_seed):
+    network = bnn_mod.train_bnn(Z_train, y, config, model_seed)
+    # The same stream as train_bnn's noise, so MC pass s draws epoch s's eps.
     predict_rng = np.random.default_rng(np.random.SeedSequence(entropy=model_seed, spawn_key=(1,)))
     mean, std = bnn_mod.predict_bnn(network, Z_pool, config.mc_samples, predict_rng)
     return mean, std, {"bnn_final_loss": network.final_loss, "bnn_min_loss": min(network.loss_history)}
 
 
-#: The surrogate proposers, each as fit_predict(proposer, Z_train, y, Z_pool,
+#: The surrogate kinds, each as (section, fit_predict): `section` names the
+#: ProposerSettings field (and the config's model_overrides section) that
+#: holds its model config, and fit_predict(config, Z_train, y, Z_pool,
 #: model_seed) -> (mean, std, diag) over the pool rows. Entries look their
 #: model functions up on the module at call time, so a wrapper installed
 #: there (as the benchmark's tracer does) sees every call.
-FIT_PREDICT = {
-    ProposerKind.GPR: _fit_predict_gpr,
-    ProposerKind.RFR: _fit_predict_rfr,
-    ProposerKind.GBT: _fit_predict_gbt,
-    ProposerKind.BNN: _fit_predict_bnn,
+SURROGATES = {
+    ProposerKind.GPR: ("gpr", _fit_predict_gpr),
+    ProposerKind.RFR: ("forest", _fit_predict_rfr),
+    ProposerKind.GBT: ("gbt", _fit_predict_gbt),
+    ProposerKind.BNN: ("bnn", _fit_predict_bnn),
 }
 
 
@@ -121,7 +116,7 @@ class SurrogateProposer:
     """GPR / RFR / GBT / BNN behind the UCB acquisition rule."""
 
     def __init__(self, kind: ProposerKind, alpha: float, seed: int, settings: ProposerSettings = DEFAULT_SETTINGS):
-        if kind not in FIT_PREDICT:
+        if kind not in SURROGATES:
             raise ConfigError(f"{kind} is not a surrogate proposer")
         self.kind = kind
         self.alpha = alpha
@@ -136,7 +131,8 @@ class SurrogateProposer:
         Z_train = standardize_features(X_obs, X_obs)
         Z_pool = standardize_features(X_obs, X[unlabeled])
         model_seed = int(self._model_rng.integers(2**31 - 1))
-        mean, std, diag = FIT_PREDICT[self.kind](self, Z_train, y, Z_pool, model_seed)
+        section, fit_predict = SURROGATES[self.kind]
+        mean, std, diag = fit_predict(getattr(self.settings, section), Z_train, y, Z_pool, model_seed)
         index = ucb_select(mean, std, self.alpha, dataset.goal)
         return Suggestion(candidate_id=int(unlabeled[index]), surrogate_diag=diag)
 

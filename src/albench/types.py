@@ -79,18 +79,17 @@ def _checked(value, tp, name: str):
     return tp(value)
 
 
-def read_config(cls, d, name: str, known=None):
+def read_config(cls, d, name: str):
     """Build the dataclass `cls` from the JSON object `d`, named `name` in errors.
 
-    The one reader of config values. ConfigError names the key for a `d`
-    that `check_keys` refuses (`known` defaults to the fields), a
-    missing required field, or a value without its field's declared type:
-    bool, int (not bool), float (finite, stored as float), str, an Enum
-    value, Optional of one of these, or tuple[X, ...] from a list. Then
-    `cls.__post_init__` checks ranges.
+    The one reader of config values. ConfigError names the key for a key
+    that is not a field of `cls`, a missing required field, or a value
+    without its field's declared type: bool, int (not bool), float (finite,
+    stored as float), str, an Enum value, Optional of one of these, or
+    tuple[X, ...] from a list. Then `cls.__post_init__` checks ranges.
     """
     types, required = _field_types(cls)
-    d = check_keys(d, name, types if known is None else known)
+    d = check_keys(d, name, types)
     for key in required:
         if key not in d:
             raise ConfigError(f"'{name}.{key}' is required")

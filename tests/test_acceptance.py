@@ -55,7 +55,7 @@ def criterion(number, name, budget_seconds):
 @criterion(1, "BNN gradient oracle", budget_seconds=5)
 def test_criterion_1_bnn_gradient_oracle():
     gen = np.random.default_rng(7)
-    net = init_network(2, BNNConfig(hidden_layers=1, width=4, seed=7), gen)
+    net = init_network(2, BNNConfig(hidden_layers=1, width=4), gen)
     X = gen.normal(size=(4, 2)) + 0.1
     y = gen.normal(size=4)
     noise = draw_noise(net, gen)

@@ -81,7 +81,7 @@ class TestKlLayer:
 
 class TestSampleForward:
     def test_zero_noise_is_deterministic_mu_network(self, rng):
-        net = init_network(3, BNNConfig(hidden_layers=2, width=5, seed=0), rng)
+        net = init_network(3, BNNConfig(hidden_layers=2, width=5), rng)
         x = rng.normal(size=3) + 0.2
         got = sample_forward(net, x, zero_noise(net))
         # independent mu-only forward pass
@@ -92,7 +92,7 @@ class TestSampleForward:
         assert got == pytest.approx(float(a[0]), abs=1e-12)
 
     def test_tiny_sigma_matches_mu_network(self, rng):
-        net = init_network(2, BNNConfig(hidden_layers=1, width=4, seed=1), rng)
+        net = init_network(2, BNNConfig(hidden_layers=1, width=4), rng)
         for layer in net.layers:
             layer.log_sigma_w[:] = -40.0
             layer.log_sigma_b[:] = -40.0
@@ -121,7 +121,7 @@ class TestSampleForward:
         assert sample_forward(net, x, zero_noise(net)) == pytest.approx(3.5, abs=1e-9)
 
     def test_shape_validation(self, rng):
-        net = init_network(2, BNNConfig(hidden_layers=1, width=3, seed=0), rng)
+        net = init_network(2, BNNConfig(hidden_layers=1, width=3), rng)
         with pytest.raises(ShapeError):
             sample_forward(net, np.zeros(5), zero_noise(net))
         bad = zero_noise(net)
@@ -154,7 +154,7 @@ class TestElboLoss:
         assert elbo_loss(net, X, y, zero_noise(net)) == pytest.approx(0.5, abs=1e-12)
 
     def test_loss_nonnegative(self, rng):
-        net = init_network(2, BNNConfig(hidden_layers=2, width=4, seed=2), rng)
+        net = init_network(2, BNNConfig(hidden_layers=2, width=4), rng)
         for _ in range(10):
             X = rng.normal(size=(5, 2))
             y = rng.normal(size=5)
@@ -162,7 +162,7 @@ class TestElboLoss:
 
     def test_gradients_match_finite_differences(self):
         gen = np.random.default_rng(7)
-        net = init_network(2, BNNConfig(hidden_layers=1, width=4, seed=7), gen)
+        net = init_network(2, BNNConfig(hidden_layers=1, width=4), gen)
         X = gen.normal(size=(4, 2)) + 0.1  # nudged off ReLU kinks
         y = gen.normal(size=4)
         noise = draw_noise(net, gen)
@@ -190,7 +190,7 @@ class TestFlatParameters:
     """Layer arrays are views into one flat vector."""
 
     def test_layer_arrays_view_the_flat_vector(self, rng):
-        net = init_network(3, BNNConfig(hidden_layers=2, width=4, seed=0), rng)
+        net = init_network(3, BNNConfig(hidden_layers=2, width=4), rng)
         mu, log_sigma = net.halves()
         for layer in net.layers:
             for arr in (layer.mu_w, layer.mu_b):
@@ -221,7 +221,7 @@ class TestFlatParameters:
 
 class TestTraining:
     def test_initialization_contract(self, rng):
-        net = init_network(3, BNNConfig(hidden_layers=2, width=6, seed=0), rng)
+        net = init_network(3, BNNConfig(hidden_layers=2, width=6), rng)
         for layer in net.layers:
             assert np.all(np.abs(layer.mu_w) <= 0.2)
             assert np.all(np.abs(layer.mu_b) <= 0.2)
@@ -233,9 +233,9 @@ class TestTraining:
     def test_same_seed_identical_parameters(self, rng):
         X = rng.normal(size=(6, 2))
         y = rng.normal(size=6)
-        cfg = BNNConfig(hidden_layers=1, width=4, epochs=50, seed=9)
-        a = train_bnn(X, y, cfg)
-        b = train_bnn(X, y, cfg)
+        cfg = BNNConfig(hidden_layers=1, width=4, epochs=50)
+        a = train_bnn(X, y, cfg, 9)
+        b = train_bnn(X, y, cfg, 9)
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.mu_w, lb.mu_w)
             assert np.array_equal(la.log_sigma_w, lb.log_sigma_w)
@@ -243,14 +243,14 @@ class TestTraining:
     def test_zero_targets_sanity_band(self, rng):
         X = np.linspace(-1, 1, 10)[:, None]
         y = np.zeros(10)
-        net = train_bnn(X, y, BNNConfig(hidden_layers=2, width=8, epochs=400, seed=3))
+        net = train_bnn(X, y, BNNConfig(hidden_layers=2, width=8, epochs=400), 3)
         mean, _ = predict_bnn(net, X, 500, np.random.default_rng(0))
         assert np.abs(mean).max() < 0.3
 
     def test_smoothed_loss_trace_mostly_decreasing(self, rng):
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10) * 0.5
-        net = train_bnn(X, y, BNNConfig(hidden_layers=1, width=8, epochs=300, seed=4))
+        net = train_bnn(X, y, BNNConfig(hidden_layers=1, width=8, epochs=300), 4)
         trace = np.array(net.loss_history)
         window = 50
         smoothed = np.convolve(trace, np.ones(window) / window, mode="valid")
@@ -259,13 +259,13 @@ class TestTraining:
 
     def test_empty_training_set(self):
         with pytest.raises(FitError):
-            train_bnn(np.empty((0, 2)), np.empty(0), BNNConfig(hidden_layers=1, width=2, epochs=1))
+            train_bnn(np.empty((0, 2)), np.empty(0), BNNConfig(hidden_layers=1, width=2, epochs=1), 0)
 
     def test_default_width_and_depth_path(self, rng):
         # the benchmark-size architecture (5 hidden layers of 64), short run
         X = rng.normal(size=(6, 3))
         y = rng.normal(size=6)
-        net = train_bnn(X, y, BNNConfig(epochs=30, seed=1))
+        net = train_bnn(X, y, BNNConfig(epochs=30), 1)
         assert [l.mu_w.shape for l in net.layers] == [
             (64, 3), (64, 64), (64, 64), (64, 64), (64, 64), (1, 64)
         ]
@@ -277,7 +277,7 @@ class TestTraining:
 
 class TestPredict:
     def test_tiny_sigma_gives_zero_std(self, rng):
-        net = init_network(2, BNNConfig(hidden_layers=1, width=4, seed=5), rng)
+        net = init_network(2, BNNConfig(hidden_layers=1, width=4), rng)
         for layer in net.layers:
             layer.log_sigma_w[:] = -40.0
             layer.log_sigma_b[:] = -40.0
@@ -285,7 +285,7 @@ class TestPredict:
         assert (std < 1e-8).all()
 
     def test_mc_mean_converges_to_mu_output(self, rng):
-        net = init_network(1, BNNConfig(hidden_layers=1, width=4, seed=6), rng)
+        net = init_network(1, BNNConfig(hidden_layers=1, width=4), rng)
         for layer in net.layers:
             layer.log_sigma_w[:] = -5.0
             layer.log_sigma_b[:] = -5.0
@@ -298,7 +298,7 @@ class TestPredict:
         assert abs(mean - clean) <= 3 * se + 1e-6
 
     def test_matches_recomputation_from_sample_matrix(self, rng):
-        net = init_network(2, BNNConfig(hidden_layers=1, width=3, seed=8), rng)
+        net = init_network(2, BNNConfig(hidden_layers=1, width=3), rng)
         X = rng.normal(size=(5, 2))
         seed_seq = np.random.default_rng(42)
         mean, std = predict_bnn(net, X, 100, seed_seq)
@@ -312,14 +312,14 @@ class TestPredict:
         assert np.allclose(std, samples.std(axis=0))
 
     def test_seeded_determinism(self, rng):
-        net = init_network(2, BNNConfig(hidden_layers=1, width=3, seed=8), rng)
+        net = init_network(2, BNNConfig(hidden_layers=1, width=3), rng)
         X = rng.normal(size=(4, 2))
         a = predict_bnn(net, X, 50, np.random.default_rng(3))
         b = predict_bnn(net, X, 50, np.random.default_rng(3))
         assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
 
     def test_mc_samples_validation(self, rng):
-        net = init_network(1, BNNConfig(hidden_layers=1, width=2, seed=0), rng)
+        net = init_network(1, BNNConfig(hidden_layers=1, width=2), rng)
         with pytest.raises(ConfigError):
             predict_bnn(net, [[0.0]], 1, rng)
 
@@ -342,7 +342,7 @@ class TestNormalRows:
     def test_train_and_predict_leave_no_thread_behind(self, rng):
         X = rng.normal(size=(5, 2))
         before = threading.active_count()
-        net = train_bnn(X, rng.normal(size=5), BNNConfig(hidden_layers=1, width=4, epochs=9, seed=2))
+        net = train_bnn(X, rng.normal(size=5), BNNConfig(hidden_layers=1, width=4, epochs=9), 2)
         assert threading.active_count() == before
         predict_bnn(net, X, 7, np.random.default_rng(0))
         assert threading.active_count() == before
@@ -351,7 +351,7 @@ class TestNormalRows:
         X = rng.normal(size=(2, 2))
         before = threading.active_count()
         with np.errstate(over="ignore"), pytest.raises(FitError, match="non-finite loss") as raised:
-            train_bnn(X, [1e200, -1e200], BNNConfig(hidden_layers=1, width=4, epochs=9, seed=2))
+            train_bnn(X, [1e200, -1e200], BNNConfig(hidden_layers=1, width=4, epochs=9), 2)
         # the traceback, which keeps train_bnn's frame alive, is still held here
         assert raised.tb is not None and threading.active_count() == before
 
@@ -404,8 +404,8 @@ def reference_loss_and_grads(network, X, y, noise):
     return loss, grads
 
 
-def reference_train(X, y, config):
-    init_ss, noise_ss = np.random.SeedSequence(config.seed).spawn(2)
+def reference_train(X, y, config, seed):
+    init_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
     network = init_network(X.shape[1], config, np.random.default_rng(init_ss))
     noise_rng = np.random.default_rng(noise_ss)
     params = [a for l in network.layers for a in (l.mu_w, l.log_sigma_w, l.mu_b, l.log_sigma_b)]
@@ -448,11 +448,9 @@ class TestMatchesReference:
         gen = np.random.default_rng(seed)
         X = gen.normal(size=(n, d))
         y = gen.normal(size=n) * 2.0
-        config = BNNConfig(
-            hidden_layers=hidden_layers, width=width, epochs=epochs, learning_rate=learning_rate, seed=seed
-        )
-        net = train_bnn(X, y, config)
-        ref, history = reference_train(X, y, config)
+        config = BNNConfig(hidden_layers=hidden_layers, width=width, epochs=epochs, learning_rate=learning_rate)
+        net = train_bnn(X, y, config, seed)
+        ref, history = reference_train(X, y, config, seed)
         assert net.loss_history == history
         for got, want in zip(net.layers, ref.layers):
             for name in ("mu_w", "log_sigma_w", "mu_b", "log_sigma_b"):
@@ -465,7 +463,7 @@ class TestMatchesReference:
 
     def test_gradients_match_the_reference(self):
         gen = np.random.default_rng(11)
-        net = init_network(3, BNNConfig(hidden_layers=2, width=5, seed=11), gen)
+        net = init_network(3, BNNConfig(hidden_layers=2, width=5), gen)
         # sigma near 1, where sigma**2 and exp(2 log_sigma) differ in the last bits
         _, log_sigma = net.halves()
         log_sigma[:] = gen.uniform(-1.0, 0.5, size=log_sigma.size)

@@ -533,6 +533,9 @@ class TestSweep:
             ({"run": {"proposer": "gpr"}}, "['run']"),
             ({"seed": [3]}, "['seed']"),
             ({"out_dir": 5}, "out_dir"),
+            ({"seeds": [38, 38]}, "'seeds' repeats"),
+            ({"alphas": [1, 1.0]}, "'alphas' repeats"),
+            ({"proposers": ["random_walk", "rfr", "rfr"]}, "'proposers' repeats"),
         ],
         ids=[
             "string-alpha",
@@ -548,6 +551,9 @@ class TestSweep:
             "run-section",
             "seed-for-seeds",
             "number-out-dir",
+            "repeated-seed",
+            "int-and-float-alpha",
+            "repeated-proposer",
         ],
     )
     def test_malformed_grid_exits_before_any_cell(self, tmp_path, capsys, extra, named):

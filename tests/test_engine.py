@@ -489,13 +489,13 @@ class TestSettingsRecord:
     MODELS = {ProposerKind.RFR: ForestConfig, ProposerKind.GBT: GBTConfig, ProposerKind.BNN: BNNConfig}
 
     @pytest.mark.parametrize("kind", list(MODELS), ids=lambda k: k.value)
-    def test_model_record_is_every_config_field_but_seed(self, kind):
-        names = {f.name for f in fields(self.MODELS[kind])} - {"seed"}
+    def test_model_record_is_every_config_field(self, kind):
+        names = {f.name for f in fields(self.MODELS[kind])}
         assert set(DEFAULT_SETTINGS.record(kind)) == names
 
     def test_records_hold_only_what_their_kind_reads(self):
         changed = ProposerSettings(
-            forest=ForestConfig(n_trees=3, max_depth=2, seed=9),
+            forest=ForestConfig(n_trees=3, max_depth=2),
             gpr=GPRConfig(standardize_targets=True),
             matcher="rerank:http://127.0.0.1:1|m",
             offline_reports=True,

@@ -118,9 +118,9 @@ def reference_variance_tree(X, y, config):
     return grow(np.arange(X.shape[0]), 0)
 
 
-def bootstrap_samples(n, config):
+def bootstrap_samples(n, config, seed):
     """The row sample of each tree, drawn as fit_forest draws it."""
-    for child in np.random.SeedSequence(config.seed).spawn(config.n_trees):
+    for child in np.random.SeedSequence(seed).spawn(config.n_trees):
         if config.bootstrap:
             yield np.random.default_rng(child).integers(0, n, size=n)
         else:
@@ -254,21 +254,21 @@ class ReferenceBooster:
 
 class TestForest:
     def test_single_training_point_all_leaves(self):
-        model = fit_forest([[1.0, 2.0]], [5.0], ForestConfig(n_trees=10, seed=0))
+        model = fit_forest([[1.0, 2.0]], [5.0], ForestConfig(n_trees=10), 0)
         mean, std = predict_forest(model, [[9.0, -3.0], [1.0, 2.0]])
         assert mean.tolist() == [5.0, 5.0] and std.tolist() == [0.0, 0.0]
 
     def test_memorization_without_bootstrap(self, rng):
         X = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
-        model = fit_forest(X, y, ForestConfig(n_trees=1, bootstrap=False, seed=0))
+        model = fit_forest(X, y, ForestConfig(n_trees=1, bootstrap=False), 0)
         mean, _ = predict_forest(model, X)
         assert np.allclose(mean, y)
 
     def test_root_split_matches_enumeration_oracle(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([1.0, 1.2, 5.0, 5.5])
-        model = fit_forest(X, y, ForestConfig(n_trees=1, bootstrap=False, seed=0))
+        model = fit_forest(X, y, ForestConfig(n_trees=1, bootstrap=False), 0)
         tree = model.trees[0]
         _, f, thr = enumerate_best_sse_split(X, y)
         assert tree.feature[0] == f
@@ -283,7 +283,7 @@ class TestForest:
     def test_mean_matches_per_tree_recomputation(self, rng):
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
-        model = fit_forest(X, y, ForestConfig(n_trees=25, seed=4))
+        model = fit_forest(X, y, ForestConfig(n_trees=25), 4)
         Q = rng.normal(size=(7, 2))
         mean, _ = predict_forest(model, Q)
         manual = np.mean([[walk(t, q) for q in Q] for t in model.trees], axis=0)
@@ -292,7 +292,7 @@ class TestForest:
     def test_tree_order_permutation_invariance(self, rng):
         X = rng.normal(size=(15, 2))
         y = rng.normal(size=15)
-        model = fit_forest(X, y, ForestConfig(n_trees=8, seed=2))
+        model = fit_forest(X, y, ForestConfig(n_trees=8), 2)
         shuffled = ForestModel(
             trees=list(reversed(model.trees)), config=model.config, n_features=2
         )
@@ -305,30 +305,30 @@ class TestForest:
     def test_predictions_within_target_range(self, rng):
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
-        model = fit_forest(X, y, ForestConfig(n_trees=40, seed=7))
+        model = fit_forest(X, y, ForestConfig(n_trees=40), 7)
         mean, _ = predict_forest(model, rng.normal(size=(50, 3)) * 3)
         assert ((y.min() <= mean) & (mean <= y.max())).all()
 
     def test_deterministic_under_seed(self, rng):
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)
-        a = predict_forest(fit_forest(X, y, ForestConfig(n_trees=12, seed=5)), X)
-        b = predict_forest(fit_forest(X, y, ForestConfig(n_trees=12, seed=5)), X)
+        a = predict_forest(fit_forest(X, y, ForestConfig(n_trees=12), 5), X)
+        b = predict_forest(fit_forest(X, y, ForestConfig(n_trees=12), 5), X)
         assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
 
     def test_empty_training_set(self):
         with pytest.raises(FitError):
-            fit_forest(np.empty((0, 2)), np.empty(0))
+            fit_forest(np.empty((0, 2)), np.empty(0), ForestConfig(), 0)
 
     def test_query_dimension_mismatch(self):
-        model = fit_forest([[0.0, 1.0]], [1.0], ForestConfig(n_trees=1))
+        model = fit_forest([[0.0, 1.0]], [1.0], ForestConfig(n_trees=1), 0)
         with pytest.raises(ShapeError):
             predict_forest(model, [[1.0, 2.0, 3.0]])
 
     def test_min_samples_leaf_respected(self):
         X = np.arange(8, dtype=float)[:, None]
         y = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
-        model = fit_forest(X, y, ForestConfig(n_trees=1, bootstrap=False, min_samples_leaf=3, seed=0))
+        model = fit_forest(X, y, ForestConfig(n_trees=1, bootstrap=False, min_samples_leaf=3), 0)
 
         def leaf_sizes(tree, node, idx):
             if tree.feature[node] < 0:
@@ -357,19 +357,18 @@ def forest_problems(draw):
         max_depth=draw(st.sampled_from([None, 0, 1, 3])),
         min_samples_split=draw(st.sampled_from([2, 3, 6])),
         min_samples_leaf=draw(st.sampled_from([1, 2, 4])),
-        seed=draw(st.integers(0, 1000)),
     )
-    return X, y, config
+    return X, y, config, draw(st.integers(0, 1000))
 
 
 class TestForestMatchesNodeByNodeGrower:
     @settings(max_examples=60, deadline=None)
     @given(forest_problems())
     def test_every_tree_matches_reference(self, problem):
-        X, y, config = problem
-        model = fit_forest(X, y, config)
+        X, y, config, seed = problem
+        model = fit_forest(X, y, config, seed)
         assert len(model.trees) == config.n_trees
-        for tree, idx in zip(model.trees, bootstrap_samples(len(y), config)):
+        for tree, idx in zip(model.trees, bootstrap_samples(len(y), config, seed)):
             expected = reference_variance_tree(X[idx], y[idx], config)
             # JSON text also tells -0.0 from 0.0
             assert json.dumps(tree_dict(tree)) == json.dumps(expected)
@@ -378,14 +377,14 @@ class TestForestMatchesNodeByNodeGrower:
     def test_signed_zero_leaves_match_reference(self, n):
         X = np.zeros((n, 1))
         y = np.full(n, -0.0)
-        config = ForestConfig(n_trees=3, seed=0)
-        for tree, idx in zip(fit_forest(X, y, config).trees, bootstrap_samples(n, config)):
+        config = ForestConfig(n_trees=3)
+        for tree, idx in zip(fit_forest(X, y, config, 0).trees, bootstrap_samples(n, config, 0)):
             assert json.dumps(tree_dict(tree)) == json.dumps(reference_variance_tree(X[idx], y[idx], config))
 
     def test_tree_layout(self, rng):
         X = rng.normal(size=(25, 3))
         y = rng.normal(size=25)
-        for tree in fit_forest(X, y, ForestConfig(n_trees=5, seed=1)).trees:
+        for tree in fit_forest(X, y, ForestConfig(n_trees=5), 1).trees:
             inner = tree.feature >= 0
             assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int64
             assert np.all(tree.left[~inner] == -1) and np.all(tree.right[~inner] == -1)
@@ -592,7 +591,7 @@ class TestEdgeThresholds:
         X = np.array(xs)[:, None]
         y = np.array([0.0, 1.0])
         config = ForestConfig(n_trees=1, bootstrap=False, max_depth=64)
-        model = fit_forest(X, y, config)
+        model = fit_forest(X, y, config, 0)
         tree = model.trees[0]
         assert len(tree.feature) == 3 and tree.threshold[0] == xs[0] < xs[1]
         assert tree_dict(tree) == reference_variance_tree(X, y, config)
@@ -614,7 +613,7 @@ class TestPackedPrediction:
     def test_forest_matches_per_tree_traversal(self, rng):
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
-        model = fit_forest(X, y, ForestConfig(n_trees=20, seed=3))
+        model = fit_forest(X, y, ForestConfig(n_trees=20), 3)
         Q = np.vstack([X, rng.normal(size=(40, 3))])
         per_tree = np.array([[walk(t, q) for q in Q] for t in model.trees])
         mean, std = predict_forest(model, Q)
@@ -622,7 +621,7 @@ class TestPackedPrediction:
         assert np.array_equal(bits(std), bits(per_tree.std(axis=0)))
 
     def test_empty_query_set(self):
-        model = fit_forest([[0.0], [1.0]], [0.0, 1.0], ForestConfig(n_trees=3))
+        model = fit_forest([[0.0], [1.0]], [0.0, 1.0], ForestConfig(n_trees=3), 0)
         mean, std = predict_forest(model, np.empty((0, 1)))
         assert mean.shape == std.shape == (0,)
         gbt = fit_gbt([[0.0], [1.0]], [0.0, 1.0], GBTConfig(n_rounds=3))
@@ -662,20 +661,20 @@ class TestBudgetBoundaries:
         monkeypatch.setattr(forest_gbt, "_CHUNK", 1)
 
     @pytest.mark.parametrize(
-        "duplicated, config",
+        "duplicated, config, seed",
         [
-            (False, ForestConfig(n_trees=12, seed=3)),
-            (True, ForestConfig(n_trees=10, seed=4)),
-            (False, ForestConfig(n_trees=6, bootstrap=False, min_samples_leaf=2, max_depth=4, seed=5)),
+            (False, ForestConfig(n_trees=12), 3),
+            (True, ForestConfig(n_trees=10), 4),
+            (False, ForestConfig(n_trees=6, bootstrap=False, min_samples_leaf=2, max_depth=4), 5),
         ],
         ids=["bootstrap", "duplicated-rows", "no-bootstrap"],
     )
-    def test_forest_matches_default_budgets(self, monkeypatch, duplicated, config):
+    def test_forest_matches_default_budgets(self, monkeypatch, duplicated, config, seed):
         X, y = (self.XD, self.YD) if duplicated else (self.X, self.Y)
-        expected = fit_forest(X, y, config)
+        expected = fit_forest(X, y, config, seed)
         mean, std = predict_forest(expected, self.Q)
         self.tiny_budgets(monkeypatch)
-        model = fit_forest(X, y, config)
+        model = fit_forest(X, y, config, seed)
         assert model_digest(model) == model_digest(expected)
         got_mean, got_std = predict_forest(model, self.Q)
         assert np.array_equal(bits(got_mean), bits(mean)) and np.array_equal(bits(got_std), bits(std))
@@ -708,7 +707,7 @@ class TestWorkingMemory:
     @pytest.mark.parametrize(
         "fit, limit",
         [
-            (lambda X, y: fit_forest(X, y, ForestConfig(seed=1)), 2 << 20),
+            (lambda X, y: fit_forest(X, y, ForestConfig(), 1), 2 << 20),
             (lambda X, y: fit_gbt(X, y, GBTConfig(n_rounds=100)), 1 << 19),
         ],
         ids=["forest", "gbt"],

@@ -125,9 +125,9 @@ def bnn_pool(n, d, seed):
 XB, YB = bnn_pool(50, 3, 5)
 
 BNN_CASES = {
-    "small": (XB[:20], YB[:20], BNNConfig(hidden_layers=2, width=8, epochs=300, seed=3)),
-    "one_hidden_1d": (XB[:12, :1], YB[:12], BNNConfig(hidden_layers=1, width=5, epochs=200, seed=4)),
-    "default_shape": (XB, YB, BNNConfig(epochs=40, seed=1)),
+    "small": (XB[:20], YB[:20], BNNConfig(hidden_layers=2, width=8, epochs=300), 3),
+    "one_hidden_1d": (XB[:12, :1], YB[:12], BNNConfig(hidden_layers=1, width=5, epochs=200), 4),
+    "default_shape": (XB, YB, BNNConfig(epochs=40), 1),
 }
 
 BNN_GOLDEN = {
@@ -160,9 +160,9 @@ def prediction_values(mean, std):
 
 @pytest.mark.parametrize("name", sorted(BNN_CASES))
 def test_bnn_fit_and_predictions_match_golden(name):
-    X, y, config = BNN_CASES[name]
-    network = train_bnn(X, y, config)
+    X, y, config, seed = BNN_CASES[name]
+    network = train_bnn(X, y, config, seed)
     queries = np.vstack([X[:7], X[:7] * 1.5 - 0.25])
-    mean, std = predict_bnn(network, queries, 60, np.random.default_rng(config.seed + 100))
+    mean, std = predict_bnn(network, queries, 60, np.random.default_rng(seed + 100))
     got = (digest(network_values(network)), digest(prediction_values(mean, std)))
     assert got == BNN_GOLDEN[name]

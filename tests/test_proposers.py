@@ -14,7 +14,7 @@ from albench.engine import STREAM_WALK, run_active_learning, substream, trajecto
 from albench.errors import ConfigError
 from albench.forest_gbt import ForestConfig, GBTConfig
 from albench.proposers import (
-    FIT_PREDICT, GPRConfig, ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer,
+    SURROGATES, GPRConfig, ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer,
 )
 from albench.types import ProposerKind, RunConfig
 
@@ -151,8 +151,8 @@ class TestSurrogateProposers:
         monkeypatch.setattr(module, predict_name, recording(getattr(module, predict_name)))
         gen = np.random.default_rng(0)
         Z_train, y, Z_pool = gen.normal(size=(6, 2)), gen.normal(size=6), gen.normal(size=(9, 2))
-        proposer = SurrogateProposer(kind, alpha=1.0, seed=0, settings=self.SMALL)
-        mean, std, _ = FIT_PREDICT[kind](proposer, Z_train, y, Z_pool, 3)
+        section, fit_predict = SURROGATES[kind]
+        mean, std, _ = fit_predict(getattr(self.SMALL, section), Z_train, y, Z_pool, 3)
         assert len(results) == 2  # one fit, one predict
         for arrays in (results[1], (mean, std)):
             assert len(arrays) == 2

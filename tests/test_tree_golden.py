@@ -53,15 +53,15 @@ X150, Y150 = pool(150, 14, 2)
 XT, YT = tied_pool()
 
 FOREST_CASES = {
-    "default_bootstrap": (X40, Y40, ForestConfig(seed=3)),
-    "bench_shape": (X150, Y150, ForestConfig(seed=1)),
-    "no_bootstrap": (X40, Y40, ForestConfig(n_trees=20, bootstrap=False, seed=3)),
-    "max_depth_4": (X40, Y40, ForestConfig(n_trees=60, max_depth=4, seed=5)),
-    "min_samples_leaf_3": (X40, Y40, ForestConfig(n_trees=60, min_samples_leaf=3, seed=6)),
-    "min_samples_split_5": (X40, Y40, ForestConfig(n_trees=60, min_samples_split=5, seed=7)),
-    "ties_and_duplicates": (XT, YT, ForestConfig(n_trees=80, seed=8)),
-    "one_feature_1d": (X40[:, 0], Y40, ForestConfig(n_trees=60, seed=9)),
-    "single_row": (X40[:1], Y40[:1], ForestConfig(n_trees=5, seed=10)),
+    "default_bootstrap": (X40, Y40, ForestConfig(), 3),
+    "bench_shape": (X150, Y150, ForestConfig(), 1),
+    "no_bootstrap": (X40, Y40, ForestConfig(n_trees=20, bootstrap=False), 3),
+    "max_depth_4": (X40, Y40, ForestConfig(n_trees=60, max_depth=4), 5),
+    "min_samples_leaf_3": (X40, Y40, ForestConfig(n_trees=60, min_samples_leaf=3), 6),
+    "min_samples_split_5": (X40, Y40, ForestConfig(n_trees=60, min_samples_split=5), 7),
+    "ties_and_duplicates": (XT, YT, ForestConfig(n_trees=80), 8),
+    "one_feature_1d": (X40[:, 0], Y40, ForestConfig(n_trees=60), 9),
+    "single_row": (X40[:1], Y40[:1], ForestConfig(n_trees=5), 10),
 }
 
 FOREST_GOLDEN = {
@@ -116,8 +116,8 @@ GBT_STAGED_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(FOREST_CASES))
 def test_forest_fit_matches_golden(name):
-    X, y, config = FOREST_CASES[name]
-    model = fit_forest(X, y, config)
+    X, y, config, seed = FOREST_CASES[name]
+    model = fit_forest(X, y, config, seed)
     assert (digest(model), node_count(model)) == FOREST_GOLDEN[name]
 
 
