@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FitError, ShapeError
+from .types import query_matrix, training_set
 
 _NOISE_BLOCK = 4  # rows a helper thread draws ahead of the caller
 INIT_MU_HALF_RANGE = 0.2
@@ -57,8 +58,8 @@ class BNNConfig:
     mc_samples: int = 1000
 
     def __post_init__(self):
-        if min(self.hidden_layers, self.width, self.epochs, self.mc_samples) < 1:
-            raise ConfigError("hidden_layers, width, epochs, mc_samples must all be >= 1")
+        if min(self.hidden_layers, self.width, self.epochs) < 1 or self.mc_samples < 2:
+            raise ConfigError("hidden_layers, width and epochs must be >= 1, and mc_samples >= 2")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
 
@@ -255,10 +256,7 @@ def train_bnn(X, y, config: BNNConfig, seed: int) -> BNNetwork:
     a few steps ahead (`_normal_rows`), with the same values as drawing
     them step by step; it is joined before this returns or raises.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] < 1 or X.shape[0] != y.shape[0]:
-        raise FitError(f"bad training set: |X|={X.shape[0]}, |y|={y.shape[0]}")
+    X, y = training_set(X, y)
     init_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
     network = init_network(X.shape[1], config, np.random.default_rng(init_ss))
     noise_rng = np.random.default_rng(noise_ss)
@@ -295,7 +293,7 @@ def predict_bnn(
     """
     if mc_samples < 2:
         raise ConfigError(f"mc_samples must be >= 2, got {mc_samples}")
-    X_query = np.atleast_2d(np.asarray(X_query, dtype=float))
+    X_query = query_matrix(X_query, network.layers[0].mu_w.shape[1])
     samples = np.empty((mc_samples, X_query.shape[0]))
     sigma = np.exp(network.halves()[1])
     work = np.empty(sigma.size)

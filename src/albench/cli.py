@@ -255,12 +255,16 @@ def expand_sweep(cfg: dict) -> list[dict]:
     seeds = axis("seeds", [38, 39, 40, 41, 42], lambda s: is_int(s, 0), "integers >= 0")
     prompt_formats = axis("prompt_formats", ["parameter"], formats.__contains__, formats)
     repeats = cfg.get("repeats_at_seed", {"42": 5})
-    try:
-        repeats_at_seed = {int(k): v for k, v in repeats.items()}
-    except (AttributeError, TypeError, ValueError):
-        repeats_at_seed = None
-    if repeats_at_seed is None or not all(is_int(v, 1) for v in repeats_at_seed.values()):
+    if not (isinstance(repeats, dict) and all(is_int(v, 1) for v in repeats.values())):
         raise ConfigError(f"'repeats_at_seed' must map integer seeds to integers >= 1, got {repeats!r}")
+    for key in repeats:  # int() reads "042" and "4_2" as 42, which "42" may name too
+        try:
+            plain = key == str(int(key))
+        except (TypeError, ValueError):  # not a number, or past int()'s digit limit
+            plain = False
+        if not plain:
+            raise ConfigError(f"'repeats_at_seed' key {key!r} is not a plain decimal seed")
+    repeats_at_seed = {int(k): v for k, v in repeats.items()}
     base = {key: cfg[key] for key in ("n_initial", "max_iterations") if key in cfg}
     tasks = []
     for name in proposers:

@@ -37,8 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FitError, ShapeError
-from .types import as_matrix
+from .errors import ConfigError
+from .types import as_matrix, query_matrix, training_set
 
 
 @dataclass(frozen=True)
@@ -361,23 +361,13 @@ class GBTModel:
     n_features: int
 
 
-def _check_xy(X, y):
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] == 0:
-        raise FitError("empty training set")
-    if X.shape[0] != y.shape[0]:
-        raise ShapeError(f"|X| = {X.shape[0]} but |y| = {y.shape[0]}")
-    return X, y
-
-
 def fit_forest(X, y, config: ForestConfig, seed: int) -> ForestModel:
     """Grow the bootstrap ensemble; deterministic given `seed`.
 
     Each tree draws its resample from its own spawned PRNG substream, so
     fitting order (or parallel scheduling) cannot change the result.
     """
-    X, y = _check_xy(X, y)
+    X, y = training_set(X, y)
     n, d = X.shape
     children = np.random.SeedSequence(seed).spawn(config.n_trees)
     per_batch = max(1, _GROW_BUDGET // (n * d))
@@ -426,9 +416,7 @@ def _predict_trees(trees: list[Tree], X: np.ndarray) -> np.ndarray:
 
 def predict_forest(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble mean and population std of the per-tree predictions, each of shape (n,)."""
-    X = as_matrix(X)
-    if X.shape[1] != model.n_features:
-        raise ShapeError(f"query has {X.shape[1]} features, model expects {model.n_features}")
+    X = query_matrix(X, model.n_features)
     per_tree = _predict_trees(model.trees, X)
     return per_tree.mean(axis=0), per_tree.std(axis=0)
 
@@ -439,7 +427,7 @@ def fit_gbt(X, y, config: GBTConfig = GBTConfig()) -> GBTModel:
     Each feature's rows are sorted once per fit; every round's tree reuses
     those orders, and the training predictions take each row's leaf value.
     """
-    X, y = _check_xy(X, y)
+    X, y = training_set(X, y)
     base = float(y.mean())
     pred = np.full(y.shape[0], base)
     xt, order = _presort(X, np.arange(y.shape[0])[None])
@@ -472,8 +460,6 @@ def staged_predictions(model: GBTModel, X, rounds: list[int]) -> np.ndarray:
 
 def predict_gbt(model: GBTModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Full-ensemble mean and the staged virtual ensemble's std, each of shape (n,)."""
-    X = as_matrix(X)
-    if X.shape[1] != model.n_features:
-        raise ShapeError(f"query has {X.shape[1]} features, model expects {model.n_features}")
+    X = query_matrix(X, model.n_features)
     stages = staged_predictions(model, X, stage_rounds(model.config.n_rounds))
     return stages[-1], stages.std(axis=0)  # last checkpoint is always round n

@@ -19,7 +19,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
 from .errors import ConfigError, FitError, InputError, NumericalError, ShapeError
-from .types import as_matrix
+from .types import as_matrix, query_matrix, training_set
 
 SCALE_BOUNDS = (1e-5, 1e5)
 LENGTH_BOUNDS = (1e-3, 1e3)
@@ -166,10 +166,7 @@ def fit_gpr(X, y, seed: int, n_restarts: int = 4) -> KernelParams:
     The returned params always score at least as well as the fixed start
     (c=1, l=1, noise=1); a restart that fails numerically is skipped.
     """
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] < 1 or X.shape[0] != y.shape[0]:
-        raise FitError(f"bad training set: |X|={X.shape[0]}, |y|={y.shape[0]}")
+    X, y = training_set(X, y)
     constants = TrainingConstants.of(X, y)
 
     def objective(theta):
@@ -212,10 +209,8 @@ def predict_gpr(X_train, y_train, params: KernelParams, X_query) -> tuple[np.nda
     The predictive variance includes the white-noise term: far from all
     training points it reverts to scale_c + noise_n.
     """
-    X_train, X_query = as_matrix(X_train), as_matrix(X_query)
-    y_train = np.asarray(y_train, dtype=float)
-    if X_train.shape[0] == 0:
-        raise FitError("empty training set")
+    X_train, y_train = training_set(X_train, y_train)
+    X_query = query_matrix(X_query, X_train.shape[1])
     K = kernel_matrix(X_train, X_train, params, same_inputs=True)
     if not np.isfinite(K).all():
         raise InputError("GPR training inputs give a non-finite kernel matrix")

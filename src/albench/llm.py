@@ -115,12 +115,15 @@ REPORT_WRITER_INSTRUCTION = (
 )
 
 
-def generate_report(candidate_id: int, dataset: Dataset, client: Optional[ChatClient]) -> str:
-    """Report text for one candidate: the offline template without a client."""
+def generate_report(
+    candidate_id: int, dataset: Dataset, client: Optional[ChatClient], *, backoff: float = 1.0, sleep=time.sleep
+) -> str:
+    """Report text for one candidate: the offline template without a client,
+    else one `propose_next` call with this `backoff` and `sleep`."""
     if client is None:
         return offline_report(candidate_id, dataset)
     prompt = REPORT_WRITER_INSTRUCTION.format(params=format_candidate_parameters(candidate_id, dataset))
-    return propose_next(prompt, client)
+    return propose_next(prompt, client, backoff=backoff, sleep=sleep)
 
 
 def render_report_prompt(
@@ -128,11 +131,15 @@ def render_report_prompt(
     observed: Sequence[tuple[int, float]],
     client: Optional[ChatClient],
     cache: Optional[dict[int, str]] = None,
+    *,
+    backoff: float = 1.0,
+    sleep=time.sleep,
 ) -> str:
     """Narrative prompt over (candidate id, observed value) pairs: each
     observation expanded into a short report.
 
-    With client=None the offline template is used and no calls are made.
+    With client=None the offline template is used and no calls are made;
+    a chat call retries with `backoff` and `sleep`, as `propose_next` does.
     `cache` holds the rendered observation lines, shared as
     `render_parameter_prompt`'s is; a report is generated only for a line
     it lacks, so a run that passes one dict to every step asks for each
@@ -140,7 +147,7 @@ def render_report_prompt(
     """
     return _prompt(dataset, _cached_lines(
         observed, {} if cache is None else cache,
-        lambda cid, value: f"- {generate_report(cid, dataset, client)} Result: "
+        lambda cid, value: f"- {generate_report(cid, dataset, client, backoff=backoff, sleep=sleep)} Result: "
         f"{dataset.target_name}={_fmt(value)}.",
     ))
 
@@ -318,7 +325,9 @@ class LLMProposer:
             self._cache_pool = dataset
         if self.prompt_format is PromptFormat.REPORT:
             report_client = None if self.offline_reports else self.client
-            return render_report_prompt(dataset, observed, report_client, self.line_cache)
+            return render_report_prompt(
+                dataset, observed, report_client, self.line_cache, backoff=self.backoff, sleep=self.sleep
+            )
         return render_parameter_prompt(dataset, observed, self.line_cache)
 
     def propose(self, dataset: Dataset, observed_ids, observed_values) -> Suggestion:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FitError, ShapeError
 
 
 def is_int(value, low: int) -> bool:
@@ -111,6 +111,26 @@ def as_matrix(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    return X
+
+
+def training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """A surrogate's training inputs `(as_matrix(X), float y)`: FitError
+    without a row, ShapeError unless y is one value per row of X."""
+    X, y = as_matrix(X), np.asarray(y, dtype=float)
+    if len(X) == 0:
+        raise FitError("empty training set")
+    if y.shape != (len(X),):
+        raise ShapeError(f"{len(X)} training rows need {len(X)} targets, got y of shape {y.shape}")
+    return X, y
+
+
+def query_matrix(X, n_features: int) -> np.ndarray:
+    """A surrogate's query rows `as_matrix(X)`: ShapeError unless each has
+    the model's `n_features` columns."""
+    X = as_matrix(X)
+    if X.shape[1] != n_features:
+        raise ShapeError(f"query has {X.shape[1]} features, model expects {n_features}")
     return X
 
 

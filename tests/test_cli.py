@@ -536,6 +536,13 @@ class TestSweep:
             ({"seeds": [38, 38]}, "'seeds' repeats"),
             ({"alphas": [1, 1.0]}, "'alphas' repeats"),
             ({"proposers": ["random_walk", "rfr", "rfr"]}, "'proposers' repeats"),
+            # predict_bnn's std needs two passes; at 1 every bnn cell failed at run time
+            ({"proposers": ["random_walk", "bnn"], "model_overrides": {"bnn": {"mc_samples": 1}}}, "mc_samples"),
+            # int() would read each of these keys as seed 42
+            ({"repeats_at_seed": {"042": 2}}, "'042'"),
+            ({"repeats_at_seed": {"42": 5, "042": 2}}, "'042'"),
+            ({"repeats_at_seed": {"042": 2, "42": 5}}, "'042'"),
+            ({"repeats_at_seed": {"4_2": 3}}, "'4_2'"),
         ],
         ids=[
             "string-alpha",
@@ -554,6 +561,11 @@ class TestSweep:
             "repeated-seed",
             "int-and-float-alpha",
             "repeated-proposer",
+            "one-mc-sample",
+            "zero-padded-repeat-seed",
+            "repeat-seed-named-twice",
+            "repeat-seed-named-twice-reversed",
+            "underscored-repeat-seed",
         ],
     )
     def test_malformed_grid_exits_before_any_cell(self, tmp_path, capsys, extra, named):

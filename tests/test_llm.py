@@ -553,6 +553,24 @@ class TestLLMProposer:
         traj = run_active_learning(pool, cfg, proposer)
         assert traj.reached_optimum_at is not None
 
+    def test_report_calls_retry_with_the_run_backoff_and_sleep(self):
+        class FailsOnce:
+            calls = 0
+
+            def send(self, messages, temperature):
+                self.calls += 1
+                if self.calls == 1:  # the first report
+                    raise TransportError("down")
+                return "```\nx1: 2\nx2: 2\n```"
+
+        slept = []
+        client = FailsOnce()
+        proposer = LLMProposer(client, seed=0, prompt_format=PromptFormat.REPORT, backoff=0.25, sleep=slept.append)
+        suggestion = proposer.propose(self._pool(), [0], [1.0])
+        assert slept == [0.25]
+        assert client.calls == 3  # report, its retry, proposal
+        assert suggestion.candidate_id == 2
+
     def test_golden_replay_reproduces_prompt_bytes(self, tmp_path):
         pool = self._pool()
         # record a session against a stand-in "live" client

@@ -11,7 +11,7 @@ from albench.clients import ConstantChatClient, TokenBucket
 from albench.data import synthetic_pool
 from albench.acquisition import random_walk_select
 from albench.engine import STREAM_WALK, run_active_learning, substream, trajectory_to_jsonl
-from albench.errors import ConfigError
+from albench.errors import ConfigError, FitError, ShapeError
 from albench.forest_gbt import ForestConfig, GBTConfig
 from albench.proposers import (
     SURROGATES, GPRConfig, ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer,
@@ -158,6 +158,23 @@ class TestSurrogateProposers:
             assert len(arrays) == 2
             for a in arrays:
                 assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (9,)
+
+    @pytest.mark.parametrize("kind", list(SURROGATES), ids=lambda k: k.value)
+    def test_every_surrogate_reads_its_inputs_one_way(self, kind):
+        section, fit_predict = SURROGATES[kind]
+        config = getattr(self.SMALL, section)
+        gen = np.random.default_rng(1)
+        x, y, q = gen.normal(size=6), gen.normal(size=6), gen.normal(size=4)
+        # a 1-D X is n rows of one feature, in the training set and the query
+        flat = fit_predict(config, x, y, q, 3)[:2]
+        column = fit_predict(config, x[:, None], y, q[:, None], 3)[:2]
+        assert [a.tobytes() for a in flat] == [a.tobytes() for a in column]
+        with pytest.raises(FitError):
+            fit_predict(config, np.empty((0, 1)), np.empty(0), q, 3)
+        with pytest.raises(ShapeError):
+            fit_predict(config, x, y[:5], q, 3)
+        with pytest.raises(ShapeError):
+            fit_predict(config, x, y, np.ones((4, 2)), 3)
 
     def test_kind_validation(self):
         with pytest.raises(ConfigError):
