@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # so a caller pays only for what it uses (gpr, for one, loads scipy).
 _EXPORTS = {
     "acquisition": ("random_walk_select", "ucb_select"),
-    "analytics": ("cumulative_l2", "pca_project", "running_best", "summarize_trajectory", "variability_stats"),
+    "analytics": ("cumulative_l2", "pca_project", "summarize_trajectory", "variability_stats"),
     "bnn": ("BNNConfig", "kl_layer", "predict_bnn", "train_bnn"),
     "data": ("DatasetSpec", "load_csv", "registry", "synthetic_pool"),
     "engine": ("Proposer", "Suggestion", "read_trajectory", "run_active_learning", "select_initial",

@@ -15,16 +15,7 @@ import numpy as np
 from .engine import pool_zscores
 from .engine import standardize_features  # noqa: F401 -- bench/spans.py traces calls under this name
 from .errors import ConfigError
-from .types import Dataset, Goal, RunConfig, Trajectory
-
-
-def running_best(values: Sequence[float], goal: Goal) -> list[float]:
-    """Prefix max for Maximize, prefix min for Minimize."""
-    if len(values) == 0:
-        raise ConfigError("running_best needs a non-empty sequence")
-    arr = np.asarray(values, dtype=float)
-    acc = np.maximum.accumulate(arr) if goal is Goal.MAXIMIZE else np.minimum.accumulate(arr)
-    return [float(v) for v in acc]
+from .types import Dataset, RunConfig, Trajectory
 
 
 def cumulative_l2(trajectory: Trajectory, pool: Dataset) -> list[float]:

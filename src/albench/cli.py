@@ -265,6 +265,9 @@ def expand_sweep(cfg: dict) -> list[dict]:
         if not plain:
             raise ConfigError(f"'repeats_at_seed' key {key!r} is not a plain decimal seed")
     repeats_at_seed = {int(k): v for k, v in repeats.items()}
+    stray = [key for key in cfg.get("repeats_at_seed", {}) if int(key) not in seeds]  # the default may name no seed
+    if stray:
+        raise ConfigError(f"'repeats_at_seed' keys {stray} name no seed in 'seeds' {seeds}")
     base = {key: cfg[key] for key in ("n_initial", "max_iterations") if key in cfg}
     tasks = []
     for name in proposers:

@@ -150,6 +150,15 @@ class Proposer(Protocol):
     ) -> Suggestion: ...
 
 
+def record_step(dataset: Dataset, steps: Sequence[StepRecord], cid: int, suggestion=None) -> StepRecord:
+    """The step observing `cid` after `steps`, fresh or stored: iteration len(steps), the pool's value, the prefix
+    best under the pool's goal, and the text, score and diagnostics of `suggestion`, a Suggestion or a StepRecord."""
+    s = Suggestion(cid) if suggestion is None else suggestion
+    value = float(dataset.targets[cid])
+    best = value if not steps or dataset.goal.is_improvement(value, steps[-1].running_best) else steps[-1].running_best
+    return StepRecord(len(steps), cid, value, best, s.proposal_text, s.match_score, s.surrogate_diag)
+
+
 def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer) -> Trajectory:
     """Run one pool-based AL loop until the optimum is found or the cap hits.
 
@@ -170,30 +179,13 @@ def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer)
     optimum = dataset.optimum_value
 
     steps: list[StepRecord] = []
-    observed: set[int] = set()
-    observed_order: list[int] = []
-    best = None
-
-    def observe(cid: int, suggestion: Suggestion) -> None:
-        nonlocal best
-        value = float(dataset.targets[cid])
-        if best is None or dataset.goal.is_improvement(value, best):
-            best = value
-        steps.append(StepRecord(
-            iteration=len(steps), candidate_id=cid, observed_value=value, running_best=best,
-            proposal_text=suggestion.proposal_text, match_score=suggestion.match_score,
-            surrogate_diag=suggestion.surrogate_diag,
-        ))
-        observed.add(cid)
-        observed_order.append(cid)
-
     for cid in select_initial(dataset, config.seed, config.n_initial):
-        observe(cid, Suggestion(cid))
+        steps.append(record_step(dataset, steps, cid))
 
-    while best != optimum and len(steps) < max_iterations:
-        values = dataset.targets[observed_order].tolist()
+    while steps[-1].running_best != optimum and len(steps) < max_iterations:
+        ids = [s.candidate_id for s in steps]
         try:
-            suggestion = proposer.propose(dataset, list(observed_order), values)
+            suggestion = proposer.propose(dataset, list(ids), [s.observed_value for s in steps])
         except ProposerError as exc:
             raise RunAborted(
                 f"proposer failed at iteration {len(steps)}: {exc}", partial=make_trajectory(config, dataset, steps)
@@ -204,13 +196,13 @@ def run_active_learning(dataset: Dataset, config: RunConfig, proposer: Proposer)
             raise ProtocolViolationError(
                 f"proposer returned non-integer candidate id {suggestion.candidate_id!r} at iteration {len(steps)}"
             ) from None
-        if cid in observed:
+        if cid in ids:
             raise ProtocolViolationError(
                 f"proposer returned already-observed candidate id {cid} at iteration {len(steps)}"
             )
         if not 0 <= cid < pool_size:
             raise ProtocolViolationError(f"proposer returned unknown candidate id {cid} at iteration {len(steps)}")
-        observe(cid, suggestion)
+        steps.append(record_step(dataset, steps, cid, suggestion))
 
     return make_trajectory(config, dataset, steps)
 
@@ -301,24 +293,41 @@ def rebuild_trajectory(header: dict, steps: list[StepRecord], dataset: Dataset) 
     `make_trajectory`: the header's run config digest is not read.
 
     ConfigError when the header's run config is malformed, `dataset` is not
-    the pool the run recorded (an edited CSV, for one), or a step's
-    candidate id is outside `dataset` or repeats an earlier one; the last
-    names the first such iteration, and is checked before anything indexes
-    the pool.
+    the pool the run recorded (an edited CSV, for one), or a step is not the
+    one `record_step` derives from its id, or its id is outside `dataset`,
+    repeats an earlier one, is not the seed's initial draw, or follows the
+    optimum or the cap. It names the first such iteration; a valid prefix,
+    such as an aborted run's, reads.
     """
-    trajectory = make_trajectory(RunConfig.from_dict(header["run_config"]), dataset, steps)
+    config = RunConfig.from_dict(header["run_config"])
+    trajectory = make_trajectory(config, dataset, steps)
     recorded, actual = header.get("dataset_digest", ""), trajectory.dataset_digest
     if recorded != actual:
         raise ConfigError(
             f"the pool has digest {actual} but the run recorded {recorded}; "
             "was the dataset edited after the run?"
         )
-    seen = set()
-    for step in steps:
-        if not 0 <= step.candidate_id < len(dataset):
-            raise ConfigError(f"iteration {step.iteration}: candidate_id {step.candidate_id} is outside the "
-                              f"{len(dataset)}-row pool")
-        if step.candidate_id in seen:
-            raise ConfigError(f"iteration {step.iteration}: candidate_id {step.candidate_id} repeats an earlier id")
-        seen.add(step.candidate_id)
+    initial = select_initial(dataset, config.seed, config.n_initial)
+    cap, optimum = config.resolved_max_iterations(len(dataset)), dataset.optimum_value
+    seen, derived = set(), []
+    for i, step in enumerate(steps):
+        cid, fault = step.candidate_id, None
+        if not 0 <= cid < len(dataset):
+            fault = f"candidate_id {cid} is outside the {len(dataset)}-row pool"
+        elif cid in seen:
+            fault = f"candidate_id {cid} repeats an earlier id"
+        elif i < len(initial) and cid != initial[i]:
+            fault = f"candidate_id {cid} is not the seed's initial draw {initial[i]}"
+        elif i >= len(initial) and derived[-1].running_best == optimum:
+            fault = "the run had already reached the pool optimum"
+        elif i >= cap:
+            fault = f"the run is past its cap of {cap} steps"
+        else:
+            derived.append(record_step(dataset, derived, cid, step))
+            if derived[-1] != step:
+                key = next(k for k, v in vars(step).items() if v != getattr(derived[-1], k))
+                fault = f"stored {key} {getattr(step, key)!r} differs from the pool's {getattr(derived[-1], key)!r}"
+        if fault:
+            raise ConfigError(f"iteration {i}: {fault}")
+        seen.add(cid)
     return trajectory

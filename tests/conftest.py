@@ -55,6 +55,49 @@ def optimum_id(dataset: Dataset) -> int:
     return int(np.flatnonzero(dataset.targets == dataset.optimum_value)[0])
 
 
+# --- stored runs the AL protocol could not have produced -----------------------
+#
+# Each edit takes the step dicts of a stored run (n_initial 2, capped at 8
+# steps, which it took without reaching the optimum) and its pool, and
+# returns edited step dicts; its regex matches the ConfigError that
+# `engine.rebuild_trajectory` raises for the result.
+
+
+def _with(steps: list[dict], i: int, **fields) -> list[dict]:
+    return [{**s, **fields} if j == i else s for j, s in enumerate(steps)]
+
+
+def _swap_initial(steps: list[dict], pool: Dataset) -> list[dict]:
+    """The two initial lines swapped, with their iterations and running bests
+    made consistent again."""
+    first, second = steps[1], steps[0]
+    return [{**first, "iteration": 0, "running_best": first["observed_value"]}, {**second, "iteration": 1}, *steps[2:]]
+
+
+def append_step(steps: list[dict], pool: Dataset) -> list[dict]:
+    """One more step, on the lowest unobserved id, with the iteration, value
+    and running best that id gives."""
+    seen = {s["candidate_id"] for s in steps}
+    cid = next(i for i in range(len(pool)) if i not in seen)
+    value = float(pool.targets[cid])
+    best = pool.goal.best([steps[-1]["running_best"], value])
+    return [*steps, {**steps[-1], "iteration": len(steps), "candidate_id": cid, "observed_value": value,
+                     "running_best": best}]
+
+
+STORED_RUN_EDITS = [
+    pytest.param(lambda steps, pool: _with(steps, 3, observed_value=123.0),
+                 r"^iteration 3: stored observed_value 123\.0 differs", id="value-no-row-holds"),
+    pytest.param(_swap_initial, r"^iteration 0: candidate_id \d+ is not the seed's initial draw \d+$",
+                 id="swapped-initial-ids"),
+    pytest.param(lambda steps, pool: _with(steps, 5, iteration=40),
+                 r"^iteration 5: stored iteration 40 differs from the pool's 5$", id="iteration-40-at-5"),
+    pytest.param(lambda steps, pool: _with(steps, 2, running_best=-1e9),
+                 r"^iteration 2: stored running_best -1000000000\.0 differs", id="running-best"),
+    pytest.param(append_step, r"^iteration 8: the run is past its cap of 8 steps$", id="step-past-cap"),
+]
+
+
 NoiseDraw = list[tuple[np.ndarray, np.ndarray]]  # per layer: (eps_w, eps_b)
 
 

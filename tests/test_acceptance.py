@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from albench.acquisition import ucb_select
-from albench.analytics import cumulative_l2, pca_project, running_best
+from albench.analytics import cumulative_l2, pca_project
 from albench.bnn import BNNConfig, init_network, kl_layer
 from albench.clients import ScriptedChatClient
 from albench.data import load_csv, registry_by_name, synthetic_pool
@@ -317,12 +317,15 @@ def test_criterion_9_invariant_suite():
     z = standardize_features(ref, gen.normal(size=(4, 2)))
     assert np.all(z[:, 0] == 0.0)
 
-    # running-best idempotence
+    # a run's running best is the prefix best of its values under the goal, and idempotent
     for _ in range(20):
-        values = list(gen.normal(size=int(gen.integers(1, 25))))
-        for goal in (Goal.MAXIMIZE, Goal.MINIMIZE):
-            once = running_best(values, goal)
-            assert running_best(once, goal) == once
+        values = list(gen.normal(size=int(gen.integers(2, 25))))
+        for goal, accumulate in ((Goal.MAXIMIZE, np.maximum.accumulate), (Goal.MINIMIZE, np.minimum.accumulate)):
+            seed = int(gen.integers(1000))
+            run = run_active_learning(make_pool(values, goal=goal), RunConfig(ProposerKind.RANDOM_WALK, seed=seed),
+                                      RandomWalkProposer(seed))
+            once = accumulate(run.observed_values()).tolist()
+            assert run.running_best_series() == once and accumulate(once).tolist() == once
 
     # PCA against an SVD factorization oracle
     for _ in range(5):

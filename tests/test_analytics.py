@@ -4,8 +4,6 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from albench.analytics import (
     IDENTITY,
@@ -18,37 +16,15 @@ from albench.analytics import (
     export_variability,
     pca_project,
     run_identity,
-    running_best,
     summarize_trajectory,
     variability_stats,
 )
 from albench.engine import run_active_learning, standardize_features
 from albench.errors import ConfigError
 from albench.proposers import RandomWalkProposer
-from albench.types import Goal, ProposerKind, RunConfig
+from albench.types import ProposerKind, RunConfig
 
 from conftest import make_pool
-
-
-class TestRunningBest:
-    def test_maximize(self):
-        assert running_best([1, 3, 2, 5], Goal.MAXIMIZE) == [1, 3, 3, 5]
-
-    def test_minimize(self):
-        assert running_best([3, 1, 2], Goal.MINIMIZE) == [3, 1, 1]
-
-    def test_constant(self):
-        assert running_best([2.5, 2.5, 2.5], Goal.MAXIMIZE) == [2.5, 2.5, 2.5]
-
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_idempotence(self, values):
-        once = running_best(values, Goal.MAXIMIZE)
-        assert running_best(once, Goal.MAXIMIZE) == once
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            running_best([], Goal.MAXIMIZE)
 
 
 def trajectory_over(pool, ids):
@@ -280,5 +256,5 @@ class TestExports:
         for run in runs:
             digest = run.run_config_digest[:16]
             got = [float(r["running_best"]) for r in rows if r["digest"] == digest]
-            expected = running_best(run.observed_values(), pool.goal)
+            expected = np.maximum.accumulate(run.observed_values())  # make_pool maximizes
             assert got == pytest.approx(expected)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from albench.engine import read_trajectory
 from albench.errors import ConfigError
 from albench.types import ProposerKind, RunConfig
 
-from conftest import save_fixtures
+from conftest import STORED_RUN_EDITS, save_fixtures
 
 
 def read_summary(path):
@@ -543,6 +544,9 @@ class TestSweep:
             ({"repeats_at_seed": {"42": 5, "042": 2}}, "'042'"),
             ({"repeats_at_seed": {"042": 2, "42": 5}}, "'042'"),
             ({"repeats_at_seed": {"4_2": 3}}, "'4_2'"),
+            # a key that names no seed of the grid would drop its repeats
+            ({"repeats_at_seed": {"0": 3}}, "'0'"),
+            ({"repeats_at_seed": {"-1": 3}}, "'-1'"),
         ],
         ids=[
             "string-alpha",
@@ -566,6 +570,8 @@ class TestSweep:
             "repeat-seed-named-twice",
             "repeat-seed-named-twice-reversed",
             "underscored-repeat-seed",
+            "repeat-seed-off-the-grid",
+            "negative-repeat-seed",
         ],
     )
     def test_malformed_grid_exits_before_any_cell(self, tmp_path, capsys, extra, named):
@@ -804,10 +810,10 @@ class TestSweep:
             summaries.append((out_dir / "summary.csv").read_bytes())
         assert summaries[0] == summaries[1]
 
-    def resumable_sweep(self, tmp_path, parallelism):
+    def resumable_sweep(self, tmp_path, parallelism, **extra):
         """Run a three-cell sweep; return (config path, out dir, run file bytes)."""
         path = self.sweep_config(
-            tmp_path, proposers=["random_walk"], seeds=[38, 39, 40], parallelism=parallelism
+            tmp_path, proposers=["random_walk"], seeds=[38, 39, 40], parallelism=parallelism, **extra
         )
         out_dir = tmp_path / "results"
         assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
@@ -887,6 +893,26 @@ class TestSweep:
         (out_dir / "runs" / damaged).write_text("".join(lines))
         self.rerun_touches_only(path, out_dir, runs, damaged)
         assert "nan" not in (out_dir / "reports" / "running_best.csv").read_text()
+
+    @pytest.mark.parametrize("edit, reason", STORED_RUN_EDITS)
+    def test_run_the_protocol_could_not_produce_is_skipped_and_rerun(self, tmp_path, caplog, edit, reason):
+        """`report` warns once of the edited run, naming its first bad
+        iteration, and a resumed sweep reruns only that cell."""
+        from albench.data import parse_synthetic_string
+
+        path, out_dir, runs = self.resumable_sweep(tmp_path, 1, n_initial=2, max_iterations=8)
+        damaged = sorted(runs)[0]
+        header, *steps = [json.loads(line) for line in runs[damaged].decode().splitlines()]
+        pool = parse_synthetic_string(header["dataset"]["source"])
+        lines = [json.dumps(record, sort_keys=True) for record in (header, *edit(steps, pool))]
+        (out_dir / "runs" / damaged).write_text("\n".join(lines) + "\n")
+        with caplog.at_level("WARNING"):
+            assert main(["report", "--results", str(out_dir / "runs"), "--out-dir", str(tmp_path / "reports")]) == EXIT_OK
+        skipped = [r.message for r in caplog.records if "skipping" in r.message]
+        assert len(skipped) == 1
+        where, why = skipped[0].split(": ", 1)
+        assert where == f"skipping {out_dir / 'runs' / damaged}" and re.search(reason, why)
+        self.rerun_touches_only(path, out_dir, runs, damaged)
 
     def test_sweep_stored_by_an_earlier_version_resumes_every_cell(self, tmp_path):
         """Run files, digests and settings records keep their bytes: a sweep
@@ -1223,12 +1249,15 @@ class TestReport:
         )
         report_dir = tmp_path / "reports"
         main(["report", "--results", str(tmp_path), "--out-dir", str(report_dir)])
-        from albench.analytics import running_best
+        import numpy as np
+
         from albench.data import parse_synthetic_string
+        from albench.types import Goal
 
         pool = parse_synthetic_string("synthetic:linear1d:12:5")
         _, steps = read_trajectory(out)
-        expected = running_best([s.observed_value for s in steps], pool.goal)
+        accumulate = np.maximum.accumulate if pool.goal is Goal.MAXIMIZE else np.minimum.accumulate
+        expected = accumulate([s.observed_value for s in steps])
         rows = read_summary(report_dir / "running_best.csv")
         got = [float(r["running_best"]) for r in rows]
         assert got == pytest.approx(expected)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albench.data import synthetic_pool
+from albench.data import parse_synthetic_string, synthetic_pool
 from albench.engine import (
     Suggestion,
     reached_optimum_at,
@@ -34,9 +34,9 @@ from albench.errors import (
 from albench.bnn import BNNConfig
 from albench.forest_gbt import ForestConfig, GBTConfig
 from albench.proposers import DEFAULT_SETTINGS, GPRConfig, ProposerSettings, RandomWalkProposer, make_proposer
-from albench.types import Goal, ProposerKind, RunConfig, StepRecord
+from albench.types import Goal, PromptFormat, ProposerKind, RunConfig, StepRecord
 
-from conftest import make_pool
+from conftest import STORED_RUN_EDITS, append_step, make_pool
 
 
 def check_stopping(trajectory, dataset) -> bool:
@@ -321,17 +321,102 @@ class TestRunConfigFromDict:
             RunConfig.from_dict(d)
 
 
+class CyclingChatClient:
+    """Answers with `replies` in turn, round and round."""
+
+    def __init__(self, replies):
+        self.replies, self.calls = replies, 0
+
+    def send(self, messages, temperature):
+        self.calls += 1
+        return self.replies[(self.calls - 1) % len(self.replies)]
+
+
+# small models, so every proposer kind runs in well under a second
+TINY_SETTINGS = ProposerSettings(
+    forest=ForestConfig(n_trees=5), gbt=GBTConfig(n_rounds=5),
+    bnn=BNNConfig(hidden_layers=1, width=8, epochs=20, mc_samples=8), offline_reports=True,
+)
+
+# a 30-row pool on which random walk at seed 38 (n_initial 2) takes 8 steps
+# without reaching the optimum: what `conftest.STORED_RUN_EDITS` edits
+EDIT_POOL = "synthetic:quadratic2d:30:2"
+EDIT_CONFIG = RunConfig(ProposerKind.RANDOM_WALK, seed=38, n_initial=2, max_iterations=8)
+
+
+def stored_run(tmp_path, pool, cfg):
+    """(header, step dicts) of a random-walk run on `pool`, as written."""
+    write_trajectory(run_active_learning(pool, cfg, RandomWalkProposer(cfg.seed)), tmp_path / "t.jsonl")
+    lines = (tmp_path / "t.jsonl").read_text().splitlines()
+    return json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+
+
 class TestTrajectoryIO:
-    def test_round_trip(self, tmp_path, ramp_pool):
-        cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=6, n_initial=2)
-        traj = run_active_learning(ramp_pool, cfg, RandomWalkProposer(6))
+    @pytest.mark.parametrize(
+        "kind, prompt_format",
+        [(ProposerKind.RANDOM_WALK, "parameter"), (ProposerKind.LLM, "parameter"), (ProposerKind.LLM, "report"),
+         (ProposerKind.RFR, "parameter"), (ProposerKind.GBT, "parameter"), (ProposerKind.BNN, "parameter"),
+         (ProposerKind.GPR, "parameter")],
+        ids=["random_walk", "llm-parameter", "llm-report", "rfr", "gbt", "bnn", "gpr"],
+    )
+    def test_round_trip(self, tmp_path, kind, prompt_format):
+        """Every kind's steps, with their proposal text, match score and
+        diagnostics, read back to the run that wrote them."""
+        features = [(float(i % 4), float(i // 4)) for i in range(12)]
+        pool = make_pool([float((5 * i) % 12) for i in range(12)], features=features)
+        cfg = RunConfig(kind, alpha=1.0, seed=6, n_initial=2, max_iterations=7, prompt_format=PromptFormat(prompt_format))
+        # two unparsable replies make the LLM fall back to a random draw
+        client = CyclingChatClient(["prose", "prose", "```\nx1: 3\nx2: 0\n```"])
+        traj = run_active_learning(pool, cfg, make_proposer(cfg, TINY_SETTINGS, chat_client=client))
         path = tmp_path / "t.jsonl"
-        write_trajectory(traj, path, {"source": "synthetic:test"})
+        write_trajectory(traj, path, {"source": "synthetic:test"}, TINY_SETTINGS.record(kind))
         header, steps = read_trajectory(path)
         assert RunConfig.from_dict(header["run_config"]) == cfg
-        assert header["dataset_digest"] == ramp_pool.digest()
+        assert header["dataset_digest"] == pool.digest()
         assert [s.to_dict() for s in steps] == [s.to_dict() for s in traj.steps]
-        assert rebuild_trajectory(header, steps, ramp_pool) == traj
+        assert rebuild_trajectory(header, steps, pool) == traj
+        assert len(steps) > cfg.n_initial
+        if kind is ProposerKind.LLM:
+            assert {s.surrogate_diag is not None and "parse_fallback" in s.surrogate_diag for s in steps} == {True, False}
+            assert any(s.proposal_text and s.match_score is not None for s in steps)
+        elif kind in (ProposerKind.BNN, ProposerKind.GPR):  # the trees record no diagnostics
+            assert all(s.surrogate_diag for s in steps[cfg.n_initial:])
+
+    @pytest.mark.parametrize("edit, reason", STORED_RUN_EDITS)
+    def test_rebuild_refuses_a_run_the_protocol_could_not_produce(self, tmp_path, edit, reason):
+        pool = parse_synthetic_string(EDIT_POOL)
+        header, steps = stored_run(tmp_path, pool, EDIT_CONFIG)
+        assert len(steps) == 8 and steps[-1]["running_best"] != pool.optimum_value
+        rebuild_trajectory(header, [StepRecord.from_dict(s) for s in steps], pool)
+        edited = [StepRecord.from_dict(s) for s in edit(steps, pool)]
+        with pytest.raises(ConfigError, match=reason):
+            rebuild_trajectory(header, edited, pool)
+
+    def test_rebuild_refuses_a_step_after_the_optimum(self, tmp_path):
+        pool = parse_synthetic_string(EDIT_POOL)
+        header, steps = stored_run(tmp_path, pool, replace(EDIT_CONFIG, max_iterations=None))
+        assert steps[-1]["observed_value"] == pool.optimum_value and len(steps) < len(pool)
+        edited = [StepRecord.from_dict(s) for s in append_step(steps, pool)]
+        with pytest.raises(ConfigError, match=f"^iteration {len(steps)}: the run had already reached the pool optimum$"):
+            rebuild_trajectory(header, edited, pool)
+
+    def test_rebuild_reads_every_prefix_of_a_valid_run(self, tmp_path):
+        pool = parse_synthetic_string(EDIT_POOL)
+        header, steps = stored_run(tmp_path, pool, EDIT_CONFIG)
+        records = [StepRecord.from_dict(s) for s in steps]
+        for n in range(1, len(records) + 1):
+            assert rebuild_trajectory(header, records[:n], pool).steps == records[:n]
+
+    def test_every_initial_draw_is_recorded_even_after_the_optimum(self, tmp_path):
+        """The first draw is the optimum: the second is still observed, and
+        the stored run reads."""
+        first = select_initial(make_pool([0.0] * 6), 3, 2)[0]
+        pool = make_pool([10.0 if i == first else float(i) for i in range(6)])
+        cfg = RunConfig(ProposerKind.RANDOM_WALK, seed=3, n_initial=2)
+        run = run_active_learning(pool, cfg, RandomWalkProposer(3))
+        assert run.selected_ids() == select_initial(pool, 3, 2) and run.reached_optimum_at == 0
+        write_trajectory(run, tmp_path / "t.jsonl")
+        assert rebuild_trajectory(*read_trajectory(tmp_path / "t.jsonl"), pool) == run
 
     def test_partial_run_round_trip(self, tmp_path, ramp_pool):
         """The partial run that `execute_run` writes on an abort rebuilds to
