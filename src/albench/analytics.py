@@ -8,6 +8,8 @@ curves from different proposers share one scale.
 from __future__ import annotations
 
 import csv
+import re
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -92,12 +94,6 @@ def summarize_trajectory(trajectory: Trajectory) -> dict:
     }
 
 
-def _quartiles(sorted_values: np.ndarray) -> tuple[float, float, float]:
-    return tuple(
-        float(np.percentile(sorted_values, q, method="linear")) for q in (25, 50, 75)
-    )
-
-
 def variability_stats(
     summaries: Sequence[dict], group_by: Sequence[str] = ("proposer",)
 ) -> dict[tuple, dict[str, float]]:
@@ -117,7 +113,7 @@ def variability_stats(
     out = {}
     for key, values in groups.items():
         arr = np.array(sorted(values), dtype=float)
-        q1, median, q3 = _quartiles(arr)
+        q1, median, q3 = (float(q) for q in np.percentile(arr, [25, 50, 75], method="linear"))
         out[key] = {
             "count": float(len(arr)),
             "mean": float(arr.mean()),
@@ -145,21 +141,23 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def export_running_best(runs: Sequence[Trajectory], path) -> None:
+def _write_runs(path, columns, runs: Sequence[Trajectory], rows_of) -> None:
+    """Write the header IDENTITY + `columns`, then each run's identity before each row of `rows_of(run)`."""
     rows = []
     for run in runs:
         identity = list(run_identity(run.config, run.run_config_digest).values())
-        rows += ([*identity, s.iteration, s.observed_value, s.running_best] for s in run.steps)
-    write_csv(path, [*IDENTITY, "iteration", "observed_value", "running_best"], rows)
+        rows += ([*identity, *row] for row in rows_of(run))
+    write_csv(path, [*IDENTITY, *columns], rows)
+
+
+def export_running_best(runs: Sequence[Trajectory], path) -> None:
+    _write_runs(path, ("iteration", "observed_value", "running_best"), runs,
+                lambda run: ((s.iteration, s.observed_value, s.running_best) for s in run.steps))
 
 
 def export_distance_curves(pool: Dataset, runs: Sequence[Trajectory], path) -> None:
     """Each run's `cumulative_l2` curve; every run took its steps on `pool`."""
-    rows = []
-    for run in runs:
-        identity = list(run_identity(run.config, run.run_config_digest).values())
-        rows += ([*identity, i, dist] for i, dist in enumerate(cumulative_l2(run, pool)))
-    write_csv(path, [*IDENTITY, "iteration", "cumulative_l2"], rows)
+    _write_runs(path, ("iteration", "cumulative_l2"), runs, lambda run: enumerate(cumulative_l2(run, pool)))
 
 
 def export_pca(pool: Dataset, runs: Sequence[Trajectory], coords_path, edges_path) -> None:
@@ -170,12 +168,8 @@ def export_pca(pool: Dataset, runs: Sequence[Trajectory], coords_path, edges_pat
     points = [point + [0.0] * (2 - k) for point in projected.tolist()]
     coord_rows = [[cid, target, *point] for cid, (target, point) in enumerate(zip(pool.targets.tolist(), points))]
     write_csv(coords_path, ["candidate_id", "target", "pc1", "pc2"], coord_rows)
-
-    edge_rows = []
-    for run in runs:
-        identity = list(run_identity(run.config, run.run_config_digest).values())
-        edge_rows += ([*identity, order, cid, *points[cid]] for order, cid in enumerate(run.selected_ids()))
-    write_csv(edges_path, [*IDENTITY, "order", "candidate_id", "pc1", "pc2"], edge_rows)
+    _write_runs(edges_path, ("order", "candidate_id", "pc1", "pc2"), runs,
+                lambda run: ((order, cid, *points[cid]) for order, cid in enumerate(run.selected_ids())))
 
 
 VARIABILITY = ("count", "mean", "std", "min", "max", "q1", "median", "q3")
@@ -195,6 +189,44 @@ def export_variability(summaries: Sequence[dict], path, group_by=("proposer", "a
 
 def export_similarity_scores(runs: Sequence[Trajectory], path) -> None:
     """Per-trajectory mean match score (the similarity boxplot data)."""
-    scores = ((run_identity(run.config, run.run_config_digest), run.mean_match_score()) for run in runs)
-    rows = [[*identity.values(), score] for identity, score in scores if score is not None]
-    write_csv(path, [*IDENTITY, "mean_match_score"], rows)
+    _write_runs(path, ("mean_match_score",), runs,
+                lambda run: [] if (score := run.mean_match_score()) is None else [(score,)])
+
+
+REPORT_FAMILIES = ("running_best", "distance_curves", "pca_coordinates", "pca_trajectories", "variability",
+                   "similarity_scores")
+
+
+def write_reports(out_dir: Path, pools: dict[str, Dataset], runs: Sequence[Trajectory]) -> None:
+    """Write the report families of `runs` into `out_dir`, then remove the
+    family files there that this export did not write.
+
+    `pools` maps a digest to a pool; each run was built on one of them.
+    Runs are grouped by their pool's digest, keeping their order, and each
+    group's exports get that pool. Files of one pool carry no suffix; with
+    several, each carries its pool's name, with every character outside
+    [A-Za-z0-9._-] read as "_", plus the first 8 hex digits of its digest
+    when two pools' suffixes are equal. ConfigError when `runs` is empty."""
+    if not runs:
+        raise ConfigError("no runs to report")
+    by_pool: dict[str, list[Trajectory]] = {}
+    for run in runs:
+        by_pool.setdefault(run.dataset_digest, []).append(run)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    names = [re.sub(r"[^A-Za-z0-9._-]", "_", pools[digest].name) for digest in by_pool]
+    written = set()
+    for (digest, group), name in zip(by_pool.items(), names):
+        pool = pools[digest]
+        suffix = f"_{name}" if len(by_pool) > 1 else ""
+        if names.count(name) > 1:
+            suffix += f"_{digest[:8]}"
+        paths = {family: out_dir / f"{family}{suffix}.csv" for family in REPORT_FAMILIES}
+        export_running_best(group, paths["running_best"])
+        export_distance_curves(pool, group, paths["distance_curves"])
+        export_pca(pool, group, paths["pca_coordinates"], paths["pca_trajectories"])
+        export_variability([summarize_trajectory(run) for run in group], paths["variability"])
+        export_similarity_scores(group, paths["similarity_scores"])
+        written.update(paths.values())
+    for path in set(out_dir.glob("*.csv")) - written:
+        if any(path.name == f"{family}.csv" or path.name.startswith(f"{family}_") for family in REPORT_FAMILIES):
+            path.unlink()

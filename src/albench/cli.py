@@ -257,15 +257,8 @@ def expand_sweep(cfg: dict) -> list[dict]:
     repeats = cfg.get("repeats_at_seed", {"42": 5})
     if not (isinstance(repeats, dict) and all(is_int(v, 1) for v in repeats.values())):
         raise ConfigError(f"'repeats_at_seed' must map integer seeds to integers >= 1, got {repeats!r}")
-    for key in repeats:  # int() reads "042" and "4_2" as 42, which "42" may name too
-        try:
-            plain = key == str(int(key))
-        except (TypeError, ValueError):  # not a number, or past int()'s digit limit
-            plain = False
-        if not plain:
-            raise ConfigError(f"'repeats_at_seed' key {key!r} is not a plain decimal seed")
-    repeats_at_seed = {int(k): v for k, v in repeats.items()}
-    stray = [key for key in cfg.get("repeats_at_seed", {}) if int(key) not in seeds]  # the default may name no seed
+    # each key the config gives must be str(seed) for a grid seed ("042" and "+42" are not); the default need not
+    stray = sorted(set(cfg.get("repeats_at_seed", {})) - {str(seed) for seed in seeds})
     if stray:
         raise ConfigError(f"'repeats_at_seed' keys {stray} name no seed in 'seeds' {seeds}")
     base = {key: cfg[key] for key in ("n_initial", "max_iterations") if key in cfg}
@@ -278,7 +271,7 @@ def expand_sweep(cfg: dict) -> list[dict]:
             for alpha in alpha_grid:
                 for seed in seeds:
                     # only LLM runs repeat at a seed, to measure non-determinism
-                    for rep in range(repeats_at_seed.get(int(seed), 1) if kind is ProposerKind.LLM else 1):
+                    for rep in range(repeats.get(str(seed), 1) if kind is ProposerKind.LLM else 1):
                         tasks.append(
                             {
                                 **base,
@@ -442,50 +435,13 @@ def cmd_sweep(args) -> int:
     failed = [r for r in rows if r["status"] == "failed"]
     print(f"sweep: {len(rows)} runs ({len(rows) - len(tasks)} resumed, {len(failed)} failed) -> {summary_path}")
     try:
-        _export_reports(out_dir / "reports", pools, [runs[path] for path in sorted(runs)])
+        analytics.write_reports(out_dir / "reports", pools, [runs[path] for path in sorted(runs)])
     except AlbenchError as exc:
         logger.warning("report export skipped: %s", exc)
     return EXIT_PARTIAL_SWEEP if failed else EXIT_OK
 
 
 # --- report command ----------------------------------------------------------
-
-REPORT_FAMILIES = ("running_best", "distance_curves", "pca_coordinates", "pca_trajectories", "variability",
-                   "similarity_scores")
-
-
-def _export_reports(out_dir: Path, pools: dict[str, Dataset], runs: list[Trajectory]) -> None:
-    """Write the report families of `runs`, then remove the family files in
-    `out_dir` that this export did not write.
-
-    `pools` maps a digest to a pool; each run was built on one of them.
-    Runs are grouped by their pool's digest, keeping their order, and each
-    group's exports get that pool. Files of one pool carry no suffix; with
-    several, each carries its pool's name, plus the first 8 hex digits of
-    its digest when pools share a name. ConfigError when `runs` is empty."""
-    if not runs:
-        raise ConfigError("no runs to report")
-    by_pool: dict[str, list[Trajectory]] = {}
-    for run in runs:
-        by_pool.setdefault(run.dataset_digest, []).append(run)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = [pools[digest].name for digest in by_pool]
-    written = set()
-    for digest, group in by_pool.items():
-        pool = pools[digest]
-        suffix = f"_{pool.name}" if len(by_pool) > 1 else ""
-        if names.count(pool.name) > 1:
-            suffix += f"_{digest[:8]}"
-        paths = {family: out_dir / f"{family}{suffix}.csv" for family in REPORT_FAMILIES}
-        analytics.export_running_best(group, paths["running_best"])
-        analytics.export_distance_curves(pool, group, paths["distance_curves"])
-        analytics.export_pca(pool, group, paths["pca_coordinates"], paths["pca_trajectories"])
-        analytics.export_variability([analytics.summarize_trajectory(run) for run in group], paths["variability"])
-        analytics.export_similarity_scores(group, paths["similarity_scores"])
-        written.update(paths.values())
-    for path in set(out_dir.glob("*.csv")) - written:
-        if any(path.name == f"{family}.csv" or path.name.startswith(f"{family}_") for family in REPORT_FAMILIES):
-            path.unlink()
 
 
 def cmd_report(args) -> int:
@@ -496,8 +452,9 @@ def cmd_report(args) -> int:
     runs = _read_runs(results_dir, pools)
     if not runs:
         raise ConfigError(f"no readable trajectories in {results_dir}")
-    _export_reports(Path(args.out_dir or results_dir / "reports"), pools, [run for _, run in runs.values()])
-    print(f"report exports written to {args.out_dir or results_dir / 'reports'}")
+    out_dir = Path(args.out_dir or results_dir / "reports")
+    analytics.write_reports(out_dir, pools, [run for _, run in runs.values()])
+    print(f"report exports written to {out_dir}")
     return EXIT_OK
 
 

@@ -200,7 +200,7 @@ def fit_gpr(X, y, seed: int, n_restarts: int = 4) -> KernelParams:
     if not candidates:
         raise FitError("all hyperparameter starts failed numerically")
     best = min(candidates, key=lambda c: c[0])
-    return KernelParams.from_log_vector(np.clip(best[1], [b[0] for b in _LOG_BOUNDS], [b[1] for b in _LOG_BOUNDS]))
+    return KernelParams.from_log_vector(best[1])
 
 
 def predict_gpr(X_train, y_train, params: KernelParams, X_query) -> tuple[np.ndarray, np.ndarray]:

@@ -544,6 +544,7 @@ class TestSweep:
             ({"repeats_at_seed": {"42": 5, "042": 2}}, "'042'"),
             ({"repeats_at_seed": {"042": 2, "42": 5}}, "'042'"),
             ({"repeats_at_seed": {"4_2": 3}}, "'4_2'"),
+            ({"repeats_at_seed": {"+42": 3}}, "'+42'"),
             # a key that names no seed of the grid would drop its repeats
             ({"repeats_at_seed": {"0": 3}}, "'0'"),
             ({"repeats_at_seed": {"-1": 3}}, "'-1'"),
@@ -570,6 +571,7 @@ class TestSweep:
             "repeat-seed-named-twice",
             "repeat-seed-named-twice-reversed",
             "underscored-repeat-seed",
+            "signed-repeat-seed",
             "repeat-seed-off-the-grid",
             "negative-repeat-seed",
         ],
@@ -657,7 +659,7 @@ class TestSweep:
             return parse(cls, d)
 
         monkeypatch.setattr(RunConfig, "from_dict", classmethod(counting))
-        monkeypatch.setattr(cli, "_export_reports", lambda *args: None)
+        monkeypatch.setattr(cli.analytics, "write_reports", lambda *args: None)
         assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
         assert [r["status"] for r in read_summary(out_dir / "summary.csv")] == ["skipped"] * len(runs)
         # one parse per grid cell, and one per stored header
@@ -1358,7 +1360,7 @@ class TestReportExports:
         pools = {pool.digest(): pool}
         runs = cli._read_runs(tmp_path / "results" / "runs", pools)
         assert pools == {pool.digest(): pool} and len(runs) == 4
-        cli._export_reports(tmp_path / "report", pools, [run for _, run in runs.values()])
+        analytics.write_reports(tmp_path / "report", pools, [run for _, run in runs.values()])
         assert len(exported) == 2 and all(p is pool and n == 4 for p, n in exported)
         assert len(list((tmp_path / "report").glob("*.csv"))) == 6
 
@@ -1395,3 +1397,30 @@ class TestReportExports:
         for digest in digests:
             rows = read_summary(tmp_path / "report" / f"running_best_lab_{digest[:8]}.csv")
             assert {r["digest"] for r in rows} == runs[digest] and len(runs[digest]) == 4
+
+    @pytest.mark.parametrize(
+        "names, suffixes",
+        [
+            (("lab/a", "lab"), ("lab_a", "lab")),
+            # "lab/a" and "lab_a" would share a file name, so each adds its digest
+            (("lab/a", "lab_a"), ("lab_a_{digest8}", "lab_a_{digest8}")),
+        ],
+        ids=["separator", "separator-collision"],
+    )
+    def test_pool_names_with_path_separators_stay_in_the_report_directory(self, tmp_path, names, suffixes):
+        from albench import analytics
+
+        out_dir = tmp_path / "results"
+        specs = []
+        for salt, name in enumerate(names):
+            specs.append({**self.write_pool(tmp_path, "pool", salt), "name": name})
+            self.sweep(tmp_path, specs[-1], out_dir)  # the second sweep exports both pools
+        digests = [cli.build_dataset(spec)[0].digest() for spec in specs]
+        stems = [suffix.format(digest8=digest[:8]) for suffix, digest in zip(suffixes, digests)]
+        expected = {f"{family}_{stem}.csv" for family in analytics.REPORT_FAMILIES for stem in stems}
+        assert len(expected) == 12 and {p.name for p in (out_dir / "reports").iterdir()} == expected
+        assert main(["report", "--results", str(out_dir / "runs"), "--out-dir", str(tmp_path / "report")]) == EXIT_OK
+        assert {p.name for p in (tmp_path / "report").iterdir()} == expected
+        for stem in stems:
+            rows = read_summary(tmp_path / "report" / f"running_best_{stem}.csv")
+            assert len({r["digest"] for r in rows}) == 4
