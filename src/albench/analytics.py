@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import re
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def pca_project(pool: Dataset, k: int = 2):
 #
 # One row per run: `summary.csv` and the report CSVs name a run by its
 # identity columns, and `summary.csv` and the variability table read its
-# outcome columns.
+# outcome columns. `summary_row` builds every `summary.csv` row.
 
 IDENTITY = ("digest", "proposer", "alpha", "seed", "repeat_index", "prompt_format")
 OUTCOME = ("steps", "iterations_to_optimum", "data_fraction", "final_best", "mean_match_score")
@@ -92,6 +92,22 @@ def summarize_trajectory(trajectory: Trajectory) -> dict:
         "final_best": trajectory.final_best,
         "mean_match_score": trajectory.mean_match_score(),
     }
+
+
+SUMMARY_FIELDS = (*IDENTITY, "pool_size", *OUTCOME, "status", "error")
+
+
+def summary_row(
+    config: RunConfig, dataset: Dataset, status: str, trajectory: Optional[Trajectory] = None, error: str = ""
+) -> dict:
+    """The `summary.csv` row of a run, keyed by SUMMARY_FIELDS in order; the
+    OUTCOME columns stay empty without a trajectory."""
+    if trajectory is None:
+        columns = run_identity(config, config.digest(dataset.digest()))
+    else:
+        columns = summarize_trajectory(trajectory)
+    columns.update(pool_size=len(dataset), status=status, error=error)
+    return {field: columns.get(field) for field in SUMMARY_FIELDS}
 
 
 def variability_stats(

@@ -1,4 +1,6 @@
-"""Command-line front end: single runs, sweeps, and analytics export.
+"""Command-line front end for single runs, sweeps and analytics export.
+It holds argv handling, config sections, the proposer factory, the sweep
+grid and the process pool; engine, data and analytics own stored formats.
 
 Exit codes: 0 success, 1 configuration error, 2 run failure, 3 partial
 sweep failure. Configs are JSON; credentials come from the environment
@@ -22,8 +24,9 @@ from . import analytics
 from .clients import (
     ConstantChatClient, LiveChatClient, LiveRerankClient, ScriptedChatClient, TokenBucket, load_fixtures,
 )
-from .data import DatasetSpec, load_csv, parse_synthetic_string
-from .engine import read_trajectory, rebuild_trajectory, run_active_learning, write_trajectory
+from .data import build_dataset, load_csv  # noqa: F401 -- bench/spans.py traces load_csv under this name
+from .engine import read_runs, run_active_learning, write_trajectory
+from .engine import read_trajectory  # noqa: F401 -- bench/spans.py traces calls under this name
 from .errors import AlbenchError, ConfigError, RunAborted
 from .types import (
     Dataset, PromptFormat, ProposerKind, RunConfig, Trajectory, check_keys, is_int, is_real, read_config,
@@ -38,30 +41,6 @@ EXIT_PARTIAL_SWEEP = 3
 
 
 # --- config assembly ---------------------------------------------------------
-
-
-def build_dataset(description) -> tuple[Dataset, dict]:
-    """Build the pool that `description` names: (pool, its header entry).
-
-    The one reader of pool descriptions, for `run`, `sweep` and `report`.
-    A string reads as the header entry {"source": string}; a `dataset`
-    object without "source" is checked by `DatasetSpec.from_dict` and reads
-    as the CSV entry {name, goal, "source": "csv", spec}. An entry whose
-    source is 'synthetic:<kind>:<n>[:<seed>]', or "csv" with a spec, is
-    built; anything else is a ConfigError.
-    """
-    entry = description
-    if isinstance(description, str):
-        entry = {"source": description}
-    elif isinstance(description, dict) and "source" not in description:
-        spec = DatasetSpec.from_dict(description)
-        entry = {"name": spec.name, "goal": spec.goal.value, "source": "csv", "spec": spec.to_dict()}
-    source = entry.get("source") if isinstance(entry, dict) else None
-    if isinstance(source, str) and source.startswith("synthetic:"):
-        return parse_synthetic_string(source), entry
-    if source == "csv" and entry.get("spec"):
-        return load_csv(DatasetSpec.from_dict(entry["spec"])), entry
-    raise ConfigError(f"cannot build a pool from dataset {description!r}")
 
 
 # The top-level keys that each command reads; any other key is a ConfigError.
@@ -177,26 +156,6 @@ def execute_run(
     return trajectory
 
 
-SUMMARY_FIELDS = [*analytics.IDENTITY, "pool_size", *analytics.OUTCOME, "status", "error"]
-
-
-def summary_row(
-    config: RunConfig,
-    dataset: Dataset,
-    status: str,
-    trajectory: Optional[Trajectory] = None,
-    error: str = "",
-) -> dict:
-    """One `summary.csv` row; the outcome columns stay empty without a trajectory."""
-    if trajectory is None:
-        columns = analytics.run_identity(config, config.digest(dataset.digest()))
-    else:
-        columns = analytics.summarize_trajectory(trajectory)
-    row = dict.fromkeys(SUMMARY_FIELDS)
-    row.update(columns, pool_size=len(dataset), status=status, error=error)
-    return row
-
-
 # --- run command -------------------------------------------------------------
 
 
@@ -220,7 +179,7 @@ def cmd_run(args) -> int:
     config.validate(len(dataset))
     out_path = args.out or f"run_{config.digest(dataset.digest())[:16]}.jsonl"
     trajectory = execute_run(dataset, header_entry, config, out_path, new_proposer, settings)
-    summary = summary_row(config, dataset, "ok", trajectory)
+    summary = analytics.summary_row(config, dataset, "ok", trajectory)
     frac = summary["data_fraction"]
     print(
         f"{config.proposer.value} on {dataset.name}: "
@@ -231,11 +190,6 @@ def cmd_run(args) -> int:
 
 
 # --- sweep command -----------------------------------------------------------
-
-# What reading a stored trajectory raises when the file is missing, torn or
-# malformed (json.JSONDecodeError is a ValueError).
-_UNREADABLE = (OSError, ValueError, KeyError, TypeError, AlbenchError)
-
 
 def expand_sweep(cfg: dict) -> list[dict]:
     """Factorial grid over proposers, alphas, seeds, repeats, and formats."""
@@ -285,34 +239,6 @@ def expand_sweep(cfg: dict) -> list[dict]:
     return tasks
 
 
-def _read_runs(results_dir: Path, pools: dict[str, Dataset]) -> dict[Path, tuple[dict, Trajectory]]:
-    """Every run stored in `results_dir`, read once, in path order: {path:
-    (header, run)}. Each is rebuilt on `pools[its header's pool digest]`; a
-    missing pool is rebuilt from the header and added; one that fails to
-    rebuild is tried once, and every file naming it is skipped for the same
-    reason. A file that is unreadable, torn, header-only, has a malformed
-    step or ran on a changed pool is skipped, with a warning."""
-    runs, unbuilt = {}, {}  # unbuilt: {pool digest: why its rebuild failed}
-    for path in sorted(results_dir.glob("*.jsonl")):
-        try:
-            header, steps = read_trajectory(path)
-            if not steps:
-                raise ConfigError("the run has no steps")
-            digest = header.get("dataset_digest", "")
-            if digest in unbuilt:
-                raise unbuilt[digest]
-            if digest not in pools:
-                try:
-                    pools[digest] = build_dataset(header.get("dataset"))[0]
-                except _UNREADABLE as exc:
-                    unbuilt[digest] = exc
-                    raise
-            runs[path] = header, rebuild_trajectory(header, steps, pools[digest])
-        except _UNREADABLE as exc:
-            logger.warning("skipping %s: %s", path, exc)
-    return runs
-
-
 def _run_cell(
     dataset: Dataset, header_entry: dict, new_proposer, settings, config: RunConfig, out_path
 ) -> tuple[dict, Optional[Trajectory]]:
@@ -322,8 +248,8 @@ def _run_cell(
         trajectory = execute_run(dataset, header_entry, config, out_path, new_proposer, settings)
     except AlbenchError as exc:
         partial = exc.partial if isinstance(exc, RunAborted) else None
-        return summary_row(config, dataset, "failed", error=str(exc)), partial
-    return summary_row(config, dataset, "ok", trajectory), trajectory
+        return analytics.summary_row(config, dataset, "failed", error=str(exc)), partial
+    return analytics.summary_row(config, dataset, "ok", trajectory), trajectory
 
 
 # (pool, header entry, new_proposer, settings) of a sweep worker process; set by _init_sweep_worker
@@ -391,7 +317,7 @@ def cmd_sweep(args) -> int:
 
     pool_digest = dataset.digest()
     pools = {pool_digest: dataset}
-    stored = _read_runs(runs_dir, pools)
+    stored = read_runs(runs_dir, pools)
     runs = {path: run for path, (_, run) in stored.items()}
     rows, tasks = [], []
 
@@ -412,7 +338,7 @@ def cmd_sweep(args) -> int:
         out_path = runs_dir / f"{config.digest(pool_digest)[:16]}.jsonl"
         if out_path in stored and complete(*stored[out_path]):
             run = runs[out_path]
-            keep(out_path, summary_row(run.config, dataset, "skipped", run), run)
+            keep(out_path, analytics.summary_row(run.config, dataset, "skipped", run), run)
         else:
             tasks.append((config, out_path))
 
@@ -423,20 +349,20 @@ def cmd_sweep(args) -> int:
         initargs = (dataset, header_entry, cfg, kinds, workers)
         for task in _pool_cells(tasks, workers, initargs, keep):
             for config, out_path in _pool_cells([task], 1, initargs, keep):
-                keep(out_path, summary_row(config, dataset, "failed", error="worker died"), None)
+                keep(out_path, analytics.summary_row(config, dataset, "failed", error="worker died"), None)
     else:
         for config, out_path in tasks:
             keep(out_path, *_run_cell(dataset, header_entry, new_proposer, settings, config, out_path))
 
     rows.sort(key=lambda r: (r["proposer"], r["prompt_format"], r["alpha"], r["seed"], r["repeat_index"]))
     summary_path = out_dir / "summary.csv"
-    analytics.write_csv(summary_path, SUMMARY_FIELDS, ([r[f] for f in SUMMARY_FIELDS] for r in rows))
+    analytics.write_csv(summary_path, analytics.SUMMARY_FIELDS, (row.values() for row in rows))
 
     failed = [r for r in rows if r["status"] == "failed"]
     print(f"sweep: {len(rows)} runs ({len(rows) - len(tasks)} resumed, {len(failed)} failed) -> {summary_path}")
     try:
         analytics.write_reports(out_dir / "reports", pools, [runs[path] for path in sorted(runs)])
-    except AlbenchError as exc:
+    except (AlbenchError, OSError) as exc:
         logger.warning("report export skipped: %s", exc)
     return EXIT_PARTIAL_SWEEP if failed else EXIT_OK
 
@@ -449,7 +375,7 @@ def cmd_report(args) -> int:
     if not results_dir.is_dir():
         raise ConfigError(f"{results_dir} is not a directory")
     pools = {}
-    runs = _read_runs(results_dir, pools)
+    runs = read_runs(results_dir, pools)
     if not runs:
         raise ConfigError(f"no readable trajectories in {results_dir}")
     out_dir = Path(args.out_dir or results_dir / "reports")

@@ -1,4 +1,5 @@
-"""Pool loading: CSV files, the four-benchmark registry, synthetic pools.
+"""Pools: CSV files, the four-benchmark registry, synthetic pools, and
+`build_dataset`, the one reader of pool descriptions.
 
 CSV dialect is fixed: comma-separated, one header row, '.' decimal point,
 numerics unquoted. Candidate i is the i-th data row in file order.
@@ -254,14 +255,31 @@ def synthetic_pool(kind: SyntheticKind | str, n: int, seed: int) -> Dataset:
     )
 
 
-def parse_synthetic_string(text: str) -> Dataset:
-    """Parse 'synthetic:<kind>:<n>[:<seed>]' into a pool."""
-    parts = text.split(":")
-    if len(parts) not in (3, 4) or parts[0] != "synthetic":
-        raise ConfigError(f"bad synthetic dataset string {text!r}; want synthetic:<kind>:<n>[:<seed>]")
-    kind, n = parts[1], parts[2]
-    seed = parts[3] if len(parts) == 4 else "0"
-    try:
-        return synthetic_pool(kind, int(n), int(seed))
-    except ValueError as exc:
-        raise ConfigError(f"bad synthetic dataset string {text!r}: {exc}") from None
+def build_dataset(description) -> tuple[Dataset, dict]:
+    """Build the pool that `description` names: (pool, its header entry).
+
+    The one reader of pool descriptions, for `run`, `sweep`, `report` and
+    stored runs. A string reads as the header entry {"source": string}; a
+    `dataset` object without "source" is checked by `DatasetSpec.from_dict`
+    and reads as the CSV entry {name, goal, "source": "csv", spec}. An entry
+    whose source is 'synthetic:<kind>:<n>[:<seed>]', or "csv" with a spec,
+    is built; anything else is a ConfigError.
+    """
+    entry = description
+    if isinstance(description, str):
+        entry = {"source": description}
+    elif isinstance(description, dict) and "source" not in description:
+        spec = DatasetSpec.from_dict(description)
+        entry = {"name": spec.name, "goal": spec.goal.value, "source": "csv", "spec": spec.to_dict()}
+    source = entry.get("source") if isinstance(entry, dict) else None
+    if isinstance(source, str) and source.startswith("synthetic:"):
+        parts = source.split(":")
+        if len(parts) not in (3, 4):
+            raise ConfigError(f"bad synthetic dataset string {source!r}; want synthetic:<kind>:<n>[:<seed>]")
+        try:
+            return synthetic_pool(parts[1], int(parts[2]), int(parts[3] if len(parts) == 4 else "0")), entry
+        except ValueError as exc:
+            raise ConfigError(f"bad synthetic dataset string {source!r}: {exc}") from None
+    if source == "csv" and entry.get("spec"):
+        return load_csv(DatasetSpec.from_dict(entry["spec"])), entry
+    raise ConfigError(f"cannot build a pool from dataset {description!r}")

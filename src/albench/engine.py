@@ -1,4 +1,5 @@
-"""Pool-based active-learning loop: initialization, proposing, stopping.
+"""Pool-based active-learning loop, its trajectory files, and `read_runs`,
+the one reader of a results directory.
 
 PRNG layout (one documented scheme, reproducible within this package):
 
@@ -16,6 +17,7 @@ fixed seed differ only through client nondeterminism (live LLMs).
 from __future__ import annotations
 
 import json
+import logging
 import operator
 import os
 from dataclasses import dataclass
@@ -24,8 +26,13 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ProposerError, ProtocolViolationError, RunAborted, ShapeError
+from .data import build_dataset
+from .errors import (
+    AlbenchError, ConfigError, NumericalError, ProposerError, ProtocolViolationError, RunAborted, ShapeError,
+)
 from .types import Dataset, RunConfig, StepRecord, Trajectory
+
+logger = logging.getLogger(__name__)
 
 STREAM_WALK = 1
 STREAM_MODEL = 2
@@ -331,3 +338,36 @@ def rebuild_trajectory(header: dict, steps: list[StepRecord], dataset: Dataset) 
             raise ConfigError(f"iteration {i}: {fault}")
         seen.add(cid)
     return trajectory
+
+
+# What reading a stored run or rebuilding its pool raises when a file is
+# missing, torn or malformed (json.JSONDecodeError is a ValueError).
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError, AlbenchError)
+
+
+def read_runs(results_dir: Path, pools: dict[str, Dataset]) -> dict[Path, tuple[dict, Trajectory]]:
+    """Every run stored in `results_dir`, read once, in path order: {path:
+    (header, run)}. Each is rebuilt on `pools[its header's pool digest]`; a
+    missing pool is rebuilt from the header and added; one that fails to
+    rebuild is tried once, and every file naming it is skipped for the same
+    reason. A file that is unreadable, torn, header-only, has a malformed
+    step or ran on a changed pool is skipped, with a warning."""
+    runs, unbuilt = {}, {}  # unbuilt: {pool digest: why its rebuild failed}
+    for path in sorted(results_dir.glob("*.jsonl")):
+        try:
+            header, steps = read_trajectory(path)
+            if not steps:
+                raise ConfigError("the run has no steps")
+            digest = header.get("dataset_digest", "")
+            if digest in unbuilt:
+                raise unbuilt[digest]
+            if digest not in pools:
+                try:
+                    pools[digest] = build_dataset(header.get("dataset"))[0]
+                except _UNREADABLE as exc:
+                    unbuilt[digest] = exc
+                    raise
+            runs[path] = header, rebuild_trajectory(header, steps, pools[digest])
+        except _UNREADABLE as exc:
+            logger.warning("skipping %s: %s", path, exc)
+    return runs

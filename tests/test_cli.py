@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from albench import cli
+from albench import cli, data, engine
 from albench.cli import EXIT_CONFIG, EXIT_OK, expand_sweep, main
 from albench.clients import FixtureRecord, TokenBucket
-from albench.engine import read_trajectory
+from albench.data import build_dataset
+from albench.engine import read_runs, read_trajectory
 from albench.errors import ConfigError
 from albench.types import ProposerKind, RunConfig
 
@@ -213,8 +214,8 @@ class TestBuildDataset:
     @pytest.mark.parametrize("form", ["synthetic string", "dataset object", "registry object"])
     def test_header_entry_rebuilds_the_same_pool_and_entry(self, tmp_path, form):
         description = self.forms(tmp_path)[form]
-        pool, entry = cli.build_dataset(description)
-        again, entry_again = cli.build_dataset(json.loads(json.dumps(entry)))
+        pool, entry = build_dataset(description)
+        again, entry_again = build_dataset(json.loads(json.dumps(entry)))
         assert again.digest() == pool.digest()
         assert json.dumps(entry_again) == json.dumps(entry)
         if isinstance(description, str):
@@ -224,7 +225,7 @@ class TestBuildDataset:
             assert (entry["name"], entry["goal"]) == (pool.name, pool.goal.value)
 
     def test_registry_object_starts_from_the_registry_entry(self, tmp_path):
-        pool, entry = cli.build_dataset(self.forms(tmp_path)["registry object"])
+        pool, entry = build_dataset(self.forms(tmp_path)["registry object"])
         assert (pool.name, pool.target_name, len(pool)) == ("membrane", "elastic_modulus", 73)
         assert entry["spec"]["expected_rows"] == 73 and entry["goal"] == "maximize"
 
@@ -237,7 +238,7 @@ class TestBuildDataset:
     )
     def test_other_descriptions_are_config_errors(self, description):
         with pytest.raises(ConfigError):
-            cli.build_dataset(description)
+            build_dataset(description)
 
 
 class TestRun:
@@ -675,7 +676,7 @@ class TestSweep:
             read.append(Path(p).name)
             return read_trajectory(p)
 
-        monkeypatch.setattr(cli, "read_trajectory", counting)
+        monkeypatch.setattr(engine, "read_trajectory", counting)
         assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
         assert sorted(read) == sorted(runs)
         assert {p.name: p.read_bytes() for p in (out_dir / "reports").glob("*.csv")} == reports
@@ -684,7 +685,7 @@ class TestSweep:
     def test_fresh_sweep_reads_back_no_run(self, tmp_path, monkeypatch, parallelism):
         """The report export uses the runs the sweep holds, from workers too."""
         read = []
-        monkeypatch.setattr(cli, "read_trajectory", lambda p: read.append(p) or read_trajectory(p))
+        monkeypatch.setattr(engine, "read_trajectory", lambda p: read.append(p) or read_trajectory(p))
         path = self.sweep_config(tmp_path, proposers=["random_walk"], seeds=[38, 39, 40], parallelism=parallelism)
         out_dir = tmp_path / "results"
         assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
@@ -702,7 +703,7 @@ class TestSweep:
             repeats_at_seed={}, llm={"client": "live:http://127.0.0.1:1/v1|m", "backoff": 0},
         )
         read = []
-        monkeypatch.setattr(cli, "read_trajectory", lambda p: read.append(p) or read_trajectory(p))
+        monkeypatch.setattr(engine, "read_trajectory", lambda p: read.append(p) or read_trajectory(p))
         out_dir = tmp_path / "results"
         assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_PARTIAL_SWEEP
         status = {r["proposer"]: (r["digest"], r["status"]) for r in read_summary(out_dir / "summary.csv")}
@@ -711,6 +712,19 @@ class TestSweep:
         assert read_trajectory(out_dir / "runs" / f"{status['llm'][0]}.jsonl")[1]
         rows = read_summary(out_dir / "reports" / "running_best.csv")
         assert {r["digest"] for r in rows} == {digest for digest, _ in status.values()}
+
+    def test_report_export_that_cannot_write_is_skipped(self, tmp_path, caplog):
+        """An OSError from the export is a warning, as an AlbenchError is: the
+        sweep still exits with its cells' status."""
+        path = self.sweep_config(tmp_path, proposers=["random_walk"], seeds=[38])
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        (out_dir / "reports").write_text("a file, not a directory\n")
+        with caplog.at_level("WARNING"):
+            assert main(["sweep", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert [r["status"] for r in read_summary(out_dir / "summary.csv")] == ["ok"]
+        assert [r.message for r in caplog.records if "report export skipped" in r.message]
+        assert (out_dir / "reports").read_text() == "a file, not a directory\n"
 
     def test_dead_worker_fails_its_cells_and_a_rerun_completes_them(self, tmp_path, monkeypatch):
         import signal
@@ -746,9 +760,7 @@ class TestSweep:
         out_dir = tmp_path / "results"
         main(["sweep", "--config", str(path), "--out-dir", str(out_dir)])
         rows = read_summary(out_dir / "summary.csv")
-        from albench.data import parse_synthetic_string
-
-        pool = parse_synthetic_string("synthetic:quadratic2d:30:2")
+        pool = build_dataset("synthetic:quadratic2d:30:2")[0]
         optimum = pool.optimum_value
         for row in rows:
             header, steps = read_trajectory(out_dir / "runs" / f"{row['digest']}.jsonl")
@@ -900,12 +912,10 @@ class TestSweep:
     def test_run_the_protocol_could_not_produce_is_skipped_and_rerun(self, tmp_path, caplog, edit, reason):
         """`report` warns once of the edited run, naming its first bad
         iteration, and a resumed sweep reruns only that cell."""
-        from albench.data import parse_synthetic_string
-
         path, out_dir, runs = self.resumable_sweep(tmp_path, 1, n_initial=2, max_iterations=8)
         damaged = sorted(runs)[0]
         header, *steps = [json.loads(line) for line in runs[damaged].decode().splitlines()]
-        pool = parse_synthetic_string(header["dataset"]["source"])
+        pool = build_dataset(header["dataset"]["source"])[0]
         lines = [json.dumps(record, sort_keys=True) for record in (header, *edit(steps, pool))]
         (out_dir / "runs" / damaged).write_text("\n".join(lines) + "\n")
         with caplog.at_level("WARNING"):
@@ -1097,9 +1107,7 @@ class TestReport:
                 str(out),
             ]
         )
-        from albench.data import parse_synthetic_string
-
-        pool = parse_synthetic_string("synthetic:quadratic2d:50:6")
+        pool = build_dataset("synthetic:quadratic2d:50:6")[0]
         _, steps = read_trajectory(out)
         assert all(s.observed_value != pool.optimum_value for s in steps)  # truly unfinished
         report_dir = tmp_path / "reports"
@@ -1199,8 +1207,6 @@ class TestReport:
         with caplog.at_level("WARNING"):
             code = main(["report", "--results", str(out_dir / "runs"), "--out-dir", str(report_dir)])
         assert code == EXIT_CONFIG  # both runs skipped: nothing left to report
-        from albench.cli import build_dataset
-
         current = build_dataset(spec)[0].digest()
         assert current != recorded
         skipped = [r.message for r in caplog.records if "skipping" in r.message]
@@ -1218,8 +1224,8 @@ class TestReport:
         out_dir = tmp_path / "results"
         assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == EXIT_OK
         csv_path.unlink()
-        load, calls = cli.load_csv, []
-        monkeypatch.setattr(cli, "load_csv", lambda spec: calls.append(spec) or load(spec))
+        load, calls = data.load_csv, []
+        monkeypatch.setattr(data, "load_csv", lambda spec: calls.append(spec) or load(spec))
         with caplog.at_level("WARNING"):
             code = main(["report", "--results", str(out_dir / "runs"), "--out-dir", str(tmp_path / "reports")])
         assert code == EXIT_CONFIG
@@ -1253,10 +1259,9 @@ class TestReport:
         main(["report", "--results", str(tmp_path), "--out-dir", str(report_dir)])
         import numpy as np
 
-        from albench.data import parse_synthetic_string
         from albench.types import Goal
 
-        pool = parse_synthetic_string("synthetic:linear1d:12:5")
+        pool = build_dataset("synthetic:linear1d:12:5")[0]
         _, steps = read_trajectory(out)
         accumulate = np.maximum.accumulate if pool.goal is Goal.MAXIMIZE else np.minimum.accumulate
         expected = accumulate([s.observed_value for s in steps])
@@ -1334,7 +1339,6 @@ class TestReportExports:
             calls.append(spec.csv_path)
             return load(spec)
 
-        monkeypatch.setattr(cli, "load_csv", counting)
         monkeypatch.setattr(data, "load_csv", counting)
         self.sweep(tmp_path, self.write_pool(tmp_path), tmp_path / "results", parallelism)
         assert len(calls) == 1
@@ -1345,7 +1349,7 @@ class TestReportExports:
 
         spec = self.write_pool(tmp_path)
         self.sweep(tmp_path, spec, tmp_path / "results")
-        pool = cli.build_dataset(spec)[0]
+        pool = build_dataset(spec)[0]
 
         def refuse(spec):
             raise AssertionError("loaded a CSV")
@@ -1355,10 +1359,9 @@ class TestReportExports:
             export = getattr(analytics, name)
             monkeypatch.setattr(analytics, name, lambda p, runs, *paths, export=export: (
                 exported.append((p, len(runs))) or export(p, runs, *paths)))
-        monkeypatch.setattr(cli, "load_csv", refuse)
         monkeypatch.setattr(data, "load_csv", refuse)
         pools = {pool.digest(): pool}
-        runs = cli._read_runs(tmp_path / "results" / "runs", pools)
+        runs = read_runs(tmp_path / "results" / "runs", pools)
         assert pools == {pool.digest(): pool} and len(runs) == 4
         analytics.write_reports(tmp_path / "report", pools, [run for _, run in runs.values()])
         assert len(exported) == 2 and all(p is pool and n == 4 for p, n in exported)
@@ -1388,7 +1391,7 @@ class TestReportExports:
         runs = {}
         for path in (out_dir / "runs").glob("*.jsonl"):
             runs.setdefault(read_trajectory(path)[0]["dataset_digest"], set()).add(path.stem)
-        digests = [cli.build_dataset(spec)[0].digest() for spec in specs]
+        digests = [build_dataset(spec)[0].digest() for spec in specs]
         assert sorted(runs) == sorted(digests) and digests[0][:8] != digests[1][:8]
         families = ("running_best", "distance_curves", "pca_coordinates", "pca_trajectories", "variability",
                     "similarity_scores")
@@ -1415,7 +1418,7 @@ class TestReportExports:
         for salt, name in enumerate(names):
             specs.append({**self.write_pool(tmp_path, "pool", salt), "name": name})
             self.sweep(tmp_path, specs[-1], out_dir)  # the second sweep exports both pools
-        digests = [cli.build_dataset(spec)[0].digest() for spec in specs]
+        digests = [build_dataset(spec)[0].digest() for spec in specs]
         stems = [suffix.format(digest8=digest[:8]) for suffix, digest in zip(suffixes, digests)]
         expected = {f"{family}_{stem}.csv" for family in analytics.REPORT_FAMILIES for stem in stems}
         assert len(expected) == 12 and {p.name for p in (out_dir / "reports").iterdir()} == expected

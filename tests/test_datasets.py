@@ -8,8 +8,8 @@ import pytest
 
 from albench.data import (
     DatasetSpec,
+    build_dataset,
     load_csv,
-    parse_synthetic_string,
     registry,
     registry_by_name,
     synthetic_pool,
@@ -224,12 +224,12 @@ class TestSyntheticPools:
             synthetic_pool("linear1d", 3, seed=0)
 
     def test_parse_string(self):
-        ds = parse_synthetic_string("synthetic:quadratic2d:16:2")
+        ds = build_dataset("synthetic:quadratic2d:16:2")[0]
         assert len(ds) == 16
         with pytest.raises(ConfigError):
-            parse_synthetic_string("synthetic:nope")
+            build_dataset("synthetic:nope")
         with pytest.raises(ConfigError):
-            parse_synthetic_string("synthetic:linear1d:xx")
+            build_dataset("synthetic:linear1d:xx")
 
     def test_plateau_run_stops_on_first_plateau_hit(self):
         from albench.engine import run_active_learning

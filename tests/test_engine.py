@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from albench.data import parse_synthetic_string, synthetic_pool
+from albench.data import build_dataset, synthetic_pool
 from albench.engine import (
     Suggestion,
     reached_optimum_at,
@@ -384,7 +384,7 @@ class TestTrajectoryIO:
 
     @pytest.mark.parametrize("edit, reason", STORED_RUN_EDITS)
     def test_rebuild_refuses_a_run_the_protocol_could_not_produce(self, tmp_path, edit, reason):
-        pool = parse_synthetic_string(EDIT_POOL)
+        pool = build_dataset(EDIT_POOL)[0]
         header, steps = stored_run(tmp_path, pool, EDIT_CONFIG)
         assert len(steps) == 8 and steps[-1]["running_best"] != pool.optimum_value
         rebuild_trajectory(header, [StepRecord.from_dict(s) for s in steps], pool)
@@ -393,7 +393,7 @@ class TestTrajectoryIO:
             rebuild_trajectory(header, edited, pool)
 
     def test_rebuild_refuses_a_step_after_the_optimum(self, tmp_path):
-        pool = parse_synthetic_string(EDIT_POOL)
+        pool = build_dataset(EDIT_POOL)[0]
         header, steps = stored_run(tmp_path, pool, replace(EDIT_CONFIG, max_iterations=None))
         assert steps[-1]["observed_value"] == pool.optimum_value and len(steps) < len(pool)
         edited = [StepRecord.from_dict(s) for s in append_step(steps, pool)]
@@ -401,7 +401,7 @@ class TestTrajectoryIO:
             rebuild_trajectory(header, edited, pool)
 
     def test_rebuild_reads_every_prefix_of_a_valid_run(self, tmp_path):
-        pool = parse_synthetic_string(EDIT_POOL)
+        pool = build_dataset(EDIT_POOL)[0]
         header, steps = stored_run(tmp_path, pool, EDIT_CONFIG)
         records = [StepRecord.from_dict(s) for s in steps]
         for n in range(1, len(records) + 1):
