@@ -129,59 +129,103 @@ def kl_layer(layer: BayesianLinearLayer) -> float:
     return total
 
 
-def _sample(network: BNNetwork, sigma: np.ndarray, eps: np.ndarray, out: np.ndarray):
-    """mu + sigma * eps into `out`, returned as per-layer (W, b) views."""
-    np.multiply(sigma, eps, out=out)
-    out += network.halves()[0]
-    return network.split(out)
+class _Workspace:
+    """Every array that the passes of one `predict_bnn` call touch,
+    allocated once for `n_rows` input rows.
 
-
-def _forward(X: np.ndarray, weights):
-    """Forward pass through per-layer (W, b); returns (yhat, caches), where
-    caches[i] is (input of layer i, its pre-activation)."""
-    A = X
-    caches = []
-    last = len(weights) - 1
-    for i, (W, b) in enumerate(weights):
-        Z = A @ W.T + b
-        caches.append((A, Z))
-        A = Z if i == last else np.maximum(Z, 0.0)
-    return A[:, 0], caches
-
-
-def _loss_and_grads(network: BNNetwork, X, y, sigma, eps, work, grads) -> float:
-    """Negative ELBO at one noise draw; its gradient goes into `grads`.
-
-    sigma = exp(log_sigma) and eps are laid out like one half of
-    `network.params`, `grads` like all of it; `work` is scratch the size of
-    one half.
+    `flat` holds one sampled weight vector laid out like one half of
+    `network.params`, and `weights` its per-layer (W, b) views. Layer i's
+    pre-activation is `Z[i]` and, for a hidden layer, its ReLU output
+    `A[i]`. A forward result is a view into `Z`, valid until the next pass.
     """
-    n = X.shape[0]
-    weights = _sample(network, sigma, eps, work)
-    yhat, caches = _forward(X, weights)
-    loss = 0.5 * float(np.mean((y - yhat) ** 2)) + sum(kl_layer(l) for l in network.layers)
 
-    # gradients w.r.t. the sampled weights, written over them layer by
-    # layer from the head down (a layer's W is read before it is replaced)
-    delta = ((yhat - y) / n)[:, None]  # d loss / d output, (n, 1)
-    for i in reversed(range(len(weights))):
-        W, b = weights[i]
-        A_prev, _ = caches[i]
-        dW = delta.T @ A_prev
-        db = delta.sum(axis=0)
-        if i > 0:
-            _, Z_prev = caches[i - 1]
-            delta = (delta @ W) * (Z_prev > 0.0)
-        W[...] = dW
-        b[...] = db
-    mu, _ = network.halves()
-    half = mu.size
-    np.add(work, mu, out=grads[:half])  # d mu: data term plus prior pull
-    d_log_sigma = grads[half:]
-    np.multiply(work, eps, out=d_log_sigma)
-    d_log_sigma *= sigma
-    d_log_sigma += sigma**2 - 1.0
-    return loss
+    def __init__(self, network: BNNetwork, n_rows: int):
+        self.mu, self.log_sigma = network.halves()
+        self.sigma = np.exp(self.log_sigma)
+        self.flat = np.empty(self.mu.size)
+        self.weights = network.split(self.flat)
+        widths = [W.shape[0] for W, _ in self.weights]
+        self.Z = [np.empty((n_rows, w)) for w in widths]
+        self.A = [np.empty((n_rows, w)) for w in widths[:-1]]
+
+    def forward(self, X: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        """The output at the weights mu + sigma * eps, shape (n_rows,)."""
+        np.multiply(self.sigma, eps, out=self.flat)
+        self.flat += self.mu
+        A, last = X, len(self.weights) - 1
+        for i, (W, b) in enumerate(self.weights):
+            Z = self.Z[i]
+            np.matmul(A, W.T, out=Z)
+            Z += b
+            if i < last:
+                A = np.maximum(Z, 0.0, out=self.A[i])
+        return self.Z[last][:, 0]
+
+
+class _TrainingWorkspace(_Workspace):
+    """A `_Workspace` plus what the epochs of one `train_bnn` call touch:
+    the loss gradient `delta[i]` at layer i's pre-activation, each hidden
+    layer's ReLU mask `Z[i] > 0`, and two half-length scratch vectors.
+    `loss_and_grads` writes the gradient over the sampled weights."""
+
+    def __init__(self, network: BNNetwork, n_rows: int):
+        super().__init__(network, n_rows)
+        self.scratch = np.empty(self.mu.size), np.empty(self.mu.size)
+        self.kl_terms = network.split(self.scratch[1])
+        self.delta = [np.empty_like(Z) for Z in self.Z]
+        self.mask = [np.empty(A.shape, dtype=bool) for A in self.A]
+
+    def kl(self) -> float:
+        """`sum(kl_layer(l) for l in network.layers)`, the same bits, in one
+        pass over the flat halves: kl_layer's operations in its order, and
+        its sums per weight and bias array, added up as it and `sum` do."""
+        work, terms = self.scratch
+        np.multiply(self.log_sigma, 2.0, out=work)
+        np.exp(work, out=work)
+        np.multiply(self.mu, self.mu, out=terms)
+        work += terms
+        work -= 1.0
+        work *= 0.5
+        np.negative(self.log_sigma, out=terms)
+        terms += work
+        total = 0.0
+        for w, b in self.kl_terms:
+            total += (0.0 + float(w.sum())) + float(b.sum())
+        return total
+
+    def loss_and_grads(self, X: np.ndarray, y: np.ndarray, eps: np.ndarray, grads: np.ndarray) -> float:
+        """Negative ELBO at one noise draw `eps`, laid out like one half of
+        `network.params`; its gradient goes into `grads`, laid out like all
+        of it."""
+        n = X.shape[0]
+        np.exp(self.log_sigma, out=self.sigma)
+        yhat = self.forward(X, eps)
+        residual = self.delta[-1][:, 0]
+        np.subtract(yhat, y, out=residual)
+        loss = 0.5 * float(np.mean(np.square(residual))) + self.kl()
+        residual /= n  # d loss / d output
+
+        # gradients w.r.t. the sampled weights, written over them layer by
+        # layer from the head down (a layer's W is read before it is replaced)
+        for i in reversed(range(len(self.weights))):
+            W, b = self.weights[i]
+            delta = self.delta[i]
+            if i > 0:
+                np.matmul(delta, W, out=self.delta[i - 1])
+                np.greater(self.Z[i - 1], 0.0, out=self.mask[i - 1])
+                self.delta[i - 1] *= self.mask[i - 1]
+            np.matmul(delta.T, self.A[i - 1] if i > 0 else X, out=W)
+            delta.sum(axis=0, out=b)
+        half = self.mu.size
+        np.add(self.flat, self.mu, out=grads[:half])  # d mu: data term plus prior pull
+        d_log_sigma = grads[half:]
+        np.multiply(self.flat, eps, out=d_log_sigma)
+        d_log_sigma *= self.sigma
+        square = self.scratch[0]
+        np.multiply(self.sigma, self.sigma, out=square)
+        square -= 1.0
+        d_log_sigma += square
+        return loss
 
 
 class _Adam:
@@ -262,15 +306,13 @@ def train_bnn(X, y, config: BNNConfig, seed: int) -> BNNetwork:
     noise_rng = np.random.default_rng(noise_ss)
 
     params = network.params
-    _, log_sigma = network.halves()
     adam = _Adam(params.size, config.learning_rate)
-    sigma, work = np.empty(log_sigma.size), np.empty(log_sigma.size)
+    work = _TrainingWorkspace(network, X.shape[0])
     grads = np.empty(params.size)
     history = []
-    with closing(_normal_rows(noise_rng, log_sigma.size, config.epochs)) as noise:
+    with closing(_normal_rows(noise_rng, work.flat.size, config.epochs)) as noise:
         for epoch, eps in enumerate(noise):
-            np.exp(log_sigma, out=sigma)
-            loss = _loss_and_grads(network, X, y, sigma, eps, work, grads)
+            loss = work.loss_and_grads(X, y, eps, grads)
             if not math.isfinite(loss):
                 raise FitError(f"training aborted: non-finite loss {loss} at epoch {epoch}")
             adam.step(params, grads)
@@ -295,9 +337,8 @@ def predict_bnn(
         raise ConfigError(f"mc_samples must be >= 2, got {mc_samples}")
     X_query = query_matrix(X_query, network.layers[0].mu_w.shape[1])
     samples = np.empty((mc_samples, X_query.shape[0]))
-    sigma = np.exp(network.halves()[1])
-    work = np.empty(sigma.size)
-    with closing(_normal_rows(rng, sigma.size, mc_samples)) as noise:
+    work = _Workspace(network, X_query.shape[0])
+    with closing(_normal_rows(rng, work.flat.size, mc_samples)) as noise:
         for s, eps in enumerate(noise):
-            samples[s] = _forward(X_query, _sample(network, sigma, eps, work))[0]
+            samples[s] = work.forward(X_query, eps)
     return samples.mean(axis=0), samples.std(axis=0)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FitError, ShapeError
+from .errors import ConfigError, FitError, InputError, ShapeError
 
 
 def is_int(value, low: int) -> bool:
@@ -116,21 +116,26 @@ def as_matrix(X) -> np.ndarray:
 
 def training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
     """A surrogate's training inputs `(as_matrix(X), float y)`: FitError
-    without a row, ShapeError unless y is one value per row of X."""
+    without a row, ShapeError unless y is one value per row of X, InputError
+    for a NaN feature or a non-finite target. Features may be infinite."""
     X, y = as_matrix(X), np.asarray(y, dtype=float)
     if len(X) == 0:
         raise FitError("empty training set")
     if y.shape != (len(X),):
         raise ShapeError(f"{len(X)} training rows need {len(X)} targets, got y of shape {y.shape}")
+    if np.isnan(X).any() or not np.isfinite(y).all():
+        raise InputError("training features contain NaN or targets are not all finite")
     return X, y
 
 
 def query_matrix(X, n_features: int) -> np.ndarray:
     """A surrogate's query rows `as_matrix(X)`: ShapeError unless each has
-    the model's `n_features` columns."""
+    the model's `n_features` columns, InputError for a NaN feature."""
     X = as_matrix(X)
     if X.shape[1] != n_features:
         raise ShapeError(f"query has {X.shape[1]} features, model expects {n_features}")
+    if np.isnan(X).any():
+        raise InputError("query features contain NaN")
     return X
 
 

@@ -116,9 +116,7 @@ def flat_noise(noise: NoiseDraw) -> np.ndarray:
 
 
 def forward_batch(network: bnn.BNNetwork, X: np.ndarray, noise: NoiseDraw) -> np.ndarray:
-    eps = flat_noise(noise)
-    sigma = np.exp(network.halves()[1])
-    return bnn._forward(X, bnn._sample(network, sigma, eps, np.empty_like(eps)))[0]
+    return bnn._Workspace(network, len(X)).forward(X, flat_noise(noise))
 
 
 def sample_forward(network: bnn.BNNetwork, x, noise: NoiseDraw) -> float:
@@ -151,8 +149,7 @@ def elbo_loss_and_grads(network: bnn.BNNetwork, X, y, noise: NoiseDraw):
     y = np.asarray(y, dtype=float)
     eps = flat_noise(noise)
     grads = np.empty_like(network.params)
-    sigma = np.exp(network.halves()[1])
-    loss = bnn._loss_and_grads(network, X, y, sigma, eps, np.empty_like(eps), grads)
+    loss = bnn._TrainingWorkspace(network, len(X)).loss_and_grads(X, y, eps, grads)
     half = eps.size
     d_mu, d_log_sigma = network.split(grads[:half]), network.split(grads[half:])
     return loss, [(mw, sw, mb, sb) for (mw, mb), (sw, sb) in zip(d_mu, d_log_sigma)]

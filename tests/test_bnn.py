@@ -13,6 +13,7 @@ from albench.bnn import (
     BNNConfig,
     BNNetwork,
     _normal_rows,
+    _TrainingWorkspace,
     init_network,
     kl_layer,
     predict_bnn,
@@ -475,3 +476,64 @@ class TestMatchesReference:
         assert loss == ref_loss
         for layer, ref_layer in zip(grads, ref_grads):
             assert [g.tobytes() for g in layer] == [g.tobytes() for g in ref_layer]
+
+
+def assert_matches_reference(X, y, config, seed, Q, mc_samples):
+    """train_bnn and predict_bnn give the per-array reference's bits."""
+    net = train_bnn(X, y, config, seed)
+    ref, history = reference_train(X, y, config, seed)
+    assert net.loss_history == history
+    assert net.params.tobytes() == ref.params.tobytes()
+    mean, std = predict_bnn(net, Q, mc_samples, np.random.default_rng(seed))
+    ref_mean, ref_std = reference_predict(ref, Q, mc_samples, np.random.default_rng(seed))
+    assert mean.tobytes() == ref_mean.tobytes() and std.tobytes() == ref_std.tobytes()
+    return net, (mean, std)
+
+
+class TestWorkspace:
+    """One preallocated workspace per call keeps every bit of the per-array
+    computation."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_pass_kl_matches_the_per_layer_sum(self, seed):
+        gen = np.random.default_rng(seed)
+        config = BNNConfig(hidden_layers=int(gen.integers(1, 4)), width=int(gen.integers(1, 9)))
+        net = init_network(int(gen.integers(1, 4)), config, gen)
+        mu, log_sigma = net.halves()
+        mu[:] = gen.normal(size=mu.size) * 10.0 ** gen.uniform(-3, 100, size=mu.size)
+        log_sigma[:] = gen.uniform(-20.5, 20.5, size=log_sigma.size)
+        log_sigma[gen.random(log_sigma.size) < 0.3] = gen.choice([-20.0, 20.0])
+        want = sum(kl_layer(l) for l in net.layers)
+        assert _TrainingWorkspace(net, 1).kl().hex() == want.hex()
+
+    @pytest.mark.parametrize(
+        "n, hidden_layers, width, n_query, mc_samples",
+        [(1, 2, 5, 4, 8), (6, 2, 5, 0, 8), (6, 1, 1, 4, 8), (6, 2, 5, 4, 2)],
+        ids=["one training row", "empty query", "width 1, one hidden layer", "two MC passes"],
+    )
+    def test_edge_shapes_match_the_reference(self, n, hidden_layers, width, n_query, mc_samples):
+        gen = np.random.default_rng(n + width)
+        X, y, Q = gen.normal(size=(n, 2)), gen.normal(size=n), gen.normal(size=(n_query, 2))
+        config = BNNConfig(hidden_layers=hidden_layers, width=width, epochs=20, learning_rate=0.05)
+        _, (mean, std) = assert_matches_reference(X, y, config, 3, Q, mc_samples)
+        assert mean.shape == std.shape == (n_query,)
+
+    def test_no_buffer_outlives_its_call(self):
+        gen = np.random.default_rng(4)
+        small = (gen.normal(size=(5, 2)), gen.normal(size=5), BNNConfig(hidden_layers=1, width=3, epochs=15))
+        large = (gen.normal(size=(9, 3)), gen.normal(size=9), BNNConfig(hidden_layers=3, width=7, epochs=15))
+        Q_small, Q_large = gen.normal(size=(4, 2)), gen.normal(size=(6, 3))
+        first_small = train_bnn(*small, 1)
+        first_large = train_bnn(*large, 2)
+        kept = [a.copy() for a in predict_bnn(first_small, Q_small, 6, np.random.default_rng(1))]
+        got = predict_bnn(first_large, Q_large, 6, np.random.default_rng(2))
+        kept_again = predict_bnn(first_small, Q_small, 6, np.random.default_rng(1))
+        assert [a.tobytes() for a in kept_again] == [a.tobytes() for a in kept]
+        for net, (X, y, config), seed, Q, (mean, std) in (
+            (first_small, small, 1, Q_small, kept_again),
+            (first_large, large, 2, Q_large, got),
+        ):
+            fresh, (fresh_mean, fresh_std) = assert_matches_reference(X, y, config, seed, Q, 6)
+            assert net.params.tobytes() == fresh.params.tobytes()
+            assert net.loss_history == fresh.loss_history
+            assert mean.tobytes() == fresh_mean.tobytes() and std.tobytes() == fresh_std.tobytes()

@@ -11,7 +11,7 @@ from albench.clients import ConstantChatClient, TokenBucket
 from albench.data import synthetic_pool
 from albench.acquisition import random_walk_select
 from albench.engine import STREAM_WALK, run_active_learning, substream, trajectory_to_jsonl
-from albench.errors import ConfigError, FitError, ShapeError
+from albench.errors import ConfigError, FitError, InputError, ShapeError
 from albench.forest_gbt import ForestConfig, GBTConfig
 from albench.proposers import (
     SURROGATES, GPRConfig, ProposerSettings, RandomWalkProposer, SurrogateProposer, make_proposer,
@@ -179,6 +179,34 @@ class TestSurrogateProposers:
     def test_kind_validation(self):
         with pytest.raises(ConfigError):
             SurrogateProposer(ProposerKind.RANDOM_WALK, alpha=1.0, seed=0)
+
+
+class TestNonFiniteInputs:
+    """NaN features, non-finite targets and NaN queries are an InputError on
+    every surrogate, raised by the shared input readers."""
+
+    FIT_PREDICT = {
+        "gpr": lambda X, y, Q: gpr.predict_gpr(X, y, gpr.KernelParams(1.0, 1.0, 1.0), Q),
+        "rfr": lambda X, y, Q: forest_gbt.predict_forest(forest_gbt.fit_forest(X, y, ForestConfig(n_trees=5), 0), Q),
+        "gbt": lambda X, y, Q: forest_gbt.predict_gbt(forest_gbt.fit_gbt(X, y, GBTConfig(n_rounds=5)), Q),
+        "bnn": lambda X, y, Q: bnn.predict_bnn(
+            bnn.train_bnn(X, y, BNNConfig(hidden_layers=1, width=4, epochs=5), 0), Q, 4, np.random.default_rng(0)
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", ["nan feature", "nan target", "inf target", "nan query"])
+    @pytest.mark.parametrize("model", list(FIT_PREDICT))
+    def test_non_finite_input_is_a_typed_error(self, model, bad):
+        gen = np.random.default_rng(2)
+        X, y, Q = gen.normal(size=(6, 2)), gen.normal(size=6), gen.normal(size=(4, 2))
+        if bad == "nan feature":
+            X[2, 1] = np.nan
+        elif bad == "nan query":
+            Q[1, 0] = np.nan
+        else:
+            y[3] = np.nan if bad == "nan target" else np.inf
+        with pytest.raises(InputError):
+            self.FIT_PREDICT[model](X, y, Q)
 
 
 class TestFactory:
